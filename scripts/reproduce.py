@@ -12,12 +12,12 @@ usage: python3 scripts/reproduce.py [--outdir DIR] [name ...]
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
 from mdelab.cli import recipe_to_config, run
 from mdelab.errors import MdeLabError
+from mdelab.measure import load_json
 
 RECIPE_DIR = pathlib.Path(__file__).resolve().parent / "recipes"
 PATH_OPTIONS = ("pvf", "init", "kernel", "oracle")
@@ -25,7 +25,7 @@ PLAIN_TEXT = {"dist", "fiber-dist"}
 
 
 def resolve_recipe(path: pathlib.Path, outdir: pathlib.Path) -> dict:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = load_json(str(path))
     options = dict(doc.get("options", {}))
     for key in PATH_OPTIONS:
         if key in options:
@@ -61,8 +61,8 @@ def main(argv=None) -> int:
 
     failures = 0
     for path in paths:
-        doc = resolve_recipe(path, outdir)
         try:
+            doc = resolve_recipe(path, outdir)
             run(recipe_to_config(doc))
         except MdeLabError as exc:
             failures += 1

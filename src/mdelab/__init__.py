@@ -108,7 +108,6 @@ from .analysis import (
     semigroup_check,
     step_displacement_check,
     support_bound_check,
-    thread_budget,
     time_lipschitz_check,
     trajectory_reach,
     uniqueness_proxy,

@@ -15,9 +15,7 @@ tolerances, rather than burying it in slack factors.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,7 @@ from .las import Trajectory, ax_discretize, interpolate, las_solve
 from .measure import DiscreteMeasure, LiftedMeasure, dirac, make_measure, \
     push_forward, support_radius, uniform_1d
 from .pvf import PvfSpec, VelocityField, evaluate, sublinear_constant
-from .transport import wasserstein
+from .transport import _northwest, wasserstein
 
 ORACLE_ATOMS_DEFAULT = 200
 SAMPLE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -133,29 +131,35 @@ def _lifted_flux(lifted: LiftedMeasure, f: TestFunction) -> float:
     return float(np.sum(w * scale * (d * vel).sum(axis=1)))
 
 
-def _flux(flow, f: TestFunction, s: float) -> float:
-    """Integral of grad(f)(x) . v against the lifted field at time s."""
-    return _lifted_flux(evaluate(flow.pvf, _measure_at(flow, s)), f)
-
-
 def _mean(f: TestFunction, mu: DiscreteMeasure) -> float:
     return math.fsum(m * f.value(p) for p, m in mu.atoms())
 
 
-def weak_residual(flow, f: TestFunction, t: float) -> float:
-    """|int f dmu(t) - int f dmu(0) - int_0^t int grad(f).v dV[mu(s)] ds|,
-    space integrals exact atomic sums, time integral trapezoidal on the
-    flow's step grid."""
+def _residuals(flow, family, t: float) -> list[float]:
+    """Weak residual of each test function in the family; the field is
+    evaluated once per time node and shared across the family."""
     if isinstance(flow, Trajectory):
         horizon = (len(flow.steps) - 1) / flow.config.n_param
         if t > horizon + 1e-12:
             raise ValidationError(
                 f"t={t!r} beyond trajectory horizon {horizon!r}", field="t")
     nodes = _time_grid(flow, t)
-    fluxes = [_flux(flow, f, s) for s in nodes]
-    lhs = _mean(f, _measure_at(flow, t))
-    rhs = _mean(f, _measure_at(flow, 0.0)) + _trapezoid(nodes, fluxes)
-    return abs(lhs - rhs)
+    lifteds = [evaluate(flow.pvf, _measure_at(flow, s)) for s in nodes]
+    mu_start = _measure_at(flow, 0.0)
+    mu_end = _measure_at(flow, t)
+    residuals = []
+    for f in family:
+        fluxes = [_lifted_flux(lifted, f) for lifted in lifteds]
+        rhs = _mean(f, mu_start) + _trapezoid(nodes, fluxes)
+        residuals.append(abs(_mean(f, mu_end) - rhs))
+    return residuals
+
+
+def weak_residual(flow, f: TestFunction, t: float) -> float:
+    """|int f dmu(t) - int f dmu(0) - int_0^t int grad(f).v dV[mu(s)] ds|,
+    space integrals exact atomic sums, time integral trapezoidal on the
+    flow's step grid."""
+    return _residuals(flow, [f], t)[0]
 
 
 def distributional_residual(flow, f: TestFunction,
@@ -177,7 +181,8 @@ def distributional_residual(flow, f: TestFunction,
     for s in nodes:
         mu_s = _measure_at(flow, s)
         integrand.append(poly(da, s) * _mean(f, mu_s) +
-                         poly(a_coeffs, s) * _flux(flow, f, s))
+                         poly(a_coeffs, s) *
+                         _lifted_flux(evaluate(flow.pvf, mu_s), f))
     lhs = poly(a_coeffs, t) * _mean(f, _measure_at(flow, t))
     rhs = (poly(a_coeffs, 0.0) * _mean(f, _measure_at(flow, 0.0)) +
            _trapezoid(nodes, integrand))
@@ -193,23 +198,7 @@ def max_family_residual(flow, t: float, reach: float | None = None) -> float:
         dim = flow.dim
         if reach is None:
             reach = trajectory_reach(flow)
-    if isinstance(flow, Trajectory):
-        horizon = (len(flow.steps) - 1) / flow.config.n_param
-        if t > horizon + 1e-12:
-            raise ValidationError(
-                f"t={t!r} beyond trajectory horizon {horizon!r}", field="t")
-    # evaluate the field once per node and share it across the family
-    nodes = _time_grid(flow, t)
-    lifteds = [evaluate(flow.pvf, _measure_at(flow, s)) for s in nodes]
-    mu_start = _measure_at(flow, 0.0)
-    mu_end = _measure_at(flow, t)
-    worst = 0.0
-    for f in bump_family(dim, reach):
-        fluxes = [_lifted_flux(lifted, f) for lifted in lifteds]
-        lhs = _mean(f, mu_end)
-        rhs = _mean(f, mu_start) + _trapezoid(nodes, fluxes)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return max(0.0, *_residuals(flow, bump_family(dim, reach), t))
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +288,6 @@ class ConvergenceReport:
         return {n: err for n, err, _ in self.entries}
 
 
-def thread_budget() -> int:
-    raw = os.environ.get("MDE_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _study_one(spec: PvfSpec, mu0: DiscreteMeasure, oracle_ref,
                horizon: float, n: int) -> tuple[int, float, float]:
     name, params = oracle_ref
@@ -323,17 +304,8 @@ def convergence_study(spec: PvfSpec, mu0: DiscreteMeasure, oracle_ref,
                       horizon: float, n_grid) -> ConvergenceReport:
     """Max-over-time W error against the oracle at each N, with a
     log-log least-squares slope when three or more grid points exist."""
-    n_grid = sorted(int(n) for n in n_grid)
-    workers = min(thread_budget(), len(n_grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda n: _study_one(spec, mu0, oracle_ref, horizon, n),
-                n_grid))
-    else:
-        rows = [_study_one(spec, mu0, oracle_ref, horizon, n)
-                for n in n_grid]
-    rows.sort()
+    rows = [_study_one(spec, mu0, oracle_ref, horizon, n)
+            for n in sorted(int(n) for n in n_grid)]
     slope = None
     if len(rows) >= 3 and all(err > 0.0 for _, err, _ in rows):
         xs = [math.log(n) for n, _, _ in rows]
@@ -447,12 +419,8 @@ def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
     if not isinstance(kind, FiberCostKind):
         kind = FiberCostKind(kind)
     # atoms are already sorted by (position, velocity)
-    rem1 = list(v1.masses)
-    rem2 = list(v2.masses)
-    i = j = 0
     terms = []
-    while i < v1.atom_count and j < v2.atom_count:
-        frag = min(rem1[i], rem2[j])
+    for i, j, frag in _northwest(v1.masses, v2.masses):
         x = v1.positions[i][0]
         y = v2.positions[j][0]
         v = v1.velocities[i][0]
@@ -464,13 +432,4 @@ def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
         else:
             cost = 0.0 if x == y else (v - w) * math.copysign(1.0, x - y)
         terms.append(frag * cost)
-        if rem1[i] == rem2[j]:
-            i += 1
-            j += 1
-        elif rem1[i] < rem2[j]:
-            rem2[j] -= rem1[i]
-            i += 1
-        else:
-            rem1[i] -= rem2[j]
-            j += 1
     return math.fsum(terms)

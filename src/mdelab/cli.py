@@ -4,8 +4,7 @@ Subcommands: solve, dist, fiber-dist, converge, residual, check,
 particles. Every run is deterministic: the same config and seed produce
 byte-identical output. Failures exit 2 (validation) or 3 (numerical)
 with a machine-readable JSON error object on stderr. All JSON documents
-carry a "schema": 1 field. MDE_LAB_THREADS caps per-N parallelism in
-convergence studies.
+carry a "schema": 1 field.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from . import analysis, particles, selfcheck
 from .errors import MdeLabError, NumericalError, ValidationError
 from .fiber_metric import FiberCostKind, constrained_fiber_cost
 from .las import interpolate, las_solve
-from .measure import lifted_from_dict, measure_from_dict
+from .measure import lifted_from_dict, load_json, measure_from_dict
 from .kernels import kernel_from_dict
 from .pvf import field_from_dict, pvf_from_dict
 from .transport import wasserstein
@@ -77,18 +76,6 @@ def f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}",
-                              field=path) from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}",
-                              field=path) from exc
-
-
 def _emit(config: RunConfig, columns: list[str], rows: list[list]) -> str:
     if config.format == "json":
         doc = {"schema": 1, "columns": columns,
@@ -128,8 +115,8 @@ def _require(config: RunConfig, *names: str) -> None:
 
 def _cmd_solve(config: RunConfig) -> None:
     _require(config, "pvf", "init", "n", "horizon")
-    spec = pvf_from_dict(_load_json(config.pvf))
-    mu0 = measure_from_dict(_load_json(config.init))
+    spec = pvf_from_dict(load_json(config.pvf))
+    mu0 = measure_from_dict(load_json(config.init))
     traj = las_solve(mu0, spec, config.n, config.horizon)
     dt = traj.config.dt
     columns = (["t", "atom_id"]
@@ -146,8 +133,8 @@ def _cmd_dist(config: RunConfig) -> None:
     if len(config.inputs) != 2:
         raise ValidationError("dist needs exactly two measure files",
                               field="inputs")
-    mu = measure_from_dict(_load_json(config.inputs[0]))
-    nu = measure_from_dict(_load_json(config.inputs[1]))
+    mu = measure_from_dict(load_json(config.inputs[0]))
+    nu = measure_from_dict(load_json(config.inputs[1]))
     result = wasserstein(mu, nu)
     lines = [f17(result.distance)]
     if config.plan:
@@ -162,7 +149,7 @@ def _cmd_fiber_dist(config: RunConfig) -> None:
         raise ValidationError("fiber-dist needs two or three lifted files",
                               field="inputs")
     kind = _KIND_BY_FLAG[config.kind]
-    lifted = [lifted_from_dict(_load_json(p)) for p in config.inputs]
+    lifted = [lifted_from_dict(load_json(p)) for p in config.inputs]
     if len(lifted) == 2:
         pairs = [(0, 1)]
     else:
@@ -189,9 +176,9 @@ def _oracle_params_from_dict(doc: dict) -> dict:
 
 def _cmd_converge(config: RunConfig) -> None:
     _require(config, "pvf", "init", "oracle", "n_grid", "horizon")
-    spec = pvf_from_dict(_load_json(config.pvf))
-    mu0 = measure_from_dict(_load_json(config.init))
-    oracle_doc = _load_json(config.oracle)
+    spec = pvf_from_dict(load_json(config.pvf))
+    mu0 = measure_from_dict(load_json(config.init))
+    oracle_doc = load_json(config.oracle)
     if "name" not in oracle_doc:
         raise ValidationError("oracle file needs a 'name'", field="oracle")
     oracle_ref = (oracle_doc["name"],
@@ -205,8 +192,8 @@ def _cmd_converge(config: RunConfig) -> None:
 
 def _cmd_residual(config: RunConfig) -> None:
     _require(config, "pvf", "init")
-    spec = pvf_from_dict(_load_json(config.pvf))
-    mu0 = measure_from_dict(_load_json(config.init))
+    spec = pvf_from_dict(load_json(config.pvf))
+    mu0 = measure_from_dict(load_json(config.init))
     if config.stationary:
         flow = analysis.StationaryFlow(mu0, spec)
         horizon = config.horizon if config.horizon is not None else 1.0
@@ -232,8 +219,8 @@ def _cmd_check(config: RunConfig) -> None:
 
 def _cmd_particles(config: RunConfig) -> None:
     _require(config, "kernel", "init", "n", "horizon")
-    kernel = kernel_from_dict(_load_json(config.kernel))
-    state0 = particles.state_from_dict(_load_json(config.init))
+    kernel = kernel_from_dict(load_json(config.kernel))
+    state0 = particles.state_from_dict(load_json(config.init))
     gaps = particles.meanfield_compare(state0, kernel, config.n,
                                        config.horizon)
     rows = [[t, gap] for t, gap in gaps]

@@ -26,11 +26,13 @@ from scipy.optimize import linprog
 from .errors import NumericalError, ValidationError
 from .measure import (DiscreteMeasure, LiftedMeasure, base_marginal,
                       make_lifted, make_measure)
-from .transport import TransportPlan, validate_plan, wasserstein
+from .transport import (TransportPlan, _check_coupling, _northwest,
+                        _plan_cost, wasserstein)
 
 BASE_OPT_REL_TOL = 1e-7      # stage-2 constraint slack: W* + 1e-7*(1+W*)
 MARGINAL_TOL = 1e-10
 MAX_COUPLING_VARS = 250_000  # dense stage-2 refusal threshold
+_SUM_MERGE_TOL = 2.0 ** -42  # fiber sums this close merge (1024 ulps of 1)
 _ENTRY_FLOOR = 1e-14         # LP vertex entries below this are noise
 
 
@@ -56,25 +58,7 @@ class LiftedPlan:
 def validate_lifted_plan(plan: LiftedPlan, v1: LiftedMeasure,
                          v2: LiftedMeasure,
                          tol: float = MARGINAL_TOL) -> None:
-    if plan.rows != v1.atom_count or plan.cols != v2.atom_count:
-        raise ValidationError("lifted plan shape does not match the measures")
-    row_sums = [0.0] * plan.rows
-    col_sums = [0.0] * plan.cols
-    for a, b, w in plan.entries:
-        if not (0 <= a < plan.rows and 0 <= b < plan.cols):
-            raise ValidationError(f"lifted plan index ({a},{b}) out of range")
-        if not w > 0.0:
-            raise ValidationError("lifted plan weights must be positive")
-        row_sums[a] += w
-        col_sums[b] += w
-    for a, m in enumerate(v1.masses):
-        if abs(row_sums[a] - m) > tol:
-            raise ValidationError(
-                f"lifted row {a} mass {row_sums[a]!r} != {m!r}")
-    for b, m in enumerate(v2.masses):
-        if abs(col_sums[b] - m) > tol:
-            raise ValidationError(
-                f"lifted column {b} mass {col_sums[b]!r} != {m!r}")
+    _check_coupling(plan, v1.masses, v2.masses, tol, "lifted plan")
 
 
 def induced_base_plan(plan: LiftedPlan, v1: LiftedMeasure,
@@ -89,10 +73,8 @@ def induced_base_plan(plan: LiftedPlan, v1: LiftedMeasure,
         key = (row_of[v1.positions[a]], col_of[v2.positions[b]])
         acc[key] = acc.get(key, 0.0) + w
     entries = tuple(sorted((i, k, w) for (i, k), w in acc.items()))
-    cost = math.fsum(w * math.dist(mu.positions[i], nu.positions[k])
-                     for i, k, w in entries)
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
-                         entries=entries, cost=cost)
+                         entries=entries, cost=_plan_cost(entries, mu, nu))
 
 
 def _round_to_polytope(flow: np.ndarray, r: np.ndarray,
@@ -115,19 +97,8 @@ def _round_to_polytope(flow: np.ndarray, r: np.ndarray,
         flow[:, over] *= c[over] / col_sums[over]
     err_r = np.maximum(r - flow.sum(axis=1), 0.0)
     err_c = np.maximum(c - flow.sum(axis=0), 0.0)
-    a = b = 0
-    rows, cols = flow.shape
-    while a < rows and b < cols:
-        if err_r[a] <= 0.0:
-            a += 1
-            continue
-        if err_c[b] <= 0.0:
-            b += 1
-            continue
-        step = min(err_r[a], err_c[b])
+    for a, b, step in _northwest(err_r.tolist(), err_c.tolist()):
         flow[a, b] += step
-        err_r[a] -= step
-        err_c[b] -= step
     return flow
 
 
@@ -244,6 +215,30 @@ def _base_groups(v: LiftedMeasure) -> list[tuple[tuple[float, ...], float,
     return out
 
 
+def _merge_fiber_sums(sums: list[tuple[tuple[float, ...], float]],
+                      ) -> list[tuple[tuple[float, ...], float]]:
+    """Merge (velocity, weight) sums at one base point.
+
+    Float addition is not associative: (v+w)+u and v+(w+u) can land
+    ulps apart. One sweep over the sorted sums joins each sum to its
+    predecessor's group when all coordinates agree within the absolute
+    _SUM_MERGE_TOL; a group keeps its first velocity and the fsum of its
+    weights. The tolerance is absolute because a tolerance relative to
+    the summands differs between the two groupings of a product, and
+    sums whose gap falls between the two would merge in one only.
+    """
+    groups: list[tuple[tuple[float, ...], list[float]]] = []
+    prev: tuple[float, ...] = ()
+    for vel, weight in sorted(sums):
+        if groups and all(abs(a - b) <= _SUM_MERGE_TOL
+                          for a, b in zip(vel, prev)):
+            groups[-1][1].append(weight)
+        else:
+            groups.append((vel, [weight]))
+        prev = vel
+    return [(vel, math.fsum(weights)) for vel, weights in groups]
+
+
 def fiber_convolution(v1: LiftedMeasure, v2: LiftedMeasure) -> LiftedMeasure:
     """Per-base-point convolution of the conditional fiber distributions.
 
@@ -252,7 +247,10 @@ def fiber_convolution(v1: LiftedMeasure, v2: LiftedMeasure) -> LiftedMeasure:
     combine to atoms (x, v+w) with weight w1*(w2/m); with the right-hand
     neutral element mu (x) delta_0 the ratio w2/m is exactly 1, so v1's
     weights survive unchanged whenever the shared base masses agree
-    bit-for-bit.
+    bit-for-bit. Sums within _SUM_MERGE_TOL of each other merge into one
+    atom (see _merge_fiber_sums), so regrouping a product does not split
+    an atom; the neutral element is exact for fibers whose velocities
+    are further apart than that.
     """
     if v1.dim != v2.dim:
         raise ValidationError(
@@ -268,10 +266,10 @@ def fiber_convolution(v1: LiftedMeasure, v2: LiftedMeasure) -> LiftedMeasure:
         if math.dist(p1, p2) > MARGINAL_TOL or abs(m1 - m2) > MARGINAL_TOL:
             raise ValidationError(
                 f"base marginals differ at {p1} vs {p2}", field="base")
-        for vel1, w1 in fib1:
-            for vel2, w2 in fib2:
-                summed = tuple(a + b for a, b in zip(vel1, vel2))
-                out.append((p1, summed, w1 * (w2 / m1)))
+        sums = [(tuple(a + b for a, b in zip(vel1, vel2)), w1 * (w2 / m1))
+                for vel1, w1 in fib1 for vel2, w2 in fib2]
+        out.extend((p1, vel, weight)
+                   for vel, weight in _merge_fiber_sums(sums))
     return make_lifted(out, dim=v1.dim)
 
 

@@ -345,11 +345,13 @@ def lifted_to_dict(lifted: LiftedMeasure) -> dict:
             "atoms": [list(p) + list(v) + [m] for p, v, m in lifted.atoms()]}
 
 
-def load_json(path: str, what: str = "document") -> dict:
+def load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}",
+                              field=path) from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{path} is not valid JSON: {exc}",
+                              field=path) from exc

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analysis import SAMPLE_FRACTIONS
 from .errors import NumericalError, ValidationError
 from .kernels import KernelSpec
 from .las import interpolate, las_solve
@@ -26,7 +27,6 @@ from .measure import DiscreteMeasure, make_measure
 from .pvf import interaction_pvf
 from .transport import wasserstein
 
-SAMPLE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 REFERENCE_SUBSTEPS = 10  # reference dt_ode = lattice dt / 10
 
 

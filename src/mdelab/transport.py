@@ -38,51 +38,54 @@ class WassersteinResult:
     plan: TransportPlan
 
 
-def _recompute_cost(plan: TransportPlan, mu: DiscreteMeasure,
-                    nu: DiscreteMeasure) -> float:
+def _plan_cost(entries, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return math.fsum(w * math.dist(mu.positions[i], nu.positions[k])
-                     for i, k, w in plan.entries)
+                     for i, k, w in entries)
+
+
+def _check_coupling(plan, row_masses: Sequence[float],
+                    col_masses: Sequence[float], tol: float,
+                    what: str) -> None:
+    """Check a coupling's shape, indices, positivity and both marginals."""
+    if plan.rows != len(row_masses) or plan.cols != len(col_masses):
+        raise ValidationError(f"{what} shape does not match the measures")
+    row_sums = [0.0] * plan.rows
+    col_sums = [0.0] * plan.cols
+    for i, k, w in plan.entries:
+        if not (0 <= i < plan.rows and 0 <= k < plan.cols):
+            raise ValidationError(f"{what} index ({i},{k}) out of range")
+        if not w > 0.0:
+            raise ValidationError(f"{what} weights must be positive")
+        row_sums[i] += w
+        col_sums[k] += w
+    for side, sums, masses in (("row", row_sums, row_masses),
+                               ("column", col_sums, col_masses)):
+        for i, (total, m) in enumerate(zip(sums, masses)):
+            if abs(total - m) > tol:
+                raise ValidationError(
+                    f"{what} {side} {i} mass {total!r} != {m!r}")
 
 
 def validate_plan(plan: TransportPlan, mu: DiscreteMeasure,
                   nu: DiscreteMeasure, tol: float = PLAN_TOL) -> None:
     """Check marginals, positivity, and recorded-vs-recomputed cost."""
-    if plan.rows != mu.atom_count or plan.cols != nu.atom_count:
-        raise ValidationError("plan shape does not match the measures")
-    row_sums = [0.0] * plan.rows
-    col_sums = [0.0] * plan.cols
-    for i, k, w in plan.entries:
-        if not (0 <= i < plan.rows and 0 <= k < plan.cols):
-            raise ValidationError(f"plan entry index ({i},{k}) out of range")
-        if not w > 0.0:
-            raise ValidationError("plan weights must be positive")
-        row_sums[i] += w
-        col_sums[k] += w
-    for i, m in enumerate(mu.masses):
-        if abs(row_sums[i] - m) > tol:
-            raise ValidationError(
-                f"row {i} mass {row_sums[i]!r} != source mass {m!r}")
-    for k, m in enumerate(nu.masses):
-        if abs(col_sums[k] - m) > tol:
-            raise ValidationError(
-                f"column {k} mass {col_sums[k]!r} != target mass {m!r}")
-    recomputed = _recompute_cost(plan, mu, nu)
+    _check_coupling(plan, mu.masses, nu.masses, tol, "plan")
+    recomputed = _plan_cost(plan.entries, mu, nu)
     if abs(recomputed - plan.cost) > tol * (1.0 + abs(recomputed)):
         raise ValidationError(
             f"plan cost {plan.cost!r} != recomputed {recomputed!r}")
 
 
-def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    # positions are already sorted lexicographically = numerically in 1D
-    entries = []
-    terms = []
-    src = list(mu.masses)
-    tgt = list(nu.masses)
+def _northwest(src: Sequence[float], tgt: Sequence[float]):
+    """Northwest-corner sweep over two mass lists: yields (i, k, delta)
+    as the monotone (quantile) coupling moves delta from source i to
+    target k, until either list runs out. Zero masses give zero moves."""
+    src = list(src)
+    tgt = list(tgt)
     i = k = 0
-    while i < mu.atom_count and k < nu.atom_count:
+    while i < len(src) and k < len(tgt):
         delta = min(src[i], tgt[k])
-        entries.append((i, k, delta))
-        terms.append(delta * abs(mu.positions[i][0] - nu.positions[k][0]))
+        yield i, k, delta
         if src[i] == tgt[k]:
             i += 1
             k += 1
@@ -92,8 +95,15 @@ def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
         else:
             src[i] -= tgt[k]
             k += 1
+
+
+def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
+    # positions are already sorted lexicographically = numerically in 1D
+    entries = tuple(_northwest(mu.masses, nu.masses))
+    cost = math.fsum(delta * abs(mu.positions[i][0] - nu.positions[k][0])
+                     for i, k, delta in entries)
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
-                         entries=tuple(entries), cost=math.fsum(terms))
+                         entries=entries, cost=cost)
 
 
 class _Simplex:

@@ -46,7 +46,6 @@ from mdelab import (
     sgn_sqrt_field,
     step_displacement_check,
     support_bound_check,
-    thread_budget,
     time_lipschitz_check,
     uniform_1d,
     uniqueness_proxy,
@@ -236,25 +235,6 @@ class TestConvergence:
         report = ConvergenceReport(entries=((10, 0.1, 0.0), (20, 0.05, 0.0)),
                                    slope=None)
         assert report.errors == {10: 0.1, 20: 0.05}
-
-    def test_thread_budget_env(self, monkeypatch):
-        monkeypatch.delenv("MDE_LAB_THREADS", raising=False)
-        assert thread_budget() == 1
-        monkeypatch.setenv("MDE_LAB_THREADS", "4")
-        assert thread_budget() == 4
-        monkeypatch.setenv("MDE_LAB_THREADS", "many")
-        assert thread_budget() == 1
-
-    def test_parallel_study_matches_serial(self, monkeypatch):
-        args = (ode_lift_pvf(linear_field(-1.0)), dirac(1.0),
-                ("ode_flow", {"mu0": dirac(1.0),
-                              "field": linear_field(-1.0)}), 1.0, [10, 20, 40])
-        monkeypatch.setenv("MDE_LAB_THREADS", "1")
-        serial = convergence_study(*args)
-        monkeypatch.setenv("MDE_LAB_THREADS", "3")
-        parallel = convergence_study(*args)
-        assert [(n, e) for n, e, _ in serial.entries] == \
-            [(n, e) for n, e, _ in parallel.entries]
 
 
 class TestSemigroup:

@@ -8,8 +8,9 @@ base optimum is unique in every pair, which pins the fiber pairing.
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdelab import (
@@ -30,6 +31,7 @@ from mdelab import (
     wasserstein,
     wt_bound_check,
 )
+from mdelab.fiber_metric import _round_to_polytope
 
 
 def witness_triple():
@@ -52,6 +54,24 @@ def test_combined_cost_triple():
     assert d13 == pytest.approx(3.0, abs=1e-6)
     # the whole point: 3 > 1 + 1, no triangle inequality
     assert d13 > d12 + d23 + 0.5
+
+
+def test_polytope_repair_restores_exact_marginals():
+    rng = np.random.default_rng(11)
+    exact = rng.uniform(0.5, 1.5, (7, 5)) * (rng.random((7, 5)) < 0.6)
+    exact /= exact.sum()
+    r, c = exact.sum(axis=1), exact.sum(axis=0)
+    # the exact coupling pushed off by about 1e-8, with empty cells
+    # driven negative, as an LP's feasibility tolerance leaves it
+    flow = exact + rng.uniform(-1e-8, 1e-8, exact.shape)
+    assert (flow < 0.0).any()
+    assert np.abs(flow.sum(axis=1) - r).max() > 1e-9
+    assert np.abs(flow.sum(axis=0) - c).max() > 1e-9
+    repaired = _round_to_polytope(flow.copy(), r, c)
+    assert (repaired >= 0.0).all()
+    assert np.abs(repaired.sum(axis=1) - r).max() <= 1e-12
+    assert np.abs(repaired.sum(axis=0) - c).max() <= 1e-12
+    assert np.abs(repaired - exact).max() <= 1e-7
 
 
 def test_self_cost_is_zero():
@@ -207,6 +227,9 @@ def shared_base_fibers(draw):
 
 
 @given(shared_base_fibers())
+@example((make_lifted([(0.5, 2.0, 1.0)]),
+          make_lifted([(0.5, 0.0, 0.5), (0.5, 2.2e-16, 0.5)]),
+          make_lifted([(0.5, -1.0, 1.0)])))
 @settings(max_examples=25, deadline=None)
 def test_convolution_is_commutative_and_associative(triple):
     va, vb, vc = triple

@@ -1,5 +1,6 @@
 """Shipped reproduction recipes: all parse, all run, all rerun identically."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -10,6 +11,13 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "reproduce.py"
 RECIPE_DIR = ROOT / "scripts" / "recipes"
+PINNED = pathlib.Path(__file__).resolve().parent / "recipe_outputs.sha256"
+
+
+def pinned_hashes():
+    lines = PINNED.read_text().splitlines()
+    return {name: digest for digest, name in
+            (line.split() for line in lines if not line.startswith("#"))}
 
 
 def run_all(outdir):
@@ -44,6 +52,9 @@ def test_reruns_are_byte_identical(tmp_path):
     assert len(names) == len(list(RECIPE_DIR.glob("*.json")))
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+    digests = {name: hashlib.sha256((first / name).read_bytes()).hexdigest()
+               for name in names}
+    assert digests == pinned_hashes()
 
 
 def test_fiber_recipe_prints_the_triangle_violation(tmp_path):
