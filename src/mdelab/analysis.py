@@ -331,8 +331,7 @@ def semigroup_check(spec: PvfSpec, mu0: DiscreteMeasure, n: int,
                 f"{label}={val!r} is not a multiple of 1/N", field=label)
     if s + t <= 0:
         return 0.0
-    full = (las_solve(mu0, spec, n, s + t).steps[-1] if s + t > 0
-            else ax_discretize(mu0, n))
+    full = las_solve(mu0, spec, n, s + t).steps[-1]
     mid = (las_solve(mu0, spec, n, s).steps[-1] if s > 0
            else ax_discretize(mu0, n))
     end = (las_solve(mid, spec, n, t).steps[-1] if t > 0 else mid)

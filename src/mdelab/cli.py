@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from . import analysis, particles, selfcheck
 from .errors import MdeLabError, NumericalError, ValidationError
 from .fiber_metric import FiberCostKind, constrained_fiber_cost
-from .las import interpolate, las_solve
+from .las import las_solve
 from .measure import lifted_from_dict, load_json, measure_from_dict
 from .kernels import kernel_from_dict
 from .pvf import field_from_dict, pvf_from_dict

@@ -116,8 +116,8 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
     """Exact LP optimum of the selected cost over lifted couplings whose
     base projection is an optimal base plan (within the relative slack).
 
-    Returns (value, optimizer). Value >= 0 for fiber and combined kinds;
-    one_sided may be negative.
+    Returns (value, plan), value the selected cost of the repaired plan;
+    it is >= 0 for fiber and combined kinds, one_sided may be negative.
     """
     if v1.dim != v2.dim:
         raise ValidationError(
@@ -182,7 +182,7 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
         for a, b, w in entries)
     plan = LiftedPlan(rows=rows, cols=cols, entries=entries,
                       base_cost=base_cost, fiber_cost=fiber_cost)
-    return float(res.fun), plan
+    return math.fsum(w * objective[a, b] for a, b, w in entries), plan
 
 
 def tangent_wasserstein(v1: LiftedMeasure, v2: LiftedMeasure) -> float:

@@ -2,12 +2,14 @@
 
 One parameter N sets every resolution: time step 1/N, velocity step 1/N,
 space step 1/N^2 (their product, the space a velocity cell covers in
-one time step, in exact rational arithmetic). Measures live on the grid
-Z^n / N^2 inside the box [-N, N]^n, stored as integer coordinates, and a
-step is: evaluate the vector field at the current lattice measure, floor
-velocities to multiples of 1/N, then shift atoms by the integer cell
-count dt*v*N^2 = k. Evolution arithmetic therefore never rounds; floats
-appear only when converting to real coordinates for output.
+one time step). Measures live on the grid Z^n / N^2 inside the box
+[-N, N]^n, stored as integer coordinates. A step lifts the measure
+through the vector field, indexed by source atom (the field is evaluated
+in floats at the positions c / N^2), floors each velocity to k / N with
+k = floor(v * N) taken in floats, shifts the atom's integer coordinates
+by k cells and merges coincident atoms once. Runs therefore replay
+bit-for-bit, but they are not exact rational arithmetic: a float
+product can land just below an integer and floor one cell lower.
 
 A run checks two a-priori bounds and fails loudly when either breaks:
 the box must satisfy exp(C*T)*(R+1) <= N before starting (refusing, not
@@ -24,7 +26,7 @@ from .errors import BoxOverflowError, SupportBoundError, ValidationError
 from .measure import (DiscreteMeasure, LatticeMeasure, LiftedMeasure,
                       make_lattice_measure, make_lifted, make_measure,
                       support_radius)
-from .pvf import PvfSpec, evaluate, sublinear_constant
+from .pvf import PvfSpec, lift, sublinear_constant
 
 _STEP_COUNT_SNAP = 1e-9  # floor(N*T) guard against 39.999... artifacts
 
@@ -109,22 +111,15 @@ def av_discretize(v: LiftedMeasure, n_param: int) -> LiftedMeasure:
         dim=v.dim)
 
 
-def las_step(mu_ell: LatticeMeasure, spec: PvfSpec,
-             n_param: int | None = None) -> LatticeMeasure:
-    """One recursion step: evaluate, bin velocities, shift by integer
-    cells (dt * v = k / N^2 exactly), merge coincident atoms."""
-    n = n_param or mu_ell.n_param
-    if n != mu_ell.n_param:
-        raise ValidationError(
-            f"measure lives on the N={mu_ell.n_param} lattice, "
-            f"step asked for N={n}", field="n_param")
-    lifted = evaluate(spec, mu_ell.to_measure(), n_hint=n)
-    coord_of = {tuple(c / n ** 2 for c in cv): cv for cv in mu_ell.coords}
+def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
+    """One recursion step: lift, bin velocities, shift each source atom's
+    coordinates by integer cells (dt * v = k / N^2), merge once."""
+    n = mu_ell.n_param
     shifted = []
-    for pos, vel, mass in lifted.atoms():
-        cv = coord_of[pos]
+    for i, vel, mass in lift(spec, mu_ell.to_measure(), n_hint=n):
         kv = _bin_velocity(vel, n)
-        shifted.append((tuple(c + k for c, k in zip(cv, kv)), mass))
+        shifted.append((tuple(c + k for c, k in zip(mu_ell.coords[i], kv)),
+                        mass))
     try:
         return make_lattice_measure(n, mu_ell.dim, shifted)
     except ValidationError as exc:
@@ -163,7 +158,7 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
             field="n_param")
     steps = [start]
     for ell in range(1, config.step_count + 1):
-        nxt = las_step(steps[-1], spec, n_param)
+        nxt = las_step(steps[-1], spec)
         bound = math.exp(c_sub * ell * config.dt) * (radius0 + 1.0)
         radius = nxt.support_radius()
         if radius > bound * (1.0 + 1e-12):
@@ -186,14 +181,14 @@ def interpolate(traj: Trajectory, t: float) -> DiscreteMeasure:
             f"t={t!r} outside [0, {last / n!r}]", field="t")
     ell = min(int(math.floor(t * n + 1e-12)), last)
     s = t - ell / n
-    if s <= 0.0 or ell == last:
-        return traj.steps[ell].to_measure()
     base = traj.steps[ell].to_measure()
-    lifted = evaluate(traj.pvf, base, n_hint=n)
+    if s <= 0.0 or ell == last:
+        return base
     moved = []
-    for pos, vel, mass in lifted.atoms():
+    for i, vel, mass in lift(traj.pvf, base, n_hint=n):
         kv = _bin_velocity(vel, n)
-        moved.append((tuple(x + s * (k / n) for x, k in zip(pos, kv)), mass))
+        moved.append((tuple(x + s * (k / n)
+                            for x, k in zip(base.positions[i], kv)), mass))
     return make_measure(moved, dim=traj.dim)
 
 

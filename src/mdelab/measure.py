@@ -2,8 +2,9 @@
 
 All measure types are immutable, store atoms in lexicographic position
 order, and merge coincident atoms by exact coordinate equality. Lattice
-measures keep integer coordinates (position = coords / N^2) so that
-evolution arithmetic never touches floating point.
+measures keep integer coordinates (position = coords / N^2) that a step
+shifts by whole cells, so lattice runs replay bit-for-bit; they are not
+exact rational arithmetic, since the field is evaluated in floats.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def neumaier_prefix(values: Sequence[float]) -> list[float]:
     return prefix
 
 
-def _merge(pairs: Iterable[tuple[tuple, float]]) -> list[tuple[tuple, float]]:
-    """Sum masses over exactly-equal keys, return lexicographically sorted.
+def _merge(pairs: Iterable[tuple[tuple, float]]) -> tuple[tuple, tuple]:
+    """Sum masses over exactly-equal keys; return the keys in
+    lexicographic order and their masses, as two tuples.
 
     Group-then-fsum so the merged mass of a group depends only on the
     input order of its members, not on interleaving with other groups.
@@ -64,11 +66,12 @@ def _merge(pairs: Iterable[tuple[tuple, float]]) -> list[tuple[tuple, float]]:
     acc: dict[tuple, list[float]] = {}
     for key, mass in pairs:
         acc.setdefault(key, []).append(mass)
-    return sorted((key, masses[0] if len(masses) == 1 else math.fsum(masses))
-                  for key, masses in acc.items())
+    merged = sorted((key, masses[0] if len(masses) == 1 else math.fsum(masses))
+                    for key, masses in acc.items())
+    return tuple(k for k, _ in merged), tuple(m for _, m in merged)
 
 
-def _check_masses(masses: Sequence[float], renormalize: bool) -> list[float]:
+def _check_masses(masses: Sequence[float], renormalize: bool) -> tuple:
     for m in masses:
         if not (m > 0.0) or not math.isfinite(m):
             raise ValidationError("atom mass must be positive and finite",
@@ -93,7 +96,7 @@ def _check_masses(masses: Sequence[float], renormalize: bool) -> list[float]:
             if nudged == out[j] or not nudged > 0.0:
                 break
             out[j] = nudged
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -143,11 +146,9 @@ def make_measure(atoms: Iterable[tuple], dim: int | None = None) -> DiscreteMeas
         pairs.append((vec, float(mass)))
     if not pairs:
         raise ValidationError("measure needs at least one atom", field="atoms")
-    merged = _merge(pairs)
-    masses = _check_masses([m for _, m in merged], renormalize=True)
-    return DiscreteMeasure(dim=dim,
-                           positions=tuple(p for p, _ in merged),
-                           masses=tuple(masses))
+    positions, masses = _merge(pairs)
+    return DiscreteMeasure(dim=dim, positions=positions,
+                           masses=_check_masses(masses, renormalize=True))
 
 
 def dirac(position) -> DiscreteMeasure:
@@ -174,10 +175,8 @@ def push_forward(mu: DiscreteMeasure,
     for pos, mass in mu.atoms():
         image = fmap(pos)
         moved.append((as_vector(image, mu.dim, what="image"), mass))
-    merged = _merge(moved)
-    return DiscreteMeasure(dim=mu.dim,
-                           positions=tuple(p for p, _ in merged),
-                           masses=tuple(m for _, m in merged))
+    positions, masses = _merge(moved)
+    return DiscreteMeasure(dim=mu.dim, positions=positions, masses=masses)
 
 
 def support_radius(mu: DiscreteMeasure) -> CompactSupportInfo:
@@ -211,20 +210,19 @@ class LatticeMeasure:
 
 def make_lattice_measure(n_param: int, dim: int,
                          cells: Iterable[tuple[tuple[int, ...], float]]) -> LatticeMeasure:
-    merged = _merge(list(cells))
-    if not merged:
+    cells = list(cells)
+    if not cells:
         raise ValidationError("lattice measure needs at least one atom",
                               field="atoms")
+    coords, masses = _merge(cells)
     bound = n_param ** 3
-    for cv, _ in merged:
+    for cv in coords:
         if any(abs(c) > bound for c in cv):
             raise ValidationError(
                 f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
                 field="coords")
-    masses = _check_masses([m for _, m in merged], renormalize=False)
-    return LatticeMeasure(n_param=n_param, dim=dim,
-                          coords=tuple(cv for cv, _ in merged),
-                          masses=tuple(masses))
+    return LatticeMeasure(n_param=n_param, dim=dim, coords=coords,
+                          masses=_check_masses(masses, renormalize=False))
 
 
 @dataclass(frozen=True)
@@ -259,20 +257,16 @@ def make_lifted(atoms: Iterable[tuple], dim: int | None = None) -> LiftedMeasure
     if not pairs:
         raise ValidationError("lifted measure needs at least one atom",
                               field="atoms")
-    merged = _merge(pairs)
-    masses = _check_masses([m for _, m in merged], renormalize=True)
-    return LiftedMeasure(dim=dim,
-                         positions=tuple(p for (p, _), _ in merged),
-                         velocities=tuple(v for (_, v), _ in merged),
-                         masses=tuple(masses))
+    keys, masses = _merge(pairs)
+    return LiftedMeasure(dim=dim, positions=tuple(p for p, _ in keys),
+                         velocities=tuple(v for _, v in keys),
+                         masses=_check_masses(masses, renormalize=True))
 
 
 def base_marginal(lifted: LiftedMeasure) -> DiscreteMeasure:
     """Project (x, v, m) atoms to x, summing masses over velocities."""
-    merged = _merge((pos, mass) for pos, _, mass in lifted.atoms())
-    return DiscreteMeasure(dim=lifted.dim,
-                           positions=tuple(p for p, _ in merged),
-                           masses=tuple(m for _, m in merged))
+    positions, masses = _merge(zip(lifted.positions, lifted.masses))
+    return DiscreteMeasure(dim=lifted.dim, positions=positions, masses=masses)
 
 
 # ---------------------------------------------------------------------------

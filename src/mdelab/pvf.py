@@ -20,13 +20,14 @@ marginal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import SublinearityError, ValidationError
 from .kernels import KernelSpec, kernel_from_dict, kernel_to_dict
-from .measure import (DiscreteMeasure, LiftedMeasure, make_lifted,
-                      neumaier_prefix)
+from .measure import (DiscreteMeasure, LiftedMeasure, Velocity, _check_masses,
+                      _merge, as_vector, neumaier_prefix)
 
 PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
              "interaction", "one_sided_ode")
@@ -254,8 +255,9 @@ def one_sided_ode_pvf() -> PvfSpec:
     return PvfSpec(kind="one_sided_ode", field=sgn_sqrt_field())
 
 
+@functools.lru_cache
 def sublinear_constant(spec: PvfSpec, dim: int) -> float:
-    """The C used for box sizing and per-evaluation validation."""
+    """The C for box sizing and validation, memoised per (spec, dim)."""
     if spec.declared_c is not None:
         return spec.declared_c
     if spec.kind in ("ode_lift", "one_sided_ode"):
@@ -286,18 +288,18 @@ def _median_split_atoms(mu: DiscreteMeasure) -> list[tuple]:
     if abs(f_before - 0.5) <= MEDIAN_TIE_TOL:
         f_before = 0.5
     out = []
-    for i, (pos, mass) in enumerate(mu.atoms()):
+    for i, mass in enumerate(mu.masses):
         if i < split:
-            out.append((pos, (-1.0,), mass))
+            out.append((i, (-1.0,), mass))
         elif i > split:
-            out.append((pos, (1.0,), mass))
+            out.append((i, (1.0,), mass))
         else:
             up = prefix[split] - 0.5
             down = 0.5 - f_before
             if down > 0.0:
-                out.append((pos, (-1.0,), down))
+                out.append((i, (-1.0,), down))
             if up > 0.0:
-                out.append((pos, (1.0,), up))
+                out.append((i, (1.0,), up))
     return out
 
 
@@ -306,10 +308,10 @@ def _phi_diffusion_atoms(mu: DiscreteMeasure, phi: VelocityField,
     prefix = neumaier_prefix(mu.masses)
     out = []
     f_lo = 0.0
-    for (pos, mass), f_hi in zip(mu.atoms(), prefix):
+    for i, (mass, f_hi) in enumerate(zip(mu.masses, prefix)):
         for r in range(1, k + 1):
             rank = f_lo + (r - 0.5) * mass / k
-            out.append((pos, phi((rank,)), mass / k))
+            out.append((i, phi((rank,)), mass / k))
         f_lo = f_hi
     return out
 
@@ -317,7 +319,7 @@ def _phi_diffusion_atoms(mu: DiscreteMeasure, phi: VelocityField,
 def _interaction_atoms(mu: DiscreteMeasure,
                        kernel: KernelSpec) -> list[tuple]:
     out = []
-    for pos, mass in mu.atoms():
+    for i, (pos, mass) in enumerate(mu.atoms()):
         contributions = [kernel.phi(tuple(xj - xi for xj, xi
                                           in zip(other, pos)))
                          for other, _ in mu.atoms()]
@@ -325,49 +327,58 @@ def _interaction_atoms(mu: DiscreteMeasure,
             math.fsum(m * contrib[c]
                       for contrib, (_, m) in zip(contributions, mu.atoms()))
             for c in range(mu.dim))
-        out.append((pos, vel, mass))
+        out.append((i, vel, mass))
     return out
 
 
-def _evaluate_raw(spec: PvfSpec, mu: DiscreteMeasure,
-                  n_hint: int | None) -> LiftedMeasure:
+def _raw_atoms(spec: PvfSpec, mu: DiscreteMeasure,
+               n_hint: int | None) -> list[tuple]:
     if spec.kind in ("ode_lift", "one_sided_ode"):
-        atoms = [(pos, spec.field(pos), mass) for pos, mass in mu.atoms()]
-    elif spec.kind == "constant":
-        atoms = [(pos, vel, mass * p)
-                 for pos, mass in mu.atoms() for vel, p in spec.fiber]
-    elif spec.kind == "median_split":
-        if mu.dim != 1:
-            raise ValidationError("median_split is one-dimensional only",
-                                  field="dim")
-        atoms = _median_split_atoms(mu)
-    elif spec.kind == "phi_diffusion":
-        if mu.dim != 1:
-            raise ValidationError("phi_diffusion is one-dimensional only",
-                                  field="dim")
+        return [(i, spec.field(pos), mass)
+                for i, (pos, mass) in enumerate(mu.atoms())]
+    if spec.kind == "constant":
+        return [(i, vel, mass * p) for i, mass in enumerate(mu.masses)
+                for vel, p in spec.fiber]
+    if spec.kind in ("median_split", "phi_diffusion") and mu.dim != 1:
+        raise ValidationError(f"{spec.kind} is one-dimensional only",
+                              field="dim")
+    if spec.kind == "median_split":
+        return _median_split_atoms(mu)
+    if spec.kind == "phi_diffusion":
         k = spec.sub_atoms or n_hint or DEFAULT_SUB_ATOMS
-        atoms = _phi_diffusion_atoms(mu, spec.phi, k)
-    elif spec.kind == "interaction":
-        atoms = _interaction_atoms(mu, spec.kernel)
-    else:
-        raise ValidationError(f"unknown PVF kind {spec.kind!r}", field="kind")
-    return make_lifted(atoms, dim=mu.dim)
+        return _phi_diffusion_atoms(mu, spec.phi, k)
+    if spec.kind == "interaction":
+        return _interaction_atoms(mu, spec.kernel)
+    raise ValidationError(f"unknown PVF kind {spec.kind!r}", field="kind")
 
 
-def evaluate(spec: PvfSpec, mu: DiscreteMeasure,
-             n_hint: int | None = None) -> LiftedMeasure:
-    """Apply the PVF; n_hint feeds phi_diffusion's default sub-atom count
-    (the lattice solver passes its N). Raises SublinearityError when the
-    declared C fails on this input."""
-    lifted = _evaluate_raw(spec, mu, n_hint)
+def lift(spec: PvfSpec, mu: DiscreteMeasure, n_hint: int | None = None
+         ) -> list[tuple[int, Velocity, float]]:
+    """Apply the PVF: merged (source atom index, velocity, mass) triples
+    in (index, velocity) order, masses renormalised as make_lifted does.
+    n_hint feeds phi_diffusion's default sub-atom count (the lattice
+    solver passes its N). Raises SublinearityError when C fails here."""
+    keys, masses = _merge(((i, as_vector(vel, mu.dim, what="velocity")),
+                           float(mass))
+                          for i, vel, mass in _raw_atoms(spec, mu, n_hint))
+    masses = _check_masses(masses, renormalize=True)
     c = sublinear_constant(spec, mu.dim)
     max_x = max(math.hypot(*p) for p in mu.positions)
-    max_v = lifted.max_speed()
+    max_v = max(math.hypot(*v) for _, v in keys)
     if max_v > c * (1.0 + max_x) * (1.0 + _H1_SLACK) + _H1_SLACK:
         raise SublinearityError(
             f"{spec.kind} PVF: max speed {max_v!r} exceeds "
             f"C(1+max|x|) = {c * (1.0 + max_x)!r} with declared C={c!r}")
-    return lifted
+    return [(i, v, m) for (i, v), m in zip(keys, masses)]
+
+
+def evaluate(spec: PvfSpec, mu: DiscreteMeasure,
+             n_hint: int | None = None) -> LiftedMeasure:
+    """lift with each atom's source position attached. mu's positions
+    are sorted and distinct, so this is the canonical LiftedMeasure."""
+    index, velocities, masses = zip(*lift(spec, mu, n_hint))
+    return LiftedMeasure(dim=mu.dim, velocities=velocities, masses=masses,
+                         positions=tuple(mu.positions[i] for i in index))
 
 
 def check_h1(spec: PvfSpec, mu: DiscreteMeasure) -> bool:

@@ -19,7 +19,6 @@ from mdelab import (
     constrained_fiber_cost,
     convergence_study,
     dirac,
-    empirical,
     evaluate,
     fiber_convolution,
     gronwall_check,

@@ -29,7 +29,6 @@ from mdelab import (
     dirac,
     distributional_residual,
     gronwall_check,
-    interpolate,
     las_solve,
     linear_field,
     make_lifted,
@@ -38,12 +37,9 @@ from mdelab import (
     median_split_pvf,
     monotone_fiber_cost_1d,
     ode_lift_pvf,
-    one_sided_ode_pvf,
     oracle,
-    phi_diffusion_pvf,
     push_forward,
     semigroup_check,
-    sgn_sqrt_field,
     step_displacement_check,
     support_bound_check,
     time_lipschitz_check,

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdelab import (
@@ -18,7 +18,6 @@ from mdelab import (
     ValidationError,
     base_marginal,
     constrained_fiber_cost,
-    dirac,
     fiber_convolution,
     induced_base_plan,
     make_lifted,
@@ -31,7 +30,7 @@ from mdelab import (
     wasserstein,
     wt_bound_check,
 )
-from mdelab.fiber_metric import _round_to_polytope
+from mdelab.fiber_metric import _one_sided_cost, _round_to_polytope
 
 
 def witness_triple():
@@ -72,6 +71,33 @@ def test_polytope_repair_restores_exact_marginals():
     assert np.abs(repaired.sum(axis=1) - r).max() <= 1e-12
     assert np.abs(repaired.sum(axis=0) - c).max() <= 1e-12
     assert np.abs(repaired - exact).max() <= 1e-7
+
+
+INTEGRANDS = {
+    FiberCostKind.FIBER: lambda x, v, y, w: math.dist(v, w),
+    FiberCostKind.COMBINED:
+        lambda x, v, y, w: math.dist(x, y) + math.dist(v, w),
+    FiberCostKind.ONE_SIDED: lambda x, v, y, w: _one_sided_cost(v, w, x, y),
+}
+
+
+@pytest.mark.parametrize("kind", list(FiberCostKind), ids=lambda k: k.value)
+def test_value_is_the_cost_of_the_returned_plan(kind):
+    rng = np.random.default_rng(40)
+
+    def sine_lifted():
+        xs = rng.uniform(-1.0, 1.0, 30)
+        ms = rng.uniform(0.2, 1.0, 30)
+        return make_lifted([(x, math.sin(3.0 * x), m / ms.sum())
+                            for x, m in zip(xs, ms)])
+
+    for _ in range(4):
+        v1, v2 = sine_lifted(), sine_lifted()
+        value, plan = constrained_fiber_cost(v1, v2, kind)
+        a1, a2 = v1.atoms(), v2.atoms()
+        assert value == math.fsum(
+            w * INTEGRANDS[kind](*a1[a][:2], *a2[b][:2])
+            for a, b, w in plan.entries)
 
 
 def test_self_cost_is_zero():

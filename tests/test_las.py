@@ -1,9 +1,10 @@
 """Lattice scheme: discretizers, the recursion, interpolation, guards.
 
-Evolution arithmetic is exact (integer lattice coordinates, integer
-shifts), so several tests assert bit-for-bit equality rather than
-tolerances. Tolerances appear only where real-coordinate output is
-compared against closed forms.
+Evolution is deterministic (integer lattice coordinates, integer
+shifts, the field evaluated at the same float positions every run), so
+several tests assert bit-for-bit equality rather than tolerances.
+Tolerances appear only where real-coordinate output is compared against
+closed forms.
 """
 
 import math
@@ -21,14 +22,18 @@ from mdelab import (
     av_discretize,
     constant_pvf,
     dirac,
+    evaluate,
     interpolate,
     las_solve,
     las_step,
     linear_field,
+    make_lattice_measure,
     make_lifted,
     make_measure,
     median_split_pvf,
     ode_lift_pvf,
+    phi_diffusion_pvf,
+    uniform_1d,
     wasserstein,
 )
 
@@ -128,16 +133,41 @@ class TestStep:
         assert math.fsum(out.masses) == pytest.approx(1.0, abs=1e-12)
         assert all(isinstance(c, int) for cv in out.coords for c in cv)
 
-    def test_lattice_mismatch(self):
-        mu = ax_discretize(dirac(0.0), 4)
-        with pytest.raises(ValidationError):
-            las_step(mu, median_split_pvf(), n_param=5)
-
     def test_shift_out_of_coordinate_box(self):
         mu = ax_discretize(dirac(1.75), 2)      # coord 7, bound N^3 = 8
         spec = constant_pvf([(1.5, 1.0)])       # k = 3 cells
         with pytest.raises(BoxOverflowError):
             las_step(mu, spec)
+
+
+def step_from_evaluate(mu, spec):
+    """las_step assembled from the public evaluate output: each lifted
+    position mapped back to its lattice coordinate, velocity floored."""
+    n = mu.n_param
+    base = mu.to_measure()
+    coord_of = dict(zip(base.positions, mu.coords))
+    return make_lattice_measure(n, mu.dim, [
+        (tuple(c + math.floor(v * n) for c, v in zip(coord_of[pos], vel)), m)
+        for pos, vel, m in evaluate(spec, base, n_hint=n).atoms()])
+
+
+class TestStepMatchesEvaluate:
+    def test_renormalised_lifts(self):
+        # the step masses drift an ulp off 1, so some lifts renormalise
+        spec = constant_pvf([(-1.0, 0.5), (1.0, 0.5)])
+        traj = las_solve(dirac(0.1), spec, 200, 1.0)
+        assert sum(math.fsum(mu.masses) != 1.0 for mu in traj.steps) >= 1
+        for prev, nxt in zip(traj.steps, traj.steps[1:]):
+            assert nxt == step_from_evaluate(prev, spec)
+
+    def test_merged_fibers(self):
+        # constant phi: every atom's 40 sub-atoms merge into one fiber
+        spec = phi_diffusion_pvf(linear_field(0.0, 0.5))
+        traj = las_solve(uniform_1d(-0.5, 0.5, 5), spec, 40, 1.0)
+        for prev, nxt in zip(traj.steps, traj.steps[1:]):
+            lifted = evaluate(spec, prev.to_measure(), n_hint=40)
+            assert lifted.atom_count == prev.atom_count
+            assert nxt == step_from_evaluate(prev, spec)
 
 
 class TestSolve:

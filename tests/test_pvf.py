@@ -18,8 +18,10 @@ from mdelab import (
     field_from_dict,
     field_to_dict,
     interaction_pvf,
+    las_solve,
     linear_field,
     make_kernel,
+    make_lifted,
     make_measure,
     median_split_pvf,
     ode_lift_pvf,
@@ -264,6 +266,32 @@ def test_base_marginal_is_preserved(mu, spec):
     assert back.positions == mu.positions
     for got, want in zip(back.masses, mu.masses):
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# every kind, plus a constant phi whose sub-atoms merge into one fiber
+CANONICAL = [pytest.param(spec, id=spec.kind) for spec in SPECS] + [
+    pytest.param(phi_diffusion_pvf(linear_field(0.0, 0.5), sub_atoms=3),
+                 id="phi_diffusion_merging")]
+
+
+@pytest.mark.parametrize("spec", CANONICAL)
+@given(mu=measures_1d())
+@settings(max_examples=20, deadline=None)
+def test_evaluate_is_canonical(spec, mu):
+    lifted = evaluate(spec, mu)
+    assert lifted == make_lifted(lifted.atoms(), dim=mu.dim)
+
+
+@pytest.mark.parametrize("spec", CANONICAL)
+def test_evaluate_renormalises_as_make_lifted(spec):
+    # step 78 of this run holds masses whose sum is an ulp off 1
+    traj = las_solve(dirac(0.1), constant_pvf([(-1.0, 0.5), (1.0, 0.5)]),
+                     200, 0.4)
+    mu = traj.steps[78].to_measure()
+    assert math.fsum(mu.masses) != 1.0
+    lifted = evaluate(spec, mu)
+    assert math.fsum(lifted.masses) == 1.0
+    assert lifted == make_lifted(lifted.atoms(), dim=mu.dim)
 
 
 @given(st.integers(0, 2 ** 32 - 1))

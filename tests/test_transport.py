@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdelab import (
-    NumericalError,
     TransportPlan,
     ValidationError,
     dirac,
