@@ -195,11 +195,17 @@ def tangent_wasserstein(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
 
 
 def wt_bound_check(v1: LiftedMeasure, v2: LiftedMeasure) -> bool:
-    """Tangent-space W <= constrained fiber cost + base W, within 1e-8."""
+    """Tangent-space W <= fiber cost + base cost of the constrained
+    fiber plan, within 1e-8.
+
+    The plan's tangent cost is at most that sum, since
+    sqrt(a^2 + b^2) <= a + b. The base W* is not the right side: the
+    plan may spend the stage-2 slack 1e-7*(1+W*) on its base cost to
+    lower its fiber cost.
+    """
     w_tangent = tangent_wasserstein(v1, v2)
-    fiber_val, _ = constrained_fiber_cost(v1, v2, FiberCostKind.FIBER)
-    w_base = wasserstein(base_marginal(v1), base_marginal(v2)).distance
-    return w_tangent <= fiber_val + w_base + 1e-8
+    fiber_val, plan = constrained_fiber_cost(v1, v2, FiberCostKind.FIBER)
+    return w_tangent <= fiber_val + plan.base_cost + 1e-8
 
 
 def _base_groups(v: LiftedMeasure) -> list[tuple[tuple[float, ...], float,

@@ -6,8 +6,9 @@ machine):
 
   metric_axioms      symmetry / identity / triangle inequality
   fast_path_vs_lp    1D monotone coupling agrees with the simplex
-  brute_force_small  simplex optimum equals the permutation minimum
-                     on equal-mass instances with at most 4 atoms
+  brute_force_small  the transport optimum equals the permutation
+                     minimum on equal-mass instances with at most 4
+                     atoms; in 2D these take the assignment regime
   dual_feasibility   lower bounds from 1-Lipschitz witnesses never
                      exceed the primal value
 

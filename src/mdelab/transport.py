@@ -1,11 +1,26 @@
 """Exact discrete optimal transport between atomic measures.
 
 Distance is the transportation LP optimum with Euclidean ground cost
-|x - y|. One-dimensional instances take the monotone (sorted quantile)
-coupling; everything else runs a transportation simplex: northwest
-corner start, tree duals, Bland's rule for both the entering and the
-leaving variable, so every pivot sequence terminates. The returned plan
-is a vertex of the transportation polytope (at most rows+cols-1 entries).
+|x - y|. The solver is chosen by a property of the input:
+
+- one-dimensional instances take the monotone (sorted quantile)
+  coupling;
+- m vs m atoms whose masses are all bit-equal are an assignment
+  problem: by Birkhoff-von Neumann an optimal permutation is an optimal
+  vertex, so `scipy.optimize.linear_sum_assignment` on the cost matrix
+  gives an exact plan with m entries;
+- everything else runs a transportation simplex: northwest corner
+  start and tree duals. It enters the cell with the most negative
+  reduced cost (Dantzig's rule, first in lex order among ties), except
+  after a degenerate pivot (theta = 0), where it enters the first
+  negative cell in lex order (Bland's rule); the leaving cell is always
+  Bland's. A cycle of bases leaves the cost unchanged, so each of its
+  pivots is degenerate and follows a degenerate pivot: all of them run
+  under Bland's rule, which cannot cycle. Every pivot sequence
+  therefore terminates.
+
+Every returned plan is a vertex of the transportation polytope (at most
+rows+cols-1 entries).
 """
 
 from __future__ import annotations
@@ -15,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
 from .measure import DiscreteMeasure
@@ -106,20 +122,44 @@ def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
                          entries=entries, cost=cost)
 
 
+def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """Ground costs |x - y|, by math.dist as _plan_cost prices them."""
+    return np.array(
+        [[math.dist(p, q) for q in nu.positions] for p in mu.positions],
+        dtype=float)
+
+
+def _equal_masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """m vs m atoms, every mass of both measures bit-equal."""
+    if mu.atom_count != nu.atom_count:
+        return False
+    w = mu.masses[0]
+    return (all(m == w for m in mu.masses)
+            and all(m == w for m in nu.masses))
+
+
+def _assignment(cost: np.ndarray, w: float) -> TransportPlan:
+    """Optimal permutation plan of two equal-mass measures (mass w each)."""
+    rows, cols = linear_sum_assignment(cost)
+    entries = tuple(sorted((i, k, w)
+                           for i, k in zip(rows.tolist(), cols.tolist())))
+    total = math.fsum(w * cost[i, k] for i, k, _ in entries)
+    return TransportPlan(rows=len(entries), cols=len(entries),
+                         entries=entries, cost=total)
+
+
 class _Simplex:
     """Transportation simplex state: basis tree, flows, duals."""
 
-    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        self.m = mu.atom_count
-        self.n = nu.atom_count
-        self.cost = np.array(
-            [[math.dist(p, q) for q in nu.positions] for p in mu.positions],
-            dtype=float)
+    def __init__(self, cost: np.ndarray, row_masses: Sequence[float],
+                 col_masses: Sequence[float]):
+        self.m, self.n = cost.shape
+        self.cost = cost
         self.tol = _PIVOT_TOL_SCALE * (1.0 + float(self.cost.max(initial=0.0)))
         self.flow: dict[tuple[int, int], float] = {}
         self.row_adj: list[set[int]] = [set() for _ in range(self.m)]
         self.col_adj: list[set[int]] = [set() for _ in range(self.n)]
-        self._northwest(list(mu.masses), list(nu.masses))
+        self._northwest(list(row_masses), list(col_masses))
 
     def _add(self, i: int, k: int, w: float) -> None:
         self.flow[(i, k)] = w
@@ -213,16 +253,21 @@ class _Simplex:
 
     def solve(self) -> None:
         max_pivots = 200000 + 200 * (self.m + self.n) ** 2
+        bland = False  # Bland's entering rule right after a degenerate pivot
         for _ in range(max_pivots):
             u, v = self._duals()
             reduced = self.cost - u[:, None] - v[None, :]
-            negative = np.argwhere(reduced < -self.tol)
-            if negative.size == 0:
+            negative = reduced < -self.tol
+            if not negative.any():
                 return
-            enter_i, enter_k = map(int, negative[0])  # first in lex order
+            # Bland: first negative cell in lex order; Dantzig: most
+            # negative cell, first in lex order among ties
+            flat = np.argmax(negative) if bland else np.argmin(reduced)
+            enter_i, enter_k = divmod(int(flat), self.n)
             cycle = self._cycle(enter_i, enter_k)
             donors = cycle[1::2]
             theta = min(self.flow[c] for c in donors)
+            bland = theta == 0.0
             leaving = min(c for c in donors if self.flow[c] == theta)
             self._add(enter_i, enter_k, 0.0)
             for pos, cell in enumerate(cycle):
@@ -242,8 +287,10 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
                 method: str = "auto") -> WassersteinResult:
     """Distance and one optimal plan. Exact LP optimum, vertex plan.
 
-    method: "auto" (1D monotone fast path, simplex otherwise),
-    "monotone" (1D only), or "simplex" (any dimension).
+    method: "auto" picks the solver by regime: the monotone coupling in
+    1D, an optimal assignment when both measures have m atoms of one
+    bit-equal mass, the transportation simplex otherwise. "monotone"
+    (1D only) and "simplex" (any dimension) force one solver.
     """
     if mu.dim != nu.dim:
         raise ValidationError(
@@ -255,8 +302,10 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
                               field="method")
     if mu.dim == 1 and method != "simplex":
         plan = _monotone_1d(mu, nu)
+    elif method == "auto" and _equal_masses(mu, nu):
+        plan = _assignment(_cost_matrix(mu, nu), mu.masses[0])
     else:
-        solver = _Simplex(mu, nu)
+        solver = _Simplex(_cost_matrix(mu, nu), mu.masses, nu.masses)
         solver.solve()
         plan = solver.plan()
     return WassersteinResult(distance=plan.cost, plan=plan)

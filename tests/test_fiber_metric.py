@@ -215,6 +215,10 @@ def lifted_measures(draw, max_atoms=4):
 
 @given(lifted_measures(), lifted_measures())
 @settings(max_examples=25, deadline=None)
+# equal bases (W* = 0): the fiber plan spends the 1e-7 slack on its base
+# cost, so the tangent W = 1 exceeds fiber cost + W* = 0.9999999
+@example(va=make_lifted([((0.0,), (0.0,), 0.5), ((1.0,), (1.0,), 0.5)]),
+         vb=make_lifted([((0.0,), (1.0,), 0.5), ((1.0,), (0.0,), 0.5)]))
 def test_wt_bound_property(va, vb):
     assert wt_bound_check(va, vb)
 

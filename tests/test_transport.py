@@ -2,15 +2,19 @@
 
 The simplex path is cross-checked three ways: against the 1D monotone
 coupling, against brute-force enumeration over permutation couplings,
-and against hand-derived instances frozen below.
+and against hand-derived instances frozen below. The assignment regime
+(m vs m atoms of one bit-equal mass) is cross-checked against the
+simplex and against an independent assignment on a numpy cost matrix.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mdelab import (
     TransportPlan,
@@ -171,3 +175,72 @@ def test_deterministic_plans():
     second = wasserstein(mu, nu)
     assert first.distance == second.distance
     assert first.plan.entries == second.plan.entries
+
+
+def _planar_cloud(rng, masses):
+    return make_measure([((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)), w)
+                         for w in masses], dim=2)
+
+
+def _independent_assignment_w1(mu, nu):
+    p = np.asarray(mu.positions)
+    q = np.asarray(nu.positions)
+    cost = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum()) / len(p)
+
+
+@pytest.mark.parametrize("m", [3, 12, 40])
+def test_assignment_regime_matches_simplex(m):
+    rng = np.random.default_rng(m)
+    mu = _planar_cloud(rng, [1.0 / m] * m)
+    nu = _planar_cloud(rng, [1.0 / m] * m)
+    auto = wasserstein(mu, nu)
+    forced = wasserstein(mu, nu, method="simplex")
+    assert auto.distance == pytest.approx(forced.distance, rel=1e-12)
+    # a permutation plan: one entry per row, each carrying the full mass
+    assert len(auto.plan.entries) == m
+    assert all(w == 1.0 / m for _, _, w in auto.plan.entries)
+    assert sorted(k for _, k, _ in auto.plan.entries) == list(range(m))
+    validate_plan(auto.plan, mu, nu)
+
+
+def test_assignment_regime_at_scale():
+    m = 200
+    rng = np.random.default_rng(200)
+    mu = _planar_cloud(rng, [1.0 / m] * m)
+    nu = _planar_cloud(rng, [1.0 / m] * m)
+    result = wasserstein(mu, nu)
+    assert result.distance == pytest.approx(
+        _independent_assignment_w1(mu, nu), rel=1e-12)
+    validate_plan(result.plan, mu, nu)
+
+
+def test_masses_an_ulp_apart_take_the_simplex():
+    m = 12
+    masses = [1.0 / m] * m
+    masses[0] = math.nextafter(masses[0], 1.0)
+    total = math.fsum(masses)
+    rng = np.random.default_rng(12)
+    mu = _planar_cloud(rng, [w / total for w in masses])
+    nu = _planar_cloud(rng, [1.0 / m] * m)
+    assert len(set(mu.masses)) > 1
+    auto = wasserstein(mu, nu)
+    # the simplex is deterministic: the same plan means the same solver
+    assert auto.plan == wasserstein(mu, nu, method="simplex").plan
+    assert auto.distance == pytest.approx(
+        _independent_assignment_w1(mu, nu), rel=1e-12)
+
+
+def test_simplex_terminates_on_a_degenerate_grid():
+    # every mass 1/36 and many tied costs: most pivots are degenerate
+    grid = [(float(i), float(j)) for i in range(6) for j in range(6)]
+    mu = make_measure([(p, 1 / 36) for p in grid], dim=2)
+    nu = make_measure([((x + 1.0, y + 0.5), 1 / 36) for x, y in grid], dim=2)
+    forced = wasserstein(mu, nu, method="simplex")
+    validate_plan(forced.plan, mu, nu)
+    assert len(forced.plan.entries) <= 36 + 36 - 1
+    assert forced.distance == pytest.approx(
+        _independent_assignment_w1(mu, nu), rel=1e-12)
+    assert forced.distance == pytest.approx(wasserstein(mu, nu).distance,
+                                            rel=1e-12)
