@@ -55,6 +55,7 @@ from .fiber_metric import (
 )
 from .kernels import (
     KernelSpec,
+    interaction_field,
     kernel_from_dict,
     kernel_selfcheck,
     kernel_to_dict,

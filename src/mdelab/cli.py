@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import analysis, particles, selfcheck
 from .errors import MdeLabError, NumericalError, ValidationError
@@ -50,7 +50,6 @@ class RunConfig:
     format: str = "csv"
     seed: int = selfcheck.DEFAULT_SEED
     instances: int = selfcheck.DEFAULT_INSTANCES
-    extras: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.n is not None and self.n < 1:
@@ -252,6 +251,9 @@ def recipe_to_config(doc: dict) -> RunConfig:
         raise ValidationError("recipe needs a 'subcommand'",
                               field="subcommand")
     options = dict(doc.get("options", {}))
+    for key in options:
+        if key == "subcommand" or key not in RunConfig.__dataclass_fields__:
+            raise ValidationError(f"unknown recipe option {key!r}", field=key)
     for key in ("inputs", "n_grid", "times"):
         if key in options:
             options[key] = tuple(options[key])

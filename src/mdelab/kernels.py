@@ -1,5 +1,7 @@
-"""Interaction kernels phi: R^n -> R^n shared by the particle integrator
-and the interaction-type probability vector field.
+"""Interaction kernels phi: R^n -> R^n and interaction_field, the map
+x_i -> sum_j w_j phi(x_j - x_i) that both the particle integrator and the
+interaction-type probability vector field call. Each of its components
+is one exact math.fsum, so relabelling the points permutes it bit for bit.
 
 Each kernel ships declared envelopes: a bound valid for arguments
 |z| <= 2R (differences of points in a ball of radius R), a Lipschitz
@@ -14,16 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
 
 _KERNEL_NAMES = ("zero", "linear", "bounded_attraction", "bump_alignment")
 
 
-def _bump(u: float) -> float:
-    # smooth cutoff exp(1 - 1/(1-u^2)) on |u| < 1
-    if abs(u) >= 1.0:
-        return 0.0
-    return math.exp(1.0 - 1.0 / (1.0 - u * u))
+def _bump(u: np.ndarray) -> np.ndarray:
+    # smooth cutoff exp(1 - 1/(1-u^2)) on |u| < 1, elementwise
+    out = np.zeros_like(u)
+    inside = ~(np.abs(u) >= 1.0)
+    arg = 1.0 - 1.0 / (1.0 - u[inside] * u[inside])
+    out[inside] = list(map(math.exp, arg.tolist()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,18 +47,24 @@ class KernelSpec:
                               field=key)
 
     def phi(self, z: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(self.phi_array(np.asarray(z, dtype=float)).tolist())
+
+    def phi_array(self, z: np.ndarray) -> np.ndarray:
+        """phi over the last axis of an (..., d) float array; exp and hypot
+        go through math, whose last bits numpy's do not always match."""
         if self.name == "zero":
-            return (0.0,) * len(z)
+            return np.zeros_like(z)
         if self.name == "linear":
-            rate = self._p("rate")
-            return tuple(-rate * c for c in z)
+            return -self._p("rate") * z
+        rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
         if self.name == "bounded_attraction":
-            scale = 1.0 + math.fsum(c * c for c in z)
-            return tuple(-c / scale for c in z)
+            scale = 1.0 + np.array(
+                [math.fsum(r) for r in (rows * rows).tolist()])
+            return (-rows / scale[:, None]).reshape(z.shape)
         if self.name == "bump_alignment":
-            r = self._p("range")
-            w = _bump(math.hypot(*z) / r)
-            return tuple(-c * w for c in z)
+            u = (np.array([math.hypot(*r) for r in rows.tolist()])
+                 / self._p("range"))
+            return (-rows * _bump(u)[:, None]).reshape(z.shape)
         raise ValidationError(f"unknown kernel {self.name!r}", field="name")
 
     def bound_on(self, radius: float) -> float:
@@ -65,9 +77,8 @@ class KernelSpec:
             return 0.5
         if self.name == "bump_alignment":
             r = self._p("range")
-            top = min(2.0 * radius, r)
-            return max(s * _bump(s / r) for s in
-                       [top * k / 400.0 for k in range(401)])
+            s = min(2.0 * radius, r) * np.arange(401.0) / 400.0
+            return float(np.max(s * _bump(s / r)))
         raise ValidationError(f"unknown kernel {self.name!r}", field="name")
 
     def lipschitz_on(self, radius: float) -> float:
@@ -82,11 +93,9 @@ class KernelSpec:
             r = self._p("range")
             # probe |d/ds (s*bump(s/r))| radially; x1.5 headroom covers
             # the off-radial Jacobian directions
-            grid = [r * k / 800.0 for k in range(801)]
-            vals = [s * _bump(s / r) for s in grid]
-            step = r / 800.0
-            deriv = max(abs(b - a) / step for a, b in zip(vals, vals[1:]))
-            return 1.5 * max(deriv, 1.0)
+            grid = r * np.arange(801.0) / 800.0
+            deriv = np.abs(np.diff(grid * _bump(grid / r))) / (r / 800.0)
+            return 1.5 * max(float(np.max(deriv)), 1.0)
         raise ValidationError(f"unknown kernel {self.name!r}", field="name")
 
     def sublinear_default(self) -> float:
@@ -154,7 +163,7 @@ def kernel_selfcheck(kernel: KernelSpec, radius: float,
     """
     bound = kernel.bound_on(radius) * (1.0 + 1e-9) + 1e-12
     lip = kernel.lipschitz_on(radius) * (1.0 + 1e-9) + 1e-12
-    values = [kernel.phi(z) for z in probes]
+    values = kernel.phi_array(np.array(probes, dtype=float)).tolist()
     for z, val in zip(probes, values):
         if math.hypot(*val) > bound:
             raise ValidationError(
@@ -170,3 +179,14 @@ def kernel_selfcheck(kernel: KernelSpec, radius: float,
                 raise ValidationError(
                     f"kernel {kernel.name}: Lipschitz quotient {dv / dz!r} "
                     f"exceeds declared {lip!r}")
+
+
+def interaction_field(kernel: KernelSpec, positions, weights) -> np.ndarray:
+    """Row i is sum_j w_j phi(x_j - x_i) for the (m, d) positions and m
+    weights, each component summed exactly by math.fsum."""
+    x = np.asarray(positions, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    terms = w[:, None] * kernel.phi_array(x[None, :, :] - x[:, None, :])
+    columns = terms.transpose(0, 2, 1).reshape(-1, len(x))
+    sums = map(math.fsum, columns.tolist())
+    return np.fromiter(sums, float, count=x.size).reshape(x.shape)

@@ -83,6 +83,9 @@ def _check_masses(masses: Sequence[float], renormalize: bool) -> tuple:
             field="mass")
     out = list(masses)
     if renormalize and total != 1.0:
+        if all(m == out[0] for m in out):
+            # keep equal masses bit-equal; a rebuild takes this branch again
+            return (1.0 / len(out),) * len(out)
         out = [m / total for m in out]
         # The divided masses can still sum an ulp off 1, and a measure
         # rebuilt from its own atoms would then divide again and drift.

@@ -10,6 +10,9 @@ validated on every evaluation. The lattice solver uses the same C to
 size its box a priori, so a misdeclared constant fails loudly instead of
 silently clipping support.
 
+The interaction kind lifts atom i to kernels.interaction_field with the
+masses as weights, the exact sums the particle integrator also calls.
+
 Velocity fields are named built-ins (linear, sgn_sqrt, sinusoidal,
 polynomial coefficients), never injected code, so run configurations
 stay reproducible. Fiber distributions produced at a single atom are
@@ -25,7 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import SublinearityError, ValidationError
-from .kernels import KernelSpec, kernel_from_dict, kernel_to_dict
+from .kernels import (KernelSpec, interaction_field, kernel_from_dict,
+                      kernel_to_dict)
 from .measure import (DiscreteMeasure, LiftedMeasure, Velocity, _check_masses,
                       _merge, as_vector, neumaier_prefix)
 
@@ -316,21 +320,6 @@ def _phi_diffusion_atoms(mu: DiscreteMeasure, phi: VelocityField,
     return out
 
 
-def _interaction_atoms(mu: DiscreteMeasure,
-                       kernel: KernelSpec) -> list[tuple]:
-    out = []
-    for i, (pos, mass) in enumerate(mu.atoms()):
-        contributions = [kernel.phi(tuple(xj - xi for xj, xi
-                                          in zip(other, pos)))
-                         for other, _ in mu.atoms()]
-        vel = tuple(
-            math.fsum(m * contrib[c]
-                      for contrib, (_, m) in zip(contributions, mu.atoms()))
-            for c in range(mu.dim))
-        out.append((i, vel, mass))
-    return out
-
-
 def _raw_atoms(spec: PvfSpec, mu: DiscreteMeasure,
                n_hint: int | None) -> list[tuple]:
     if spec.kind in ("ode_lift", "one_sided_ode"):
@@ -348,7 +337,9 @@ def _raw_atoms(spec: PvfSpec, mu: DiscreteMeasure,
         k = spec.sub_atoms or n_hint or DEFAULT_SUB_ATOMS
         return _phi_diffusion_atoms(mu, spec.phi, k)
     if spec.kind == "interaction":
-        return _interaction_atoms(mu, spec.kernel)
+        field = interaction_field(spec.kernel, mu.positions, mu.masses)
+        return [(i, vel, mass) for i, (vel, mass)
+                in enumerate(zip(field.tolist(), mu.masses))]
     raise ValidationError(f"unknown PVF kind {spec.kind!r}", field="kind")
 
 

@@ -328,6 +328,13 @@ class TestConfigPlumbing:
         assert config.n_grid == (5, 10)
         assert config.times == (0.0, 0.5)
 
+    def test_recipe_rejects_unknown_options(self):
+        for key in ("horizn", "extras", "subcommand"):
+            with pytest.raises(ValidationError) as info:
+                recipe_to_config({"subcommand": "solve",
+                                  "options": {key: 1.0}})
+            assert info.value.field == key
+
     def test_recipe_needs_subcommand(self):
         with pytest.raises(ValidationError):
             recipe_to_config({"options": {}})

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdelab import (
     ValidationError,
+    interaction_field,
     kernel_from_dict,
     kernel_selfcheck,
     kernel_to_dict,
@@ -72,15 +74,19 @@ PROBES_2D = [(x / 2.0, y / 2.0) for x in range(-4, 5) for y in range(-4, 5)
              if math.hypot(x / 2.0, y / 2.0) <= 2.0]
 
 
-@pytest.mark.parametrize("kernel", [
+KERNELS = [
     make_kernel("zero"),
     make_kernel("linear", rate=0.7),
     make_kernel("bounded_attraction"),
     make_kernel("bump_alignment", range=1.5),
-])
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_selfcheck_declared_envelopes(kernel):
     kernel_selfcheck(kernel, radius=1.0, probes=PROBES_1D)
     kernel_selfcheck(kernel, radius=1.0, probes=PROBES_2D)
+    kernel_selfcheck(kernel, radius=1.0, probes=[])
 
 
 def test_selfcheck_catches_out_of_range_probe():
@@ -113,3 +119,44 @@ def test_bounded_attraction_lipschitz_property(za, zb):
     dz = math.dist(za, zb)
     dv = math.dist(k.phi(za), k.phi(zb))
     assert dv <= lip * dz * (1.0 + 1e-9) + 1e-12
+
+
+def _pairwise_field(kernel, positions, weights):
+    # reference: one phi call per pair, each component summed by fsum
+    out = []
+    for xi in positions:
+        terms = [[w * c for c in kernel.phi(tuple(a - b for a, b
+                                                   in zip(xj, xi)))]
+                 for xj, w in zip(positions, weights)]
+        out.append([math.fsum(t[c] for t in terms)
+                    for c in range(len(xi))])
+    return out
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("unit", [False, True], ids=["weighted", "unit"])
+def test_interaction_field_matches_pairwise_reference(kernel, dim, unit):
+    rng = np.random.default_rng(100 * dim + len(kernel.name))
+    for _ in range(10):
+        m = int(rng.integers(1, 9))
+        positions = [tuple(rng.normal(0.0, 1.0, dim).tolist())
+                     for _ in range(m)]
+        weights = [1.0] * m if unit else rng.random(m).tolist()
+        got = interaction_field(kernel, positions, weights)
+        assert got.shape == (m, dim)
+        # bitwise: compare the float bit patterns, not values
+        assert ([[c.hex() for c in row] for row in got.tolist()]
+                == [[c.hex() for c in row] for row in
+                    _pairwise_field(kernel, positions, weights)])
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_interaction_field_permutes_with_its_inputs(kernel):
+    rng = np.random.default_rng(11)
+    positions = rng.normal(0.0, 1.0, (9, 2))
+    weights = rng.random(9)
+    perm = rng.permutation(9)
+    plain = interaction_field(kernel, positions, weights)
+    relabeled = interaction_field(kernel, positions[perm], weights[perm])
+    assert plain[perm].tobytes() == relabeled.tobytes()

@@ -205,11 +205,14 @@ def test_assignment_regime_matches_simplex(m):
     validate_plan(auto.plan, mu, nu)
 
 
-def test_assignment_regime_at_scale():
-    m = 200
-    rng = np.random.default_rng(200)
+@pytest.mark.parametrize("m", [200, 237])
+def test_assignment_regime_at_scale(m):
+    # at m = 237 the m masses 1/m do not fsum to 1, so the measure is
+    # renormalised; its masses must stay bit-equal for the assignment
+    rng = np.random.default_rng(m)
     mu = _planar_cloud(rng, [1.0 / m] * m)
     nu = _planar_cloud(rng, [1.0 / m] * m)
+    assert len(set(mu.masses)) == 1 and len(set(nu.masses)) == 1
     result = wasserstein(mu, nu)
     assert result.distance == pytest.approx(
         _independent_assignment_w1(mu, nu), rel=1e-12)
