@@ -1,11 +1,21 @@
 """Constrained fiber costs between lifted measures, and the fiber monoid.
 
-The headline quantity is the two-stage optimum: first the base
-Wasserstein distance W* between the position marginals, then a linear
-program over lifted couplings whose induced base plan is (near-)optimal,
-minimizing a selectable fiber integrand. The base-optimality equality is
-relaxed to "base cost <= W* + 1e-7*(1+W*)"; the reverse inequality holds
-automatically, so the feasible region is the near-optimal-plan polytope.
+The headline quantity is the two-stage optimum: a linear program over
+lifted couplings whose induced base plan is an optimal base
+(Wasserstein) plan, minimizing a selectable fiber integrand.
+
+In 1D stage 2 is exact. For the cost |x - y| a coupling is optimal if
+and only if the mass crossing each point z moves in the direction of
+sign(F_mu - F_nu)(z) only, and not at all where F_mu = F_nu
+(Santambrogio, OT for Applied Mathematicians, 2.2 and 3.1). The optimal
+base plans are therefore exactly the couplings supported on the allowed
+pairs (see _face_band), and the LP has one variable per allowed pair,
+no budget row and no slack.
+
+In nD stage 2 first solves the base W*, then relaxes base optimality to
+"base cost <= W* + 1e-7*(1+W*)" over all pairs; the reverse inequality
+holds automatically, so the feasible region is the near-optimal-plan
+polytope.
 
 The one_sided integrand <v-w, x-y>/|x-y| is defined as 0 when x = y.
 The two-stage value need not satisfy the triangle inequality; that is a
@@ -15,6 +25,7 @@ violating triple.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,9 +40,9 @@ from .measure import (DiscreteMeasure, LiftedMeasure, base_marginal,
 from .transport import (TransportPlan, _check_coupling, _northwest,
                         _plan_cost, wasserstein)
 
-BASE_OPT_REL_TOL = 1e-7      # stage-2 constraint slack: W* + 1e-7*(1+W*)
+BASE_OPT_REL_TOL = 1e-7      # nD stage-2 constraint slack: W* + 1e-7*(1+W*)
 MARGINAL_TOL = 1e-10
-MAX_COUPLING_VARS = 250_000  # dense stage-2 refusal threshold
+MAX_COUPLING_VARS = 250_000  # stage-2 refusal threshold, in LP variables
 _SUM_MERGE_TOL = 2.0 ** -42  # fiber sums this close merge (1024 ulps of 1)
 _ENTRY_FLOOR = 1e-14         # LP vertex entries below this are noise
 
@@ -46,13 +57,23 @@ class FiberCostKind(Enum):
 class LiftedPlan:
     """Coupling of two lifted measures, entries (a, b, weight) where a
     indexes an (x, v) atom of the first measure and b a (y, w) atom of
-    the second."""
+    the second.
+
+    allowed_pairs counts the atom pairs the stage-2 LP could use: the
+    pairs on the optimal face in 1D, rows*cols in nD. degenerate_base
+    (1D; None in nD) is true when the optimal base plan is not unique,
+    that is when the allowed pairs of base points outnumber the
+    m + m' - 1 entries of the monotone plan (m + m' - b when they split
+    the m + m' base points into b independent blocks).
+    """
 
     rows: int
     cols: int
     entries: tuple[tuple[int, int, float], ...]
     base_cost: float
     fiber_cost: float
+    allowed_pairs: int
+    degenerate_base: bool | None
 
 
 def validate_lifted_plan(plan: LiftedPlan, v1: LiftedMeasure,
@@ -77,29 +98,105 @@ def induced_base_plan(plan: LiftedPlan, v1: LiftedMeasure,
                          entries=entries, cost=_plan_cost(entries, mu, nu))
 
 
-def _round_to_polytope(flow: np.ndarray, r: np.ndarray,
-                       c: np.ndarray) -> np.ndarray:
+def _band_cells(lo: np.ndarray, hi: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of each cell of a band, row-major: row i
+    holds columns lo[i] .. hi[i]-1."""
+    counts = hi - lo
+    row_of = np.repeat(np.arange(len(lo)), counts)
+    starts = np.cumsum(counts) - counts
+    col_of = lo[row_of] + np.arange(len(row_of)) - starts[row_of]
+    return row_of, col_of
+
+
+def _round_to_polytope(flow: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Repair an approximately-feasible coupling to exact marginals.
 
-    The LP solver only meets its own feasibility tolerance (~1e-7); the
-    plan contract promises 1e-10. Scale overfull rows, then overfull
-    columns, then fill the remaining deficit greedily. Costs move by
-    O(deficit * max distance), far below the budget scale.
+    flow holds the cells of the band (lo, hi) row-major (_band_cells).
+    The LP solver only meets its own feasibility tolerance; the plan
+    contract promises 1e-10. Scale overfull rows, then overfull
+    columns, then fill the remaining deficit by a northwest sweep that
+    stays in the band, so a plan on the optimal face stays there. Costs
+    move by O(deficit * max distance). A deficit the sweep cannot place
+    raises NumericalError; HiGHS vertex plans leave deficits of an ulp
+    or two, which the sweep places or which stay far below the contract.
     """
+    row_of, col_of = _band_cells(lo, hi)
     flow = np.maximum(flow, 0.0)
-    row_sums = flow.sum(axis=1)
-    over = row_sums > r
-    if over.any():
-        flow[over] *= (r[over] / row_sums[over])[:, None]
-    col_sums = flow.sum(axis=0)
-    over = col_sums > c
-    if over.any():
-        flow[:, over] *= c[over] / col_sums[over]
-    err_r = np.maximum(r - flow.sum(axis=1), 0.0)
-    err_c = np.maximum(c - flow.sum(axis=0), 0.0)
-    for a, b, step in _northwest(err_r.tolist(), err_c.tolist()):
-        flow[a, b] += step
+    for index, target in ((row_of, r), (col_of, c)):
+        sums = np.bincount(index, flow, len(target))
+        over = sums > target
+        if over.any():
+            scale = np.ones(len(target))
+            scale[over] = target[over] / sums[over]
+            flow *= scale[index]
+    err_r = np.maximum(r - np.bincount(row_of, flow, len(r)), 0.0)
+    err_c = np.maximum(c - np.bincount(col_of, flow, len(c)), 0.0)
+    starts = np.cumsum(hi - lo) - (hi - lo)
+    for a, b, step in _northwest(err_r.tolist(), err_c.tolist(),
+                                 (lo.tolist(), hi.tolist())):
+        flow[starts[a] + b - lo[a]] += step
+    left = max(np.abs(r - np.bincount(row_of, flow, len(r))).max(),
+               np.abs(c - np.bincount(col_of, flow, len(c))).max())
+    if left > MARGINAL_TOL:
+        raise NumericalError(
+            f"marginal repair left a deficit of {left:.3g} that no "
+            f"allowed pair can carry")
     return flow
+
+
+def _face_band(v1: LiftedMeasure, v2: LiftedMeasure,
+               ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The allowed pairs of a 1D pair as a band (lo, hi): atom a of v1
+    may couple with atoms lo[a] .. hi[a]-1 of v2 in a lifted plan whose
+    base plan is optimal. Also returns degenerate_base (see LiftedPlan).
+
+    Pair (x, y) is allowed when x = y, when x < y and D = F_mu - F_nu
+    > 0 on every gap between consecutive support points in [x, y), or
+    when x > y and D < 0 on every gap in [y, x). D is summed exactly:
+    every float mass is a dyadic rational, an integer once scaled by the
+    largest denominator, so a tie D = 0 stays a tie where a float
+    running sum can read 5.6e-17. Both ends of the range are
+    nondecreasing in a, since the atoms are sorted by position.
+    """
+    x1 = np.array(v1.positions)[:, 0]
+    x2 = np.array(v2.positions)[:, 0]
+    z = np.union1d(x1, x2)
+    pos = np.concatenate([x1, x2])
+    order = np.argsort(pos, kind="stable")
+    terms = np.concatenate([v1.masses, np.negative(v2.masses)])[order]
+    ratios = [m.as_integer_ratio() for m in terms.tolist()]
+    scale = max(den for _, den in ratios)
+    running = list(itertools.accumulate(num * (scale // den)
+                                        for num, den in ratios))
+    cuts = np.searchsorted(pos[order], z[:-1], side="right")
+    d = np.array([(running[cut - 1] > 0) - (running[cut - 1] < 0)
+                  for cut in cuts])
+    # from support point p, mass may move right up to the first gap at
+    # or after p that D does not cross rightward, and left down to the
+    # last gap before p that D does not cross leftward
+    gaps = np.arange(len(d))
+    stop_right = np.append(gaps[d <= 0], len(z) - 1)
+    stop_left = np.insert(gaps[d >= 0] + 1, 0, 0)
+
+    def band(rows: np.ndarray, cols: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray]:
+        p = np.searchsorted(z, rows)
+        right = stop_right[np.searchsorted(stop_right, p)]
+        left = stop_left[np.searchsorted(stop_left, p, side="right") - 1]
+        return (np.searchsorted(cols, z[left], side="left"),
+                np.searchsorted(cols, z[right], side="right"))
+
+    lo, hi = band(x1, x2)
+    # the optimal base plan is unique exactly when the allowed base pairs
+    # form a forest: one tree per block of base points they connect
+    base1, base2 = np.unique(x1), np.unique(x2)
+    base_lo, base_hi = band(base1, base2)
+    blocks = 1 + np.count_nonzero(base_lo[1:] >= base_hi[:-1])
+    degenerate = bool((base_hi - base_lo).sum()
+                      > len(base1) + len(base2) - blocks)
+    return lo, hi, degenerate
 
 
 def _one_sided_cost(v, w, x, y) -> float:
@@ -110,11 +207,54 @@ def _one_sided_cost(v, w, x, y) -> float:
     return num / math.dist(x, y)
 
 
+def _objective_1d(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
+                  col_of: np.ndarray, kind: FiberCostKind,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(base distance, objective) on the given cells; in 1D these equal
+    math.dist and _one_sided_cost bit for bit."""
+    gap = np.array(v1.positions)[row_of, 0] - np.array(v2.positions)[col_of, 0]
+    dv = (np.array(v1.velocities)[row_of, 0]
+          - np.array(v2.velocities)[col_of, 0])
+    base_dist = np.abs(gap)
+    if kind is FiberCostKind.FIBER:
+        return base_dist, np.abs(dv)
+    if kind is FiberCostKind.COMBINED:
+        return base_dist, base_dist + np.abs(dv)
+    objective = np.zeros(len(gap))
+    np.divide(dv * gap, base_dist, out=objective, where=base_dist > 0.0)
+    return base_dist, objective
+
+
+def _objective_nd(v1: LiftedMeasure, v2: LiftedMeasure,
+                  kind: FiberCostKind) -> tuple[np.ndarray, np.ndarray]:
+    """(base distance, objective) on every pair, row-major."""
+    base_dist = np.empty((v1.atom_count, v2.atom_count))
+    objective = np.empty((v1.atom_count, v2.atom_count))
+    for a, (x, v, _) in enumerate(v1.atoms()):
+        for b, (y, w, _) in enumerate(v2.atoms()):
+            d = math.dist(x, y)
+            base_dist[a, b] = d
+            if kind is FiberCostKind.FIBER:
+                objective[a, b] = math.dist(v, w)
+            elif kind is FiberCostKind.COMBINED:
+                objective[a, b] = d + math.dist(v, w)
+            else:
+                objective[a, b] = _one_sided_cost(v, w, x, y)
+    return base_dist.ravel(), objective.ravel()
+
+
 def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
                            kind: FiberCostKind = FiberCostKind.FIBER,
                            ) -> tuple[float, LiftedPlan]:
-    """Exact LP optimum of the selected cost over lifted couplings whose
-    base projection is an optimal base plan (within the relative slack).
+    """LP optimum of the selected cost over lifted couplings whose base
+    projection is an optimal base plan.
+
+    In 1D the LP runs on the exact optimal face: one variable per
+    allowed pair (_face_band), no budget row and no slack, so the plan's
+    base cost is W1 up to the marginal repair. In nD it runs over all
+    pairs with base optimality relaxed to base cost <= W* +
+    1e-7*(1+W*). Either way the LP may hold at most MAX_COUPLING_VARS
+    variables.
 
     Returns (value, plan), value the selected cost of the repaired plan;
     it is >= 0 for fiber and combined kinds, one_sided may be negative.
@@ -126,63 +266,59 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
         kind = FiberCostKind(kind)
     rows = v1.atom_count
     cols = v2.atom_count
-    if rows * cols > MAX_COUPLING_VARS:
+    if v1.dim == 1:
+        lo, hi, degenerate = _face_band(v1, v2)
+    else:
+        lo, hi = np.zeros(rows, np.int64), np.full(rows, cols)
+        degenerate = None
+    n_vars = int((hi - lo).sum())
+    if n_vars > MAX_COUPLING_VARS:
         raise ValidationError(
-            f"stage-2 LP would need {rows * cols} coupling variables "
+            f"stage-2 LP would need {n_vars} coupling variables "
             f"(limit {MAX_COUPLING_VARS}); reduce the atom counts",
             field="atoms")
-
-    w_star = wasserstein(base_marginal(v1), base_marginal(v2)).distance
-    budget = w_star + BASE_OPT_REL_TOL * (1.0 + w_star)
-
-    base_dist = np.empty((rows, cols))
-    objective = np.empty((rows, cols))
-    for a, (x, v, _) in enumerate(v1.atoms()):
-        for b, (y, w, _) in enumerate(v2.atoms()):
-            d = math.dist(x, y)
-            base_dist[a, b] = d
-            if kind is FiberCostKind.FIBER:
-                objective[a, b] = math.dist(v, w)
-            elif kind is FiberCostKind.COMBINED:
-                objective[a, b] = d + math.dist(v, w)
-            else:
-                objective[a, b] = _one_sided_cost(v, w, x, y)
+    row_of, col_of = _band_cells(lo, hi)
+    options = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+    if v1.dim == 1:
+        base_dist, objective = _objective_1d(v1, v2, row_of, col_of, kind)
+        # presolve removes nothing from a transportation LP, and takes
+        # about 40% of the solve at a few thousand variables
+        lp_args = {"options": {**options, "presolve": False}}
+    else:
+        base_dist, objective = _objective_nd(v1, v2, kind)
+        w_star = wasserstein(base_marginal(v1), base_marginal(v2)).distance
+        lp_args = {"A_ub": base_dist.reshape(1, -1),
+                   "b_ub": [w_star + BASE_OPT_REL_TOL * (1.0 + w_star)],
+                   "options": options}
 
     # marginal equalities: one row per atom of each measure
-    n_vars = rows * cols
-    data = np.ones(2 * n_vars)
-    row_idx = np.empty(2 * n_vars, dtype=np.int64)
-    col_idx = np.empty(2 * n_vars, dtype=np.int64)
-    flat = np.arange(n_vars, dtype=np.int64)
-    row_idx[:n_vars] = flat // cols
-    col_idx[:n_vars] = flat
-    row_idx[n_vars:] = rows + flat % cols
-    col_idx[n_vars:] = flat
-    a_eq = sp.csr_matrix((data, (row_idx, col_idx)),
-                         shape=(rows + cols, n_vars))
-    b_eq = np.concatenate([np.asarray(v1.masses), np.asarray(v2.masses)])
-
-    res = linprog(c=objective.ravel(),
-                  A_ub=base_dist.reshape(1, -1), b_ub=[budget],
-                  A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    a_eq = sp.csr_matrix(
+        (np.ones(2 * n_vars),
+         (np.concatenate([row_of, rows + col_of]),
+          np.tile(np.arange(n_vars), 2))),
+        shape=(rows + cols, n_vars))
+    r = np.asarray(v1.masses)
+    c = np.asarray(v2.masses)
+    res = linprog(c=objective, A_eq=a_eq, b_eq=np.concatenate([r, c]),
+                  bounds=(0, None), method="highs-ds", **lp_args)
     if res.status != 0:
         raise NumericalError(
             f"constrained fiber LP failed (status {res.status}): {res.message}")
 
-    flow = _round_to_polytope(res.x.reshape(rows, cols),
-                              np.asarray(v1.masses), np.asarray(v2.masses))
-    entries = tuple((int(a), int(b), float(flow[a, b]))
-                    for a, b in np.argwhere(flow > _ENTRY_FLOOR))
-    base_cost = math.fsum(w * base_dist[a, b] for a, b, w in entries)
+    flow = _round_to_polytope(res.x, lo, hi, r, c)
+    keep = np.flatnonzero(flow > _ENTRY_FLOOR)
+    weights = flow[keep].tolist()
+    entries = tuple(zip(row_of[keep].tolist(), col_of[keep].tolist(),
+                        weights))
     fiber_cost = math.fsum(
         w * math.dist(v1.velocities[a], v2.velocities[b])
         for a, b, w in entries)
     plan = LiftedPlan(rows=rows, cols=cols, entries=entries,
-                      base_cost=base_cost, fiber_cost=fiber_cost)
-    return math.fsum(w * objective[a, b] for a, b, w in entries), plan
+                      base_cost=math.fsum(weights * base_dist[keep]),
+                      fiber_cost=fiber_cost, allowed_pairs=n_vars,
+                      degenerate_base=degenerate)
+    return math.fsum(weights * objective[keep]), plan
 
 
 def tangent_wasserstein(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
@@ -199,9 +335,10 @@ def wt_bound_check(v1: LiftedMeasure, v2: LiftedMeasure) -> bool:
     fiber plan, within 1e-8.
 
     The plan's tangent cost is at most that sum, since
-    sqrt(a^2 + b^2) <= a + b. The base W* is not the right side: the
-    plan may spend the stage-2 slack 1e-7*(1+W*) on its base cost to
-    lower its fiber cost.
+    sqrt(a^2 + b^2) <= a + b. In 1D stage 2 is exact and the plan's
+    base cost is W1 up to the marginal repair. In nD the base W* is not
+    the right side: the plan may spend the stage-2 slack 1e-7*(1+W*)
+    on its base cost to lower its fiber cost.
     """
     w_tangent = tangent_wasserstein(v1, v2)
     fiber_val, plan = constrained_fiber_cost(v1, v2, FiberCostKind.FIBER)

@@ -92,14 +92,27 @@ def validate_plan(plan: TransportPlan, mu: DiscreteMeasure,
             f"plan cost {plan.cost!r} != recomputed {recomputed!r}")
 
 
-def _northwest(src: Sequence[float], tgt: Sequence[float]):
+def _northwest(src: Sequence[float], tgt: Sequence[float],
+               band: tuple[Sequence[int], Sequence[int]] | None = None):
     """Northwest-corner sweep over two mass lists: yields (i, k, delta)
     as the monotone (quantile) coupling moves delta from source i to
-    target k, until either list runs out. Zero masses give zero moves."""
+    target k, until either list runs out. Zero masses give zero moves.
+
+    With band = (lo, hi), both nondecreasing, source i may only move to
+    targets in [lo[i], hi[i]): the sweep skips targets below lo[i] and
+    leaves source i at hi[i], and mass no such move can carry stays.
+    """
     src = list(src)
     tgt = list(tgt)
     i = k = 0
     while i < len(src) and k < len(tgt):
+        if band is not None:
+            if k < band[0][i]:
+                k = band[0][i]
+                continue
+            if k >= band[1][i]:
+                i += 1
+                continue
         delta = min(src[i], tgt[k])
         yield i, k, delta
         if src[i] == tgt[k]:

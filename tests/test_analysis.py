@@ -339,8 +339,9 @@ class TestMonotoneFiberCost:
             for perm in itertools.permutations(range(k)))
         assert costs[1] - costs[0] >= 0.05
         mono = monotone_fiber_cost_1d(va, vb, FiberCostKind.FIBER)
-        lp, _ = constrained_fiber_cost(va, vb, FiberCostKind.FIBER)
+        lp, plan = constrained_fiber_cost(va, vb, FiberCostKind.FIBER)
         assert mono == pytest.approx(lp, abs=1e-6)
+        assert plan.degenerate_base is False
 
 
 vel = st.floats(min_value=-2, max_value=2, allow_nan=False, width=64)

@@ -6,15 +6,21 @@ inequality fails by a full unit. Each value was re-derived by hand: the
 base optimum is unique in every pair, which pins the fiber pairing.
 """
 
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _constructions import variance_sin_pair
+
 from mdelab import (
     FiberCostKind,
+    NumericalError,
     ValidationError,
     base_marginal,
     constrained_fiber_cost,
@@ -30,7 +36,8 @@ from mdelab import (
     wasserstein,
     wt_bound_check,
 )
-from mdelab.fiber_metric import _one_sided_cost, _round_to_polytope
+from mdelab.fiber_metric import (_band_cells, _one_sided_cost,
+                                 _round_to_polytope)
 
 
 def witness_triple():
@@ -66,11 +73,53 @@ def test_polytope_repair_restores_exact_marginals():
     assert (flow < 0.0).any()
     assert np.abs(flow.sum(axis=1) - r).max() > 1e-9
     assert np.abs(flow.sum(axis=0) - c).max() > 1e-9
-    repaired = _round_to_polytope(flow.copy(), r, c)
+    # the full band: every row may use every column
+    repaired = _round_to_polytope(flow.ravel(), np.zeros(7, np.int64),
+                                  np.full(7, 5), r, c).reshape(7, 5)
     assert (repaired >= 0.0).all()
     assert np.abs(repaired.sum(axis=1) - r).max() <= 1e-12
     assert np.abs(repaired.sum(axis=0) - c).max() <= 1e-12
     assert np.abs(repaired - exact).max() <= 1e-7
+
+
+def _staircase_plan():
+    # a band whose row ranges are nondecreasing at both ends, and an
+    # exact coupling on it
+    lo = np.array([0, 0, 1, 2, 2, 4])
+    hi = np.array([2, 3, 4, 4, 5, 6])
+    rng = np.random.default_rng(12)
+    band = rng.uniform(0.5, 1.5, int((hi - lo).sum()))
+    band /= band.sum()
+    rows, cols = _band_cells(lo, hi)
+    assert rows.tolist() == [i for i in range(6) for _ in range(lo[i], hi[i])]
+    return lo, hi, band, rows, cols
+
+
+def test_polytope_repair_fills_inside_the_band():
+    lo, hi, exact, rows, cols = _staircase_plan()
+    r, c = np.bincount(rows, exact), np.bincount(cols, exact)
+    flow = exact.copy()
+    # two short cells inside the band, plus a spurious negative entry
+    flow[[1, 9]] -= 1e-9
+    flow[4] = -1e-9
+    repaired = _round_to_polytope(flow, lo, hi, r, c)
+    assert (repaired >= 0.0).all()
+    assert np.abs(np.bincount(rows, repaired) - r).max() <= 1e-12
+    assert np.abs(np.bincount(cols, repaired) - c).max() <= 1e-12
+    assert np.abs(repaired - exact).max() <= 1e-7
+
+
+def test_polytope_repair_refuses_a_deficit_outside_the_band():
+    lo, hi, exact, rows, cols = _staircase_plan()
+    r, c = np.bincount(rows, exact), np.bincount(cols, exact)
+    flow = exact.copy()
+    # alternate -1e-9 and +1e-9 along a path of cells from (0, 1) to
+    # (5, 5): only row 0 and column 5 end up short, and row 0 cannot
+    # reach column 5
+    flow[[1, 3, 4, 8, 9, 11, 12, 13, 14]] += 1e-9 * np.array(
+        [-1, 1, -1, 1, -1, 1, -1, 1, -1])
+    with pytest.raises(NumericalError):
+        _round_to_polytope(flow, lo, hi, r, c)
 
 
 INTEGRANDS = {
@@ -104,8 +153,7 @@ def test_self_cost_is_zero():
     v = make_lifted([(0.0, 1.0, 0.25), (0.0, -1.0, 0.25), (2.0, 0.5, 0.5)])
     for kind in FiberCostKind:
         value, plan = constrained_fiber_cost(v, v, kind)
-        # LP termination noise sits near the 1e-7 budget slack
-        assert abs(value) <= 1e-6
+        assert abs(value) <= 1e-12
         validate_lifted_plan(plan, v, v)
 
 
@@ -132,12 +180,113 @@ def test_plan_projects_to_an_optimal_base_plan():
     _, plan = constrained_fiber_cost(v1, v2, FiberCostKind.FIBER)
     base = induced_base_plan(plan, v1, v2)
     assert plan_is_optimal(base, base_marginal(v1), base_marginal(v2))
+    # planar plans: every pair is an LP variable, degeneracy not judged
+    assert plan.allowed_pairs == 4
+    assert plan.degenerate_base is None
 
 
 def test_coupling_size_guard():
-    big = make_lifted([((float(i),), (0.0,), 1 / 501) for i in range(501)])
+    # 501 planar atoms against themselves: 251,001 LP variables
+    planar = make_lifted([((float(i), 0.0), (0.0, 0.0), 1 / 501)
+                          for i in range(501)])
     with pytest.raises(ValidationError):
-        constrained_fiber_cost(big, big, FiberCostKind.FIBER)
+        constrained_fiber_cost(planar, planar, FiberCostKind.FIBER)
+    # a grid against its translate by one step: every rightward pair is
+    # on the optimal face, 710 * 711 / 2 + 709 = 253,114 allowed pairs.
+    # The refusal comes before anything of size M*M' is allocated.
+    m = 710
+    grid = make_lifted([((float(i),), (0.0,), 1 / m) for i in range(m)])
+    shifted = make_lifted([((float(i + 1),), (1.0,), 1 / m)
+                           for i in range(m)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="253114"):
+            constrained_fiber_cost(grid, shifted, FiberCostKind.FIBER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m
+
+
+def test_size_guard_counts_allowed_pairs():
+    # in 1D only x = y is allowed against itself: 501 LP variables
+    big = make_lifted([((float(i),), (0.0,), 1 / 501) for i in range(501)])
+    value, plan = constrained_fiber_cost(big, big, FiberCostKind.FIBER)
+    assert value == 0.0
+    assert plan.allowed_pairs == 501
+    assert plan.degenerate_base is False
+
+
+def test_degenerate_sine_pair_is_flagged():
+    w1, w2, _, _ = variance_sin_pair(1, 40)
+    _, plan = constrained_fiber_cost(w1, w2, FiberCostKind.FIBER)
+    assert plan.degenerate_base is True
+    assert plan.allowed_pairs > 40 + 40 - 1
+
+
+def _crossing_sign(xs, ys, t):
+    """F_mu - F_nu at t, in units of the common atom mass."""
+    return sum(x <= t for x in xs) - sum(y <= t for y in ys)
+
+
+def _is_allowed(x, y, xs, ys):
+    # integer positions: every gap between support points in (x, y)
+    # holds a half-integer
+    if x == y:
+        return True
+    sign = 1 if x < y else -1
+    lo, hi = sorted((x, y))
+    return all(sign * _crossing_sign(xs, ys, t + 0.5) > 0
+               for t in range(int(lo), int(hi)))
+
+
+def _seeded_pair(seed):
+    """Two lists of k (position, velocity) atoms, integer positions."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 7))
+    return tuple([(float(p), float(rng.uniform(-1, 1)))
+                  for p in rng.integers(0, 5, k)] for _ in range(2))
+
+
+# five atoms of mass 1/5 a side: a running float sum of the signed
+# masses reads 5.6e-17, not 0, on the gap (1, 2) where F_mu = F_nu; read
+# as a sign, it would allow the pairs from 0 to 3
+FLOAT_TIE = ([(0.0, 0.0), (0.0, 0.1), (0.0, 0.2), (2.0, 5.0), (2.0, 5.1)],
+             [(1.0, 5.0), (1.0, 5.1), (1.0, 5.2), (3.0, 0.0), (3.0, 0.1)])
+
+
+@pytest.mark.parametrize(
+    "pair", [_seeded_pair(seed) for seed in range(12)] + [FLOAT_TIE],
+    ids=[f"seed{seed}" for seed in range(12)] + ["float_tie"])
+def test_face_lp_matches_brute_force_over_optimal_matchings(pair):
+    k = len(pair[0])
+    xs, ys = ([x for x, _ in side] for side in pair)
+    va, vb = (make_lifted([((x,), (v,), 1.0 / k) for x, v in side])
+              for side in pair)
+    a1, a2 = va.atoms(), vb.atoms()
+    # integer base costs: ties between matchings are exact
+    base = {perm: sum(abs(a1[i][0][0] - a2[j][0][0])
+                      for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(k))}
+    optimal = [perm for perm, cost in base.items()
+               if cost == min(base.values())]
+    base_plans = {frozenset(Counter((a1[i][0], a2[j][0])
+                                    for i, j in enumerate(perm)).items())
+                  for perm in optimal}
+    w = wasserstein(base_marginal(va), base_marginal(vb)).distance
+    for kind in FiberCostKind:
+        value, plan = constrained_fiber_cost(va, vb, kind)
+        best = min(math.fsum(INTEGRANDS[kind](*a1[i][:2], *a2[j][:2]) / k
+                             for i, j in enumerate(perm))
+                   for perm in optimal)
+        assert abs(value - best) <= 1e-12
+        assert plan.allowed_pairs == sum(_is_allowed(x, y, xs, ys)
+                                         for x in xs for y in ys)
+        for a, b, _ in plan.entries:
+            assert _is_allowed(a1[a][0][0], a2[b][0][0], xs, ys)
+        assert abs(plan.base_cost - w) <= 1e-12 * (1.0 + w)
+        assert plan.degenerate_base is (len(base_plans) > 1)
+        validate_lifted_plan(plan, va, vb)
 
 
 def test_tangent_wasserstein_is_plain_transport_on_pairs():
@@ -215,8 +364,8 @@ def lifted_measures(draw, max_atoms=4):
 
 @given(lifted_measures(), lifted_measures())
 @settings(max_examples=25, deadline=None)
-# equal bases (W* = 0): the fiber plan spends the 1e-7 slack on its base
-# cost, so the tangent W = 1 exceeds fiber cost + W* = 0.9999999
+# equal bases (W* = 0): a plan that spent base-cost slack to lower its
+# fiber cost would put the tangent W = 1 above fiber cost + W*
 @example(va=make_lifted([((0.0,), (0.0,), 0.5), ((1.0,), (1.0,), 0.5)]),
          vb=make_lifted([((0.0,), (1.0,), 0.5), ((1.0,), (0.0,), 0.5)]))
 def test_wt_bound_property(va, vb):
