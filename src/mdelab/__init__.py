@@ -15,7 +15,6 @@ from .errors import (
     ValidationError,
 )
 from .measure import (
-    CompactSupportInfo,
     DiscreteMeasure,
     LatticeMeasure,
     LiftedMeasure,
@@ -93,7 +92,6 @@ from .las import (
     interpolate,
     las_solve,
     las_step,
-    solution_measures,
 )
 from .analysis import (
     ConvergenceReport,

@@ -193,7 +193,7 @@ def max_family_residual(flow, t: float, reach: float | None = None) -> float:
     if isinstance(flow, StationaryFlow):
         dim = flow.measure.dim
         if reach is None:
-            reach = support_radius(flow.measure).radius + 1.0
+            reach = support_radius(flow.measure) + 1.0
     else:
         dim = flow.dim
         if reach is None:
@@ -324,7 +324,8 @@ def convergence_study(spec: PvfSpec, mu0: DiscreteMeasure, oracle_ref,
 def semigroup_check(spec: PvfSpec, mu0: DiscreteMeasure, n: int,
                     s: float, t: float) -> float:
     """W between the (s+t)-run endpoint and the two-leg run endpoint;
-    the recursion is deterministic, so this must be exactly 0."""
+    the recursion is deterministic, so this must be exactly 0. Equal
+    endpoints return 0.0 at once; only a mismatch solves the W LP."""
     for label, val in (("s", s), ("t", t)):
         if abs(val * n - round(val * n)) > 1e-9:
             raise ValidationError(
@@ -335,6 +336,8 @@ def semigroup_check(spec: PvfSpec, mu0: DiscreteMeasure, n: int,
     mid = (las_solve(mu0, spec, n, s).steps[-1] if s > 0
            else ax_discretize(mu0, n))
     end = (las_solve(mid, spec, n, t).steps[-1] if t > 0 else mid)
+    if (full.coords, full.masses) == (end.coords, end.masses):
+        return 0.0
     return wasserstein(full.to_measure(), end.to_measure()).distance
 
 

@@ -3,13 +3,14 @@
 One parameter N sets every resolution: time step 1/N, velocity step 1/N,
 space step 1/N^2 (their product, the space a velocity cell covers in
 one time step). Measures live on the grid Z^n / N^2 inside the box
-[-N, N]^n, stored as integer coordinates. A step lifts the measure
-through the vector field, indexed by source atom (the field is evaluated
-in floats at the positions c / N^2), floors each velocity to k / N with
-k = floor(v * N) taken in floats, shifts the atom's integer coordinates
-by k cells and merges coincident atoms once. Runs therefore replay
-bit-for-bit, but they are not exact rational arithmetic: a float
-product can land just below an integer and floor one cell lower.
+[-N, N]^n, stored as int64 coordinates (so N <= 2,097,151). A step works
+on whole arrays: it lifts the measure into (source index, velocity,
+mass) arrays (the field is evaluated in floats at c / N^2), floors the
+velocities to cells k = floor(v * N) in floats, shifts coords[index] + k
+and merges coincident atoms in the one array merge of every measure
+builder. Runs therefore replay bit-for-bit, but they are not exact
+rational arithmetic: a float product can land just below an integer
+and floor one cell lower.
 
 A run checks two a-priori bounds and fails loudly when either breaks:
 the box must satisfy exp(C*T)*(R+1) <= N before starting (refusing, not
@@ -22,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BoxOverflowError, SupportBoundError, ValidationError
 from .measure import (DiscreteMeasure, LatticeMeasure, LiftedMeasure,
-                      make_lattice_measure, make_lifted, make_measure,
-                      support_radius)
+                      _lattice, make_lifted, make_measure, support_radius)
 from .pvf import PvfSpec, lift, sublinear_constant
 
 _STEP_COUNT_SNAP = 1e-9  # floor(N*T) guard against 39.999... artifacts
@@ -82,46 +84,41 @@ def ax_discretize(mu: DiscreteMeasure, n_param: int) -> LatticeMeasure:
     of 1/N^2 (half-open cells, boundary to the lower cell)."""
     if n_param < 1:
         raise ValidationError("N must be >= 1", field="n_param")
-    scale = n_param ** 2
-    for pos in mu.positions:
-        for c in pos:
-            if not (-n_param <= c < n_param):
-                raise ValidationError(
-                    f"support reaches {c!r}, outside [-N, N) with "
-                    f"N={n_param}; increase N", field="n_param")
-    cells = [(tuple(math.floor(c * scale) for c in pos), mass)
-             for pos, mass in mu.atoms()]
-    return make_lattice_measure(n_param, mu.dim, cells)
+    rows = np.array(mu.positions)
+    outside = (rows < -n_param) | (rows >= n_param)
+    if outside.any():
+        raise ValidationError(
+            f"support reaches {rows[outside][0].item()!r}, outside [-N, N) "
+            f"with N={n_param}; increase N", field="n_param")
+    return _lattice(n_param, mu.dim, np.floor(rows * n_param ** 2), mu.masses)
 
 
-def _bin_velocity(vel: tuple[float, ...], n_param: int) -> tuple[int, ...]:
-    binned = tuple(math.floor(c * n_param) for c in vel)
-    if any(abs(k) > n_param ** 2 for k in binned):
+def _bin_velocity(vel: np.ndarray, n_param: int) -> np.ndarray:
+    """Floor a (count, dim) velocity array to int64 cells floor(v * N)."""
+    binned = np.floor(vel * n_param)
+    if (np.abs(binned) > n_param ** 2).any():
         raise BoxOverflowError(
-            f"velocity {vel} outside the box [-N, N) with N={n_param}; "
-            "the sublinearity envelope does not fit this lattice")
-    return binned
+            f"velocity {vel.flat[np.abs(binned).argmax()].item()!r} outside "
+            f"the box [-N, N) with N={n_param}; the sublinearity envelope "
+            "does not fit this lattice")
+    return binned.astype(np.int64)
 
 
 def av_discretize(v: LiftedMeasure, n_param: int) -> LiftedMeasure:
     """Floor velocities to multiples of 1/N; positions untouched."""
-    return make_lifted(
-        [(pos, tuple(k / n_param for k in _bin_velocity(vel, n_param)), mass)
-         for pos, vel, mass in v.atoms()],
-        dim=v.dim)
+    cells = _bin_velocity(np.array(v.velocities), n_param) / n_param
+    return make_lifted(zip(v.positions, cells.tolist(), v.masses), dim=v.dim)
 
 
 def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
-    """One recursion step: lift, bin velocities, shift each source atom's
-    coordinates by integer cells (dt * v = k / N^2), merge once."""
+    """One recursion step: lift, bin the velocity array, shift each source
+    atom's coordinates by integer cells (dt * v = k / N^2), merge once."""
     n = mu_ell.n_param
-    shifted = []
-    for i, vel, mass in lift(spec, mu_ell.to_measure(), n_hint=n):
-        kv = _bin_velocity(vel, n)
-        shifted.append((tuple(c + k for c, k in zip(mu_ell.coords[i], kv)),
-                        mass))
+    index, velocities, masses = lift(spec, mu_ell.to_measure(), n_hint=n)
+    coords = (np.array(mu_ell.coords, dtype=np.int64)[index]
+              + _bin_velocity(velocities, n))
     try:
-        return make_lattice_measure(n, mu_ell.dim, shifted)
+        return _lattice(n, mu_ell.dim, coords, masses)
     except ValidationError as exc:
         raise BoxOverflowError(
             f"step left the lattice box [-N, N]^n with N={n}: {exc}; "
@@ -147,7 +144,7 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
         radius0 = mu0.support_radius()
     else:
         start = ax_discretize(mu0, n_param)
-        radius0 = support_radius(mu0).radius
+        radius0 = support_radius(mu0)
     c_sub = sublinear_constant(spec, start.dim)
     envelope = math.exp(c_sub * horizon) * (radius0 + 1.0)
     if envelope > n_param:
@@ -184,14 +181,7 @@ def interpolate(traj: Trajectory, t: float) -> DiscreteMeasure:
     base = traj.steps[ell].to_measure()
     if s <= 0.0 or ell == last:
         return base
-    moved = []
-    for i, vel, mass in lift(traj.pvf, base, n_hint=n):
-        kv = _bin_velocity(vel, n)
-        moved.append((tuple(x + s * (k / n)
-                            for x, k in zip(base.positions[i], kv)), mass))
-    return make_measure(moved, dim=traj.dim)
-
-
-def solution_measures(traj: Trajectory,
-                      sample_times) -> list[tuple[float, DiscreteMeasure]]:
-    return [(float(t), interpolate(traj, float(t))) for t in sample_times]
+    index, velocities, masses = lift(traj.pvf, base, n_hint=n)
+    moved = (np.array(base.positions)[index]
+             + s * (_bin_velocity(velocities, n) / n))
+    return make_measure(zip(moved.tolist(), masses.tolist()), dim=traj.dim)

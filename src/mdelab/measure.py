@@ -1,10 +1,12 @@
 """Atomic probability measures on R^n and on its tangent bundle.
 
-All measure types are immutable, store atoms in lexicographic position
-order, and merge coincident atoms by exact coordinate equality. Lattice
-measures keep integer coordinates (position = coords / N^2) that a step
-shifts by whole cells, so lattice runs replay bit-for-bit; they are not
-exact rational arithmetic, since the field is evaluated in floats.
+All measure types are immutable and store atoms in lexicographic
+position order. Every builder checks its coordinates as one array and
+merges coincident atoms by exact equality in one array merge (_merge).
+Lattice measures keep integer coordinates (position = coords / N^2),
+|coords| <= N^3 in int64, so N <= 2,097,151. A step shifts them by whole
+cells, so lattice runs replay bit-for-bit; they are not exact rational
+arithmetic, since the field is evaluated in floats.
 """
 
 from __future__ import annotations
@@ -14,30 +16,39 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 MASS_SUM_TOL = 1e-9       # construction-time renormalization window
-MASS_INVARIANT_TOL = 1e-12
+MAX_LATTICE_N = 2_097_151  # largest N with N^3 + N^2 inside int64
 
 Position = tuple[float, ...]
 Velocity = tuple[float, ...]
 
 
-def as_vector(x, dim: int | None = None, what: str = "position") -> tuple[float, ...]:
-    """Coerce a scalar or sequence to a float tuple, checking length."""
-    if isinstance(x, (int, float)):
-        vec = (float(x) + 0.0,)
-    else:
-        vec = tuple(float(c) + 0.0 for c in x)  # +0.0 canonicalizes -0.0
-    if not vec:
-        raise ValidationError(f"empty {what} vector", field=what)
-    if dim is not None and len(vec) != dim:
-        raise ValidationError(
-            f"{what} has length {len(vec)}, expected {dim}", field=what)
-    for c in vec:
-        if not math.isfinite(c):
-            raise ValidationError(f"non-finite {what} coordinate", field=what)
-    return vec
+def as_rows(values: Sequence, dim: int | None = None,
+            what: str = "position") -> np.ndarray:
+    """Check a batch of coordinate vectors in one call: a finite float
+    array of shape (count, dim), scalars promoted to length-1 rows."""
+    try:
+        rows = np.array(values, dtype=float)
+    except ValueError as exc:  # ragged or non-numeric rows
+        raise ValidationError(f"{what} rows must be numeric, of one length",
+                              field=what) from exc
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2 or rows.shape[1] == 0 or dim not in (None, rows.shape[1]):
+        raise ValidationError(f"{what} rows need {dim} entries, got shape "
+                              f"{rows.shape}", field=what)
+    if not np.isfinite(rows).all():
+        raise ValidationError(f"non-finite {what} coordinate", field=what)
+    return rows + 0.0  # +0.0 canonicalizes -0.0
+
+
+def _tuples(rows: np.ndarray) -> tuple:
+    """Array rows as the tuples of Python numbers the measure fields hold."""
+    return tuple(map(tuple, rows.tolist()))
 
 
 def neumaier_prefix(values: Sequence[float]) -> list[float]:
@@ -56,27 +67,28 @@ def neumaier_prefix(values: Sequence[float]) -> list[float]:
     return prefix
 
 
-def _merge(pairs: Iterable[tuple[tuple, float]]) -> tuple[tuple, tuple]:
-    """Sum masses over exactly-equal keys; return the keys in
-    lexicographic order and their masses, as two tuples.
-
-    Group-then-fsum so the merged mass of a group depends only on the
-    input order of its members, not on interleaving with other groups.
-    """
-    acc: dict[tuple, list[float]] = {}
-    for key, mass in pairs:
-        acc.setdefault(key, []).append(mass)
-    merged = sorted((key, masses[0] if len(masses) == 1 else math.fsum(masses))
-                    for key, masses in acc.items())
-    return tuple(k for k, _ in merged), tuple(m for _, m in merged)
+def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, list[float]]:
+    """Sum masses over exactly-equal key rows; return the distinct rows
+    in lexicographic order and their masses. A group of one keeps its
+    mass, a larger one gets the math.fsum of its members: exactly
+    rounded, so independent of their order."""
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    masses = np.asarray(masses, dtype=float)[order]
+    new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(masses))
+    merged = masses[starts]
+    for g in np.flatnonzero(ends - starts > 1).tolist():
+        merged[g] = math.fsum(masses[starts[g]:ends[g]].tolist())
+    return keys[starts], merged.tolist()
 
 
 def _check_masses(masses: Sequence[float], renormalize: bool) -> tuple:
-    for m in masses:
-        if not (m > 0.0) or not math.isfinite(m):
-            raise ValidationError("atom mass must be positive and finite",
-                                  field="mass")
-    total = math.fsum(masses)
+    total = math.fsum(masses) if min(masses) > 0.0 else math.nan
+    if not math.isfinite(total):
+        raise ValidationError("atom mass must be positive and finite",
+                              field="mass")
     if abs(total - 1.0) > MASS_SUM_TOL:
         raise ValidationError(
             f"masses sum to {total!r}, more than {MASS_SUM_TOL} from 1",
@@ -103,11 +115,6 @@ def _check_masses(masses: Sequence[float], renormalize: bool) -> tuple:
 
 
 @dataclass(frozen=True)
-class CompactSupportInfo:
-    radius: float
-
-
-@dataclass(frozen=True)
 class DiscreteMeasure:
     """Finite convex combination of Dirac atoms on R^dim."""
 
@@ -123,7 +130,7 @@ class DiscreteMeasure:
         return list(zip(self.positions, self.masses))
 
     def mass_at(self, position) -> float:
-        pos = as_vector(position, self.dim)
+        pos, = _tuples(as_rows([position], self.dim))
         for p, m in self.atoms():
             if p == pos:
                 return m
@@ -141,16 +148,12 @@ def make_measure(atoms: Iterable[tuple], dim: int | None = None) -> DiscreteMeas
     Coincident positions merge by mass addition; the total mass must be
     within 1e-9 of 1 and is silently renormalized inside that window.
     """
-    pairs = []
-    for pos, mass in atoms:
-        vec = as_vector(pos, dim)
-        if dim is None:
-            dim = len(vec)
-        pairs.append((vec, float(mass)))
-    if not pairs:
+    atoms = list(atoms)
+    if not atoms:
         raise ValidationError("measure needs at least one atom", field="atoms")
-    positions, masses = _merge(pairs)
-    return DiscreteMeasure(dim=dim, positions=positions,
+    positions, masses = zip(*atoms)
+    keys, masses = _merge(as_rows(positions, dim), masses)
+    return DiscreteMeasure(dim=keys.shape[1], positions=_tuples(keys),
                            masses=_check_masses(masses, renormalize=True))
 
 
@@ -174,17 +177,14 @@ def uniform_1d(a: float, b: float, atoms: int) -> DiscreteMeasure:
 def push_forward(mu: DiscreteMeasure,
                  fmap: Callable) -> DiscreteMeasure:
     """Image measure: atoms moved through fmap, coincident images merged."""
-    moved = []
-    for pos, mass in mu.atoms():
-        image = fmap(pos)
-        moved.append((as_vector(image, mu.dim, what="image"), mass))
-    positions, masses = _merge(moved)
-    return DiscreteMeasure(dim=mu.dim, positions=positions, masses=masses)
+    images = as_rows([fmap(pos) for pos in mu.positions], mu.dim, "image")
+    keys, masses = _merge(images, mu.masses)
+    return DiscreteMeasure(dim=mu.dim, positions=_tuples(keys),
+                           masses=tuple(masses))
 
 
-def support_radius(mu: DiscreteMeasure) -> CompactSupportInfo:
-    radius = max(math.hypot(*p) for p in mu.positions)
-    return CompactSupportInfo(radius=radius)
+def support_radius(mu: DiscreteMeasure) -> float:
+    return max(math.hypot(*p) for p in mu.positions)
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,30 @@ def make_lattice_measure(n_param: int, dim: int,
     if not cells:
         raise ValidationError("lattice measure needs at least one atom",
                               field="atoms")
-    coords, masses = _merge(cells)
+    coords, masses = zip(*cells)
+    return _lattice(n_param, dim, coords, masses)
+
+
+def _lattice(n_param: int, dim: int, coords, masses) -> LatticeMeasure:
+    """The lattice builder on integer coordinate rows (an int64 array or
+    anything that converts to one): check N and the box [-N^3, N^3]^dim,
+    merge coincident rows, check the masses."""
+    if n_param > MAX_LATTICE_N:
+        raise ValidationError(f"N={n_param} above {MAX_LATTICE_N}: "
+                              "coordinates up to N^3 must fit int64",
+                              field="n_param")
     bound = n_param ** 3
-    for cv in coords:
-        if any(abs(c) > bound for c in cv):
-            raise ValidationError(
-                f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
-                field="coords")
-    return LatticeMeasure(n_param=n_param, dim=dim, coords=coords,
+    try:
+        rows = np.asarray(coords, dtype=np.int64)
+        inside = (np.abs(rows) <= bound).all()
+    except OverflowError:
+        inside = False
+    if not inside:
+        raise ValidationError(
+            f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
+            field="coords")
+    keys, masses = _merge(rows, masses)
+    return LatticeMeasure(n_param=n_param, dim=dim, coords=_tuples(keys),
                           masses=_check_masses(masses, renormalize=False))
 
 
@@ -250,26 +266,25 @@ class LiftedMeasure:
 
 def make_lifted(atoms: Iterable[tuple], dim: int | None = None) -> LiftedMeasure:
     """Build a LiftedMeasure from (position, velocity, mass) triples."""
-    pairs = []
-    for pos, vel, mass in atoms:
-        pvec = as_vector(pos, dim)
-        if dim is None:
-            dim = len(pvec)
-        vvec = as_vector(vel, dim, what="velocity")
-        pairs.append(((pvec, vvec), float(mass)))
-    if not pairs:
+    atoms = list(atoms)
+    if not atoms:
         raise ValidationError("lifted measure needs at least one atom",
                               field="atoms")
-    keys, masses = _merge(pairs)
-    return LiftedMeasure(dim=dim, positions=tuple(p for p, _ in keys),
-                         velocities=tuple(v for _, v in keys),
+    positions, velocities, masses = zip(*atoms)
+    positions = as_rows(positions, dim)
+    dim = positions.shape[1]
+    velocities = as_rows(velocities, dim, what="velocity")
+    keys, masses = _merge(np.hstack([positions, velocities]), masses)
+    return LiftedMeasure(dim=dim, positions=_tuples(keys[:, :dim]),
+                         velocities=_tuples(keys[:, dim:]),
                          masses=_check_masses(masses, renormalize=True))
 
 
 def base_marginal(lifted: LiftedMeasure) -> DiscreteMeasure:
     """Project (x, v, m) atoms to x, summing masses over velocities."""
-    positions, masses = _merge(zip(lifted.positions, lifted.masses))
-    return DiscreteMeasure(dim=lifted.dim, positions=positions, masses=masses)
+    keys, masses = _merge(np.array(lifted.positions), lifted.masses)
+    return DiscreteMeasure(dim=lifted.dim, positions=_tuples(keys),
+                           masses=tuple(masses))
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +316,8 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
     except KeyError as exc:
         raise ValidationError(f"measure document missing {exc.args[0]!r}",
                               field=exc.args[0]) from exc
-    atoms = []
-    for idx, row in enumerate(rows):
-        if len(row) != dim + 1:
-            raise ValidationError(
-                f"atom row {idx} has {len(row)} entries, expected dim+1={dim + 1}",
-                field=f"atoms[{idx}]")
-        atoms.append((tuple(row[:dim]), row[dim]))
-    return make_measure(atoms, dim=dim)
+    table = as_rows(rows, dim + 1, what="atoms")
+    return make_measure(zip(table[:, :dim], table[:, dim]), dim=dim)
 
 
 def measure_to_dict(mu: DiscreteMeasure) -> dict:
@@ -326,15 +335,9 @@ def lifted_from_dict(doc: dict) -> LiftedMeasure:
     except KeyError as exc:
         raise ValidationError(f"lifted document missing {exc.args[0]!r}",
                               field=exc.args[0]) from exc
-    atoms = []
-    for idx, row in enumerate(rows):
-        if len(row) != 2 * dim + 1:
-            raise ValidationError(
-                f"lifted atom row {idx} has {len(row)} entries, "
-                f"expected 2*dim+1={2 * dim + 1}",
-                field=f"atoms[{idx}]")
-        atoms.append((tuple(row[:dim]), tuple(row[dim:2 * dim]), row[2 * dim]))
-    return make_lifted(atoms, dim=dim)
+    table = as_rows(rows, 2 * dim + 1, what="atoms")
+    return make_lifted(zip(table[:, :dim], table[:, dim:-1], table[:, -1]),
+                       dim=dim)
 
 
 def lifted_to_dict(lifted: LiftedMeasure) -> dict:

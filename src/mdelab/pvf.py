@@ -27,11 +27,13 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SublinearityError, ValidationError
 from .kernels import (KernelSpec, interaction_field, kernel_from_dict,
                       kernel_to_dict)
-from .measure import (DiscreteMeasure, LiftedMeasure, Velocity, _check_masses,
-                      _merge, as_vector, neumaier_prefix)
+from .measure import (DiscreteMeasure, LiftedMeasure, _check_masses, _merge,
+                      _tuples, as_rows, neumaier_prefix)
 
 PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
              "interaction", "one_sided_ode")
@@ -344,32 +346,35 @@ def _raw_atoms(spec: PvfSpec, mu: DiscreteMeasure,
 
 
 def lift(spec: PvfSpec, mu: DiscreteMeasure, n_hint: int | None = None
-         ) -> list[tuple[int, Velocity, float]]:
-    """Apply the PVF: merged (source atom index, velocity, mass) triples
-    in (index, velocity) order, masses renormalised as make_lifted does.
-    n_hint feeds phi_diffusion's default sub-atom count (the lattice
-    solver passes its N). Raises SublinearityError when C fails here."""
-    keys, masses = _merge(((i, as_vector(vel, mu.dim, what="velocity")),
-                           float(mass))
-                          for i, vel, mass in _raw_atoms(spec, mu, n_hint))
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the PVF: the merged lifted atoms as arrays of source index,
+    velocity rows and masses in (index, velocity) order, masses
+    renormalised as make_lifted does. n_hint feeds phi_diffusion's
+    default sub-atom count (the lattice solver passes its N). Raises
+    SublinearityError when C fails here."""
+    index, velocities, masses = zip(*_raw_atoms(spec, mu, n_hint))
+    velocities = as_rows(velocities, mu.dim, what="velocity")
+    keys, masses = _merge(np.column_stack([index, velocities]), masses)
     masses = _check_masses(masses, renormalize=True)
     c = sublinear_constant(spec, mu.dim)
     max_x = max(math.hypot(*p) for p in mu.positions)
-    max_v = max(math.hypot(*v) for _, v in keys)
+    max_v = max(map(math.hypot, *keys[:, 1:].T.tolist()))
     if max_v > c * (1.0 + max_x) * (1.0 + _H1_SLACK) + _H1_SLACK:
         raise SublinearityError(
             f"{spec.kind} PVF: max speed {max_v!r} exceeds "
             f"C(1+max|x|) = {c * (1.0 + max_x)!r} with declared C={c!r}")
-    return [(i, v, m) for (i, v), m in zip(keys, masses)]
+    return keys[:, 0].astype(np.int64), keys[:, 1:], np.array(masses)
 
 
 def evaluate(spec: PvfSpec, mu: DiscreteMeasure,
              n_hint: int | None = None) -> LiftedMeasure:
     """lift with each atom's source position attached. mu's positions
     are sorted and distinct, so this is the canonical LiftedMeasure."""
-    index, velocities, masses = zip(*lift(spec, mu, n_hint))
-    return LiftedMeasure(dim=mu.dim, velocities=velocities, masses=masses,
-                         positions=tuple(mu.positions[i] for i in index))
+    index, velocities, masses = lift(spec, mu, n_hint)
+    positions = tuple(mu.positions[i] for i in index.tolist())
+    return LiftedMeasure(dim=mu.dim, positions=positions,
+                         velocities=_tuples(velocities),
+                         masses=tuple(masses.tolist()))
 
 
 def check_h1(spec: PvfSpec, mu: DiscreteMeasure) -> bool:

@@ -375,7 +375,7 @@ def test_criterion_12_one_sided_concentration():
     for t in (0.5, 1.0, 2.0):
         ref = oracle("one_sided_collapse", {"mu0": mu0}, t)
         gaps[t] = wasserstein(interpolate(traj, t), ref).distance
-    radius = support_radius(interpolate(traj, 2.0)).radius
+    radius = support_radius(interpolate(traj, 2.0))
     elapsed = time.perf_counter() - t0
     gaps_ok = all(g <= 0.05 for g in gaps.values())
     collapse_ok = radius <= 0.05

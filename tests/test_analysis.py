@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from _constructions import variance_sin_pair
 
+import mdelab.analysis as analysis
 from mdelab import (
     ConvergenceReport,
     FiberCostKind,
@@ -249,6 +250,15 @@ class TestSemigroup:
     def test_alignment_required(self):
         with pytest.raises(ValidationError):
             semigroup_check(median_split_pvf(), dirac(0.0), 10, 0.33, 0.5)
+
+    def test_agreeing_legs_solve_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("semigroup_check solved a W LP")
+        monkeypatch.setattr(analysis, "wasserstein", no_lp)
+        assert semigroup_check(median_split_pvf(), uniform_1d(-0.5, 0.5, 7),
+                               10, 0.3, 0.4) == 0.0
+        assert semigroup_check(ode_lift_pvf(linear_field(-1.0)), dirac(1.0),
+                               20, 0.25, 0.75) == 0.0
 
 
 class TestStability:

@@ -1,8 +1,10 @@
-"""Tooling: every name a module imports at top level is used in it.
+"""Tooling: every name a module imports at top level is used in it, and
+every module-level function or constant of the package is used.
 
 An ast scan of the package modules, the tests and the scripts. Package
 ``__init__.py`` files are skipped, since their imports are the public
-re-exports.
+re-exports; a name that only its definition and that re-export mention
+is dead.
 """
 
 import ast
@@ -14,6 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path for pattern in ("src/mdelab/*.py", "tests/*.py", "scripts/*.py")
     for path in ROOT.glob(pattern) if path.name != "__init__.py")
+PACKAGE = [path for path in SOURCES if path.parent.name == "mdelab"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +35,40 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def referenced_names(source: str) -> set[str]:
+    """Names read anywhere in the source, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def module_definitions(source: str) -> list[str]:
+    """The functions and assigned constants at a module's top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def unreferenced_definitions(package: dict[str, str],
+                             others: list[str]) -> list[str]:
+    used = set()
+    for source in [*package.values(), *others]:
+        used |= referenced_names(source)
+    return [f"{module}: {name}" for module, source in package.items()
+            for name in module_definitions(source) if name not in used]
+
+
 @pytest.mark.parametrize("path", SOURCES,
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_top_level_imports(path):
@@ -41,3 +78,19 @@ def test_no_unused_top_level_imports(path):
 def test_scan_flags_an_unused_name():
     source = "import math\nfrom os import path, sep\nprint(sep)\n"
     assert unused_imports(source) == ["line 1: math", "line 2: path"]
+
+
+def test_no_unreferenced_module_functions_or_constants():
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE}
+    others = [path.read_text(encoding="utf-8") for path in SOURCES
+              if path not in PACKAGE]
+    assert unreferenced_definitions(package, others) == []
+
+
+def test_definition_scan_flags_a_dead_name():
+    package = {"a.py": "TOL = 1e-12\nLIMIT = 3\n\ndef f():\n    return 1\n\n"
+                       "def g(x):\n    return LIMIT * x\n"}
+    others = ["from a import g\nprint(g(2))\n"]
+    assert unreferenced_definitions(package, others) == ["a.py: TOL",
+                                                         "a.py: f"]

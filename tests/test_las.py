@@ -8,6 +8,7 @@ closed forms.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,12 @@ from mdelab import (
     constant_pvf,
     dirac,
     evaluate,
+    interaction_pvf,
     interpolate,
     las_solve,
     las_step,
     linear_field,
+    make_kernel,
     make_lattice_measure,
     make_lifted,
     make_measure,
@@ -36,6 +39,7 @@ from mdelab import (
     uniform_1d,
     wasserstein,
 )
+from mdelab.measure import MAX_LATTICE_N
 
 
 class TestConfig:
@@ -139,6 +143,19 @@ class TestStep:
         with pytest.raises(BoxOverflowError):
             las_step(mu, spec)
 
+    def test_int64_shift_at_the_largest_n(self):
+        n = MAX_LATTICE_N
+        spec = constant_pvf([(float(n), 1.0)])  # k = N^2 cells, the box edge
+        mu = make_lattice_measure(n, 1, [((n ** 3 - n ** 2,), 1.0)])
+        out = las_step(mu, spec)
+        assert out.coords == ((n ** 3,),)
+        with pytest.raises(BoxOverflowError):   # N^3 + N^2 still fits int64
+            las_step(out, spec)
+
+    def test_n_above_the_int64_limit_is_refused(self):
+        with pytest.raises(ValidationError):
+            las_solve(dirac(0.0), median_split_pvf(), MAX_LATTICE_N + 1, 1.0)
+
 
 def step_from_evaluate(mu, spec):
     """las_step assembled from the public evaluate output: each lifted
@@ -167,6 +184,20 @@ class TestStepMatchesEvaluate:
         for prev, nxt in zip(traj.steps, traj.steps[1:]):
             lifted = evaluate(spec, prev.to_measure(), n_hint=40)
             assert lifted.atom_count == prev.atom_count
+            assert nxt == step_from_evaluate(prev, spec)
+
+    @pytest.mark.parametrize("spec", [
+        ode_lift_pvf(linear_field(-1.0)),
+        interaction_pvf(make_kernel("bump_alignment", range=0.5)),
+    ], ids=["ode_lift", "bump_alignment"])
+    def test_planar_cloud(self, spec):
+        rng = random.Random(20)
+        weights = [rng.uniform(0.2, 1.0) for _ in range(40)]
+        mu0 = make_measure([((rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)),
+                             w / math.fsum(weights)) for w in weights])
+        traj = las_solve(mu0, spec, 20, 1.0)
+        assert traj.dim == 2 and traj.steps[-1].atom_count > 1
+        for prev, nxt in zip(traj.steps, traj.steps[1:]):
             assert nxt == step_from_evaluate(prev, spec)
 
 

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdelab.measure import MAX_LATTICE_N, _merge, as_rows
 from mdelab import (
     DiscreteMeasure,
     ValidationError,
@@ -57,7 +59,7 @@ def test_mass_total_window():
 def test_dirac_and_support():
     mu = dirac((3.0, -4.0))
     assert mu.masses == (1.0,)
-    assert support_radius(mu).radius == 5.0
+    assert support_radius(mu) == 5.0
 
 
 def test_uniform_midpoint_atoms():
@@ -90,6 +92,70 @@ class TestLattice:
     def test_support_radius_in_spatial_units(self):
         lat = make_lattice_measure(4, 2, [((3, -4), 1.0)])
         assert lat.support_radius() == 5 / 16
+
+    def test_n_above_the_int64_limit_is_refused(self):
+        # coordinates reach N^3, and 2,097,152^3 = 2^63 overflows int64
+        with pytest.raises(ValidationError) as err:
+            make_lattice_measure(MAX_LATTICE_N + 1, 1, [((0,), 1.0)])
+        assert err.value.field == "n_param"
+        n = MAX_LATTICE_N
+        lat = make_lattice_measure(n, 1, [((-n ** 3,), 1.0)])
+        assert lat.coords == ((-n ** 3,),)
+        assert type(lat.coords[0][0]) is int
+
+    def test_coordinates_beyond_int64_are_a_box_error(self):
+        with pytest.raises(ValidationError) as err:
+            make_lattice_measure(3, 1, [((2 ** 70,), 1.0)])
+        assert err.value.field == "coords"
+
+
+class TestRows:
+    def test_scalars_promote_and_negative_zero_canonicalises(self):
+        rows = as_rows([-0.0, 2], what="image")
+        assert rows.shape == (2, 1)
+        assert math.copysign(1.0, rows[0, 0]) == 1.0
+
+    @pytest.mark.parametrize("values, dim", [
+        ([(1.0, 2.0), (1.0,)], None),        # ragged
+        ([(1.0, 2.0)], 1),                   # wrong length
+        ([()], None),                        # empty vector
+        ([(1.0, math.inf)], None),           # non-finite
+    ])
+    def test_bad_batches_raise_with_the_field(self, values, dim):
+        with pytest.raises(ValidationError) as err:
+            as_rows(values, dim, what="velocity")
+        assert err.value.field == "velocity"
+
+
+def reference_merge(rows, masses):
+    """The dict merge: group by exact key, sort the keys, fsum a group."""
+    groups = {}
+    for row, mass in zip(rows, masses):
+        groups.setdefault(tuple(row), []).append(mass)
+    merged = sorted((key, ms[0] if len(ms) == 1 else math.fsum(ms))
+                    for key, ms in groups.items())
+    return [key for key, _ in merged], [m for _, m in merged]
+
+
+def key_rows(dim):
+    ints = st.tuples(*[st.integers(-3, 3)] * dim)
+    floats = st.tuples(*[st.sampled_from([-0.0, 0.0, 0.1, -2.5, 1e-300,
+                                          3.0])] * dim)
+    return st.one_of(st.lists(ints, min_size=1, max_size=12),
+                     st.lists(floats, min_size=1, max_size=12))
+
+
+@given(st.sampled_from([1, 2]).flatmap(key_rows), st.data())
+@settings(max_examples=200, deadline=None)
+def test_array_merge_matches_the_dict_merge_bit_for_bit(rows, data):
+    masses = data.draw(st.lists(
+        st.floats(1e-12, 1.0) | st.sampled_from([0.1, 0.2, 0.3, 1e-17]),
+        min_size=len(rows), max_size=len(rows)))
+    keys, merged = _merge(np.array(rows), masses)
+    want_keys, want_masses = reference_merge(rows, masses)
+    # repr tells -0.0 from 0.0 and an int from a float
+    assert repr([tuple(k) for k in keys.tolist()]) == repr(want_keys)
+    assert [m.hex() for m in merged] == [m.hex() for m in want_masses]
 
 
 class TestLifted:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdelab import (
+    PVF_KINDS,
     SublinearityError,
     ValidationError,
     base_marginal,
@@ -313,6 +314,10 @@ def test_sum_field_matches_fiber_convolution(seed):
         assert a[0] == pytest.approx(b[0], abs=1e-12)
     for a, b in zip(direct.masses, conv.masses):
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_specs_cover_every_kind():
+    assert sorted(spec.kind for spec in SPECS) == sorted(PVF_KINDS)
 
 
 class TestJson:
