@@ -26,7 +26,8 @@ from .fiber_metric import FiberCostKind
 from .las import Trajectory, ax_discretize, interpolate, las_solve
 from .measure import DiscreteMeasure, LiftedMeasure, dirac, make_measure, \
     push_forward, support_radius, uniform_1d
-from .pvf import PvfSpec, VelocityField, evaluate, sublinear_constant
+from .pvf import (PvfSpec, VelocityField, _horner, evaluate,
+                  sublinear_constant)
 from .transport import _northwest, wasserstein
 
 ORACLE_ATOMS_DEFAULT = 200
@@ -170,21 +171,15 @@ def distributional_residual(flow, f: TestFunction,
     a_coeffs = tuple(float(c) for c in a_coeffs)
     da = tuple(i * c for i, c in enumerate(a_coeffs))[1:] or (0.0,)
 
-    def poly(cs, s):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * s + c
-        return acc
-
     nodes = _time_grid(flow, t)
     integrand = []
     for s in nodes:
         mu_s = _measure_at(flow, s)
-        integrand.append(poly(da, s) * _mean(f, mu_s) +
-                         poly(a_coeffs, s) *
+        integrand.append(_horner(da, s) * _mean(f, mu_s) +
+                         _horner(a_coeffs, s) *
                          _lifted_flux(evaluate(flow.pvf, mu_s), f))
-    lhs = poly(a_coeffs, t) * _mean(f, _measure_at(flow, t))
-    rhs = (poly(a_coeffs, 0.0) * _mean(f, _measure_at(flow, 0.0)) +
+    lhs = _horner(a_coeffs, t) * _mean(f, _measure_at(flow, t))
+    rhs = (_horner(a_coeffs, 0.0) * _mean(f, _measure_at(flow, 0.0)) +
            _trapezoid(nodes, integrand))
     return abs(lhs - rhs)
 

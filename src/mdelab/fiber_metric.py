@@ -37,8 +37,8 @@ from scipy.optimize import linprog
 from .errors import NumericalError, ValidationError
 from .measure import (DiscreteMeasure, LiftedMeasure, base_marginal,
                       make_lifted, make_measure)
-from .transport import (TransportPlan, _check_coupling, _northwest,
-                        _plan_cost, wasserstein)
+from .transport import (TransportPlan, _check_coupling, _cost_matrix,
+                        _northwest, _plan_cost, wasserstein)
 
 BASE_OPT_REL_TOL = 1e-7      # nD stage-2 constraint slack: W* + 1e-7*(1+W*)
 MARGINAL_TOL = 1e-10
@@ -228,18 +228,15 @@ def _objective_1d(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
 def _objective_nd(v1: LiftedMeasure, v2: LiftedMeasure,
                   kind: FiberCostKind) -> tuple[np.ndarray, np.ndarray]:
     """(base distance, objective) on every pair, row-major."""
-    base_dist = np.empty((v1.atom_count, v2.atom_count))
-    objective = np.empty((v1.atom_count, v2.atom_count))
-    for a, (x, v, _) in enumerate(v1.atoms()):
-        for b, (y, w, _) in enumerate(v2.atoms()):
-            d = math.dist(x, y)
-            base_dist[a, b] = d
-            if kind is FiberCostKind.FIBER:
-                objective[a, b] = math.dist(v, w)
-            elif kind is FiberCostKind.COMBINED:
-                objective[a, b] = d + math.dist(v, w)
-            else:
-                objective[a, b] = _one_sided_cost(v, w, x, y)
+    base_dist = _cost_matrix(v1.positions, v2.positions)
+    if kind is FiberCostKind.ONE_SIDED:
+        objective = np.array([[_one_sided_cost(v, w, x, y)
+                               for y, w in zip(v2.positions, v2.velocities)]
+                              for x, v in zip(v1.positions, v1.velocities)])
+    else:
+        objective = _cost_matrix(v1.velocities, v2.velocities)
+        if kind is FiberCostKind.COMBINED:
+            objective = base_dist + objective
     return base_dist.ravel(), objective.ravel()
 
 
@@ -393,7 +390,8 @@ def fiber_convolution(v1: LiftedMeasure, v2: LiftedMeasure) -> LiftedMeasure:
     bit-for-bit. Sums within _SUM_MERGE_TOL of each other merge into one
     atom (see _merge_fiber_sums), so regrouping a product does not split
     an atom; the neutral element is exact for fibers whose velocities
-    are further apart than that.
+    are further apart than that. The tolerance is absolute: above about
+    1e3 (2^10) two ulps exceed it, and such sums can still split.
     """
     if v1.dim != v2.dim:
         raise ValidationError(

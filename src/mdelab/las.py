@@ -3,14 +3,14 @@
 One parameter N sets every resolution: time step 1/N, velocity step 1/N,
 space step 1/N^2 (their product, the space a velocity cell covers in
 one time step). Measures live on the grid Z^n / N^2 inside the box
-[-N, N]^n, stored as int64 coordinates (so N <= 2,097,151). A step works
-on whole arrays: it lifts the measure into (source index, velocity,
-mass) arrays (the field is evaluated in floats at c / N^2), floors the
-velocities to cells k = floor(v * N) in floats, shifts coords[index] + k
-and merges coincident atoms in the one array merge of every measure
-builder. Runs therefore replay bit-for-bit, but they are not exact
-rational arithmetic: a float product can land just below an integer
-and floor one cell lower.
+[-N, N]^n, stored as int64 coordinates (N <= 208,063). A step works on
+whole arrays and builds no DiscreteMeasure: it lifts the positions
+coords / N^2 (one numpy division) into (source index, velocity, mass)
+arrays, floors the velocities to cells k = floor(v * N) in floats
+(_bin_velocity, the only floor), shifts coords[index] + k and merges
+coincident atoms in the one array merge of every measure builder. Runs
+replay bit-for-bit, but they are not exact rational arithmetic: a float
+product can land just below an integer and floor one cell lower.
 
 A run checks two a-priori bounds and fails loudly when either breaks:
 the box must satisfy exp(C*T)*(R+1) <= N before starting (refusing, not
@@ -114,9 +114,10 @@ def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
     """One recursion step: lift, bin the velocity array, shift each source
     atom's coordinates by integer cells (dt * v = k / N^2), merge once."""
     n = mu_ell.n_param
-    index, velocities, masses = lift(spec, mu_ell.to_measure(), n_hint=n)
-    coords = (np.array(mu_ell.coords, dtype=np.int64)[index]
-              + _bin_velocity(velocities, n))
+    coords = np.array(mu_ell.coords, dtype=np.int64)
+    index, velocities, masses = lift(spec, coords / n ** 2, mu_ell.masses,
+                                     n_hint=n)
+    coords = coords[index] + _bin_velocity(velocities, n)
     try:
         return _lattice(n, mu_ell.dim, coords, masses)
     except ValidationError as exc:
@@ -178,10 +179,11 @@ def interpolate(traj: Trajectory, t: float) -> DiscreteMeasure:
             f"t={t!r} outside [0, {last / n!r}]", field="t")
     ell = min(int(math.floor(t * n + 1e-12)), last)
     s = t - ell / n
-    base = traj.steps[ell].to_measure()
+    base = traj.steps[ell]
     if s <= 0.0 or ell == last:
-        return base
-    index, velocities, masses = lift(traj.pvf, base, n_hint=n)
-    moved = (np.array(base.positions)[index]
-             + s * (_bin_velocity(velocities, n) / n))
+        return base.to_measure()
+    positions = base.position_rows()
+    index, velocities, masses = lift(traj.pvf, positions, base.masses,
+                                     n_hint=n)
+    moved = positions[index] + s * (_bin_velocity(velocities, n) / n)
     return make_measure(zip(moved.tolist(), masses.tolist()), dim=traj.dim)

@@ -3,10 +3,11 @@
 All measure types are immutable and store atoms in lexicographic
 position order. Every builder checks its coordinates as one array and
 merges coincident atoms by exact equality in one array merge (_merge).
-Lattice measures keep integer coordinates (position = coords / N^2),
-|coords| <= N^3 in int64, so N <= 2,097,151. A step shifts them by whole
-cells, so lattice runs replay bit-for-bit; they are not exact rational
-arithmetic, since the field is evaluated in floats.
+Lattice measures keep int64 coordinates |coords| <= N^3; their positions
+are coords / N^2 in one numpy division, of exact floats for N <= 208,063
+(N^3 <= 2^53), so it rounds as Python's c / N**2 does. A step shifts the
+coordinates by whole cells, so lattice runs replay bit-for-bit; they are
+not exact rational arithmetic, since the field is evaluated in floats.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 
 MASS_SUM_TOL = 1e-9       # construction-time renormalization window
-MAX_LATTICE_N = 2_097_151  # largest N with N^3 + N^2 inside int64
+MAX_LATTICE_N = 208_063  # largest N with N^3 <= 2^53 (exact in float64)
 
 Position = tuple[float, ...]
 Velocity = tuple[float, ...]
@@ -183,8 +184,13 @@ def push_forward(mu: DiscreteMeasure,
                            masses=tuple(masses))
 
 
+def radius(rows) -> float:
+    """The largest Euclidean norm over coordinate rows, by math.hypot."""
+    return max(map(math.hypot, *np.asarray(rows, dtype=float).T.tolist()))
+
+
 def support_radius(mu: DiscreteMeasure) -> float:
-    return max(math.hypot(*p) for p in mu.positions)
+    return radius(mu.positions)
 
 
 @dataclass(frozen=True)
@@ -200,15 +206,17 @@ class LatticeMeasure:
     def atom_count(self) -> int:
         return len(self.coords)
 
+    def position_rows(self) -> np.ndarray:
+        """The (count, dim) float positions coords / N^2, one division."""
+        return np.array(self.coords, dtype=np.int64) / self.n_param ** 2
+
     def to_measure(self) -> DiscreteMeasure:
-        scale = self.n_param ** 2
-        positions = tuple(tuple(c / scale for c in cv) for cv in self.coords)
-        return DiscreteMeasure(dim=self.dim, positions=positions,
+        return DiscreteMeasure(dim=self.dim,
+                               positions=_tuples(self.position_rows()),
                                masses=self.masses)
 
     def support_radius(self) -> float:
-        scale = self.n_param ** 2
-        return max(math.hypot(*(c / scale for c in cv)) for cv in self.coords)
+        return radius(self.position_rows())
 
 
 def make_lattice_measure(n_param: int, dim: int,
@@ -227,7 +235,7 @@ def _lattice(n_param: int, dim: int, coords, masses) -> LatticeMeasure:
     merge coincident rows, check the masses."""
     if n_param > MAX_LATTICE_N:
         raise ValidationError(f"N={n_param} above {MAX_LATTICE_N}: "
-                              "coordinates up to N^3 must fit int64",
+                              "coordinates up to N^3 must be exact floats",
                               field="n_param")
     bound = n_param ** 3
     try:
@@ -261,7 +269,7 @@ class LiftedMeasure:
         return list(zip(self.positions, self.velocities, self.masses))
 
     def max_speed(self) -> float:
-        return max(math.hypot(*v) for v in self.velocities)
+        return radius(self.velocities)
 
 
 def make_lifted(atoms: Iterable[tuple], dim: int | None = None) -> LiftedMeasure:

@@ -26,7 +26,7 @@ from .analysis import SAMPLE_FRACTIONS
 from .errors import NumericalError, ValidationError
 from .kernels import KernelSpec, interaction_field
 from .las import interpolate, las_solve
-from .measure import DiscreteMeasure, make_measure
+from .measure import DiscreteMeasure, make_measure, radius
 from .pvf import interaction_pvf
 from .transport import wasserstein
 
@@ -55,7 +55,7 @@ class ParticleState:
         return len(self.positions[0])
 
     def radius(self) -> float:
-        return max(math.hypot(*p) for p in self.positions)
+        return radius(self.positions)
 
 
 def make_state(positions, time: float = 0.0) -> ParticleState:

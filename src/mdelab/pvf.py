@@ -33,7 +33,7 @@ from .errors import SublinearityError, ValidationError
 from .kernels import (KernelSpec, interaction_field, kernel_from_dict,
                       kernel_to_dict)
 from .measure import (DiscreteMeasure, LiftedMeasure, _check_masses, _merge,
-                      _tuples, as_rows, neumaier_prefix)
+                      _tuples, as_rows, neumaier_prefix, radius)
 
 PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
              "interaction", "one_sided_ode")
@@ -46,7 +46,8 @@ _H1_SLACK = 1e-12
 # ---------------------------------------------------------------------------
 # velocity fields
 
-def _horner(coeffs: tuple[float, ...], x: float) -> float:
+def _horner(coeffs: tuple[float, ...], x):
+    """sum_i coeffs[i] x^i by Horner's rule, for a float or an array."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -66,20 +67,25 @@ class VelocityField:
     coeffs: tuple[tuple[float, ...], ...] = ((0.0,),)
 
     def __call__(self, x: tuple[float, ...]) -> tuple[float, ...]:
-        n = len(x)
+        return tuple(self.rows(np.array([x], dtype=float))[0].tolist())
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The field on every row of an (m, n) float array. sin goes
+        through math, whose last bits numpy's does not always match."""
+        n = x.shape[1]
         if self.name == "linear":
             b = self.b if len(self.b) == n else self.b * n
             if len(b) != n:
                 raise ValidationError(
                     f"linear field offset has length {len(self.b)}, "
                     f"position has {n}", field="b")
-            return tuple(self.a * c + bc for c, bc in zip(x, b))
+            return self.a * x + np.array(b)
         if self.name == "sgn_sqrt":
-            return tuple(-math.copysign(math.sqrt(abs(c)), c) if c != 0.0
-                         else 0.0 for c in x)
+            return 0.0 - np.copysign(np.sqrt(np.abs(x)), x)
         if self.name == "sinusoidal":
-            return tuple(self.amplitude *
-                         math.sin(self.frequency * c + self.phase) for c in x)
+            arg = self.frequency * x + self.phase
+            sines = np.array(list(map(math.sin, arg.ravel().tolist())))
+            return self.amplitude * sines.reshape(x.shape)
         if self.name == "poly":
             cs = self.coeffs if len(self.coeffs) == n else self.coeffs * n
             if len(cs) != n:
@@ -87,7 +93,10 @@ class VelocityField:
                     f"poly field has {len(self.coeffs)} component "
                     f"polynomials, position has {n} components",
                     field="coeffs")
-            return tuple(_horner(comp, xc) for xc, comp in zip(x, cs))
+            out = np.empty_like(x)
+            for j, comp in enumerate(cs):
+                out[:, j] = _horner(comp, x[:, j])
+            return out
         raise ValidationError(f"unknown field {self.name!r}", field="name")
 
     def default_c(self, dim: int) -> float | None:
@@ -279,98 +288,83 @@ def sublinear_constant(spec: PvfSpec, dim: int) -> float:
         return 1.0
     if spec.kind == "phi_diffusion":
         # rank-speed phi lives on [0,1]; probe its sup there
-        top = max(abs(spec.phi((k / 2000.0,))[0]) for k in range(2001))
-        return 1.02 * top + 1e-12
+        top = np.abs(spec.phi.rows(np.arange(2001)[:, None] / 2000.0)).max()
+        return 1.02 * float(top) + 1e-12
     if spec.kind == "interaction":
         return spec.kernel.sublinear_default()
     raise ValidationError(f"unknown PVF kind {spec.kind!r}", field="kind")
 
 
-def _median_split_atoms(mu: DiscreteMeasure) -> list[tuple]:
-    prefix = neumaier_prefix(mu.masses)
-    split = next(i for i, f in enumerate(prefix)
-                 if f > 0.5 + MEDIAN_TIE_TOL)
-    f_before = prefix[split - 1] if split > 0 else 0.0
-    if abs(f_before - 0.5) <= MEDIAN_TIE_TOL:
-        f_before = 0.5
-    out = []
-    for i, mass in enumerate(mu.masses):
-        if i < split:
-            out.append((i, (-1.0,), mass))
-        elif i > split:
-            out.append((i, (1.0,), mass))
-        else:
-            up = prefix[split] - 0.5
-            down = 0.5 - f_before
-            if down > 0.0:
-                out.append((i, (-1.0,), down))
-            if up > 0.0:
-                out.append((i, (1.0,), up))
-    return out
-
-
-def _phi_diffusion_atoms(mu: DiscreteMeasure, phi: VelocityField,
-                         k: int) -> list[tuple]:
-    prefix = neumaier_prefix(mu.masses)
-    out = []
-    f_lo = 0.0
-    for i, (mass, f_hi) in enumerate(zip(mu.masses, prefix)):
-        for r in range(1, k + 1):
-            rank = f_lo + (r - 0.5) * mass / k
-            out.append((i, phi((rank,)), mass / k))
-        f_lo = f_hi
-    return out
-
-
-def _raw_atoms(spec: PvfSpec, mu: DiscreteMeasure,
-               n_hint: int | None) -> list[tuple]:
+def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
+               n_hint: int | None) -> tuple:
+    """The unmerged lifted atoms as (source index, velocity rows, mass)
+    arrays; a source atom may appear with several velocities."""
+    m, dim = positions.shape
+    index = np.arange(m)
     if spec.kind in ("ode_lift", "one_sided_ode"):
-        return [(i, spec.field(pos), mass)
-                for i, (pos, mass) in enumerate(mu.atoms())]
+        return index, spec.field.rows(positions), masses
     if spec.kind == "constant":
-        return [(i, vel, mass * p) for i, mass in enumerate(mu.masses)
-                for vel, p in spec.fiber]
-    if spec.kind in ("median_split", "phi_diffusion") and mu.dim != 1:
+        fiber = as_rows([vel for vel, _ in spec.fiber], dim, "velocity")
+        probs = np.array([p for _, p in spec.fiber])
+        return (np.repeat(index, len(probs)), np.tile(fiber, (m, 1)),
+                (masses[:, None] * probs).ravel())
+    if spec.kind in ("median_split", "phi_diffusion") and dim != 1:
         raise ValidationError(f"{spec.kind} is one-dimensional only",
                               field="dim")
     if spec.kind == "median_split":
-        return _median_split_atoms(mu)
+        # -1 before the atom where F passes 1/2, +1 after; it splits at 1/2
+        prefix = np.array(neumaier_prefix(masses.tolist()))
+        split = int(np.argmax(prefix > 0.5 + MEDIAN_TIE_TOL))
+        f_before = prefix[split - 1] if split > 0 else 0.0
+        if abs(f_before - 0.5) <= MEDIAN_TIE_TOL:
+            f_before = 0.5
+        index = np.append(index, split)
+        velocities = np.append(np.where(index[:-1] < split, -1.0, 1.0), -1.0)
+        masses = np.append(masses, 0.5 - f_before)
+        masses[split] = prefix[split] - 0.5
+        keep = masses > 0.0
+        return index[keep], velocities[keep, None], masses[keep]
     if spec.kind == "phi_diffusion":
+        # k sub-atoms of mass/k per atom, at the midpoints of its ranks
         k = spec.sub_atoms or n_hint or DEFAULT_SUB_ATOMS
-        return _phi_diffusion_atoms(mu, spec.phi, k)
+        f_lo = np.append(0.0, neumaier_prefix(masses.tolist())[:-1])
+        ranks = f_lo[:, None] + (np.arange(1, k + 1) - 0.5) * masses[:, None] / k
+        return (np.repeat(index, k), spec.phi.rows(ranks.reshape(-1, 1)),
+                np.repeat(masses / k, k))
     if spec.kind == "interaction":
-        field = interaction_field(spec.kernel, mu.positions, mu.masses)
-        return [(i, vel, mass) for i, (vel, mass)
-                in enumerate(zip(field.tolist(), mu.masses))]
+        return index, interaction_field(spec.kernel, positions, masses), masses
     raise ValidationError(f"unknown PVF kind {spec.kind!r}", field="kind")
 
 
-def lift(spec: PvfSpec, mu: DiscreteMeasure, n_hint: int | None = None
+def lift(spec: PvfSpec, positions, masses, n_hint: int | None = None
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the PVF: the merged lifted atoms as arrays of source index,
-    velocity rows and masses in (index, velocity) order, masses
-    renormalised as make_lifted does. n_hint feeds phi_diffusion's
-    default sub-atom count (the lattice solver passes its N). Raises
-    SublinearityError when C fails here."""
-    index, velocities, masses = zip(*_raw_atoms(spec, mu, n_hint))
-    velocities = as_rows(velocities, mu.dim, what="velocity")
-    keys, masses = _merge(np.column_stack([index, velocities]), masses)
-    masses = _check_masses(masses, renormalize=True)
-    c = sublinear_constant(spec, mu.dim)
-    max_x = max(math.hypot(*p) for p in mu.positions)
-    max_v = max(map(math.hypot, *keys[:, 1:].T.tolist()))
+    """Apply the PVF to atoms given as (m, n) positions and m masses: the
+    merged lifted atoms as arrays of source index, velocity rows and
+    masses in (index, velocity) order, masses renormalised as make_lifted
+    does. n_hint feeds phi_diffusion's default sub-atom count (the
+    lattice solver passes its N). Raises SublinearityError when C fails."""
+    positions = np.asarray(positions, dtype=float)
+    dim = positions.shape[1]
+    index, velocities, sub = _raw_atoms(
+        spec, positions, np.asarray(masses, dtype=float), n_hint)
+    velocities = as_rows(velocities, dim, what="velocity")
+    keys, sub = _merge(np.column_stack([index, velocities]), sub)
+    sub = _check_masses(sub, renormalize=True)
+    c = sublinear_constant(spec, dim)
+    max_x = radius(positions)
+    max_v = radius(keys[:, 1:])
     if max_v > c * (1.0 + max_x) * (1.0 + _H1_SLACK) + _H1_SLACK:
         raise SublinearityError(
             f"{spec.kind} PVF: max speed {max_v!r} exceeds "
             f"C(1+max|x|) = {c * (1.0 + max_x)!r} with declared C={c!r}")
-    return keys[:, 0].astype(np.int64), keys[:, 1:], np.array(masses)
+    return keys[:, 0].astype(np.int64), keys[:, 1:], np.array(sub)
 
 
 def evaluate(spec: PvfSpec, mu: DiscreteMeasure,
              n_hint: int | None = None) -> LiftedMeasure:
     """lift with each atom's source position attached. mu's positions
     are sorted and distinct, so this is the canonical LiftedMeasure."""
-    index, velocities, masses = lift(spec, mu, n_hint)
+    index, velocities, masses = lift(spec, mu.positions, mu.masses, n_hint)
     positions = tuple(mu.positions[i] for i in index.tolist())
     return LiftedMeasure(dim=mu.dim, positions=positions,
                          velocities=_tuples(velocities),

@@ -135,11 +135,11 @@ def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
                          entries=entries, cost=cost)
 
 
-def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Ground costs |x - y|, by math.dist as _plan_cost prices them."""
-    return np.array(
-        [[math.dist(p, q) for q in nu.positions] for p in mu.positions],
-        dtype=float)
+def _cost_matrix(rows: Sequence, cols: Sequence) -> np.ndarray:
+    """Ground costs |x - y| between two sequences of coordinate rows, by
+    math.dist as _plan_cost prices them."""
+    return np.array([[math.dist(p, q) for q in cols] for p in rows],
+                    dtype=float)
 
 
 def _equal_masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -316,9 +316,11 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if mu.dim == 1 and method != "simplex":
         plan = _monotone_1d(mu, nu)
     elif method == "auto" and _equal_masses(mu, nu):
-        plan = _assignment(_cost_matrix(mu, nu), mu.masses[0])
+        plan = _assignment(_cost_matrix(mu.positions, nu.positions),
+                           mu.masses[0])
     else:
-        solver = _Simplex(_cost_matrix(mu, nu), mu.masses, nu.masses)
+        solver = _Simplex(_cost_matrix(mu.positions, nu.positions),
+                          mu.masses, nu.masses)
         solver.solve()
         plan = solver.plan()
     return WassersteinResult(distance=plan.cost, plan=plan)

@@ -152,7 +152,7 @@ class TestStep:
         with pytest.raises(BoxOverflowError):   # N^3 + N^2 still fits int64
             las_step(out, spec)
 
-    def test_n_above_the_int64_limit_is_refused(self):
+    def test_n_above_the_lattice_cap_is_refused(self):
         with pytest.raises(ValidationError):
             las_solve(dirac(0.0), median_split_pvf(), MAX_LATTICE_N + 1, 1.0)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -93,8 +94,8 @@ class TestLattice:
         lat = make_lattice_measure(4, 2, [((3, -4), 1.0)])
         assert lat.support_radius() == 5 / 16
 
-    def test_n_above_the_int64_limit_is_refused(self):
-        # coordinates reach N^3, and 2,097,152^3 = 2^63 overflows int64
+    def test_n_above_the_lattice_cap_is_refused(self):
+        # coordinates reach N^3, and 208,064^3 > 2^53 is not exact in float64
         with pytest.raises(ValidationError) as err:
             make_lattice_measure(MAX_LATTICE_N + 1, 1, [((0,), 1.0)])
         assert err.value.field == "n_param"
@@ -102,6 +103,25 @@ class TestLattice:
         lat = make_lattice_measure(n, 1, [((-n ** 3,), 1.0)])
         assert lat.coords == ((-n ** 3,),)
         assert type(lat.coords[0][0]) is int
+
+    def test_positions_are_one_exact_division_at_the_cap(self):
+        # N^3 <= 2^53, so the int64 coordinates and N^2 are exact floats
+        # and numpy's division rounds as Python's c / N**2 does
+        n = MAX_LATTICE_N
+        rng = random.Random(3)
+        edge = [s * (n ** 3 - d) for s in (1, -1) for d in range(400)]
+        coords = edge + [rng.randint(-n ** 3, n ** 3) for _ in range(800)]
+        cells = [((c, coords[-1 - i]), 1 / len(coords))
+                 for i, c in enumerate(coords)]
+        lat = make_lattice_measure(n, 2, cells)
+        want = [tuple(c / n ** 2 for c in cv) for cv in lat.coords]
+        got = lat.position_rows().tolist()
+        assert [[v.hex() for v in row] for row in got] == [
+            [v.hex() for v in row] for row in want]
+        assert lat.to_measure().positions == tuple(want)
+        # at the int64 limit N = 2,097,151 this division rounds differently
+        old_n, c = 2_097_151, 5_575_819_387_313_679_072
+        assert (np.array([c]) / old_n ** 2)[0] != c / old_n ** 2
 
     def test_coordinates_beyond_int64_are_a_box_error(self):
         with pytest.raises(ValidationError) as err:

@@ -1,7 +1,9 @@
 """PVF catalog: velocity fields, the six kinds, the growth bound, JSON."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,9 @@ from mdelab import (
     sinusoidal_field,
     sublinear_constant,
 )
+from mdelab.kernels import interaction_field
+from mdelab.measure import _check_masses, _merge, as_rows, neumaier_prefix
+from mdelab.pvf import DEFAULT_SUB_ATOMS, MEDIAN_TIE_TOL, lift
 
 
 class TestVelocityFields:
@@ -316,8 +321,174 @@ def test_sum_field_matches_fiber_convolution(seed):
         assert a == pytest.approx(b, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the array lift against the per-atom tuple formulas it replaced
+
+def reference_field(f, x):
+    """The field at one position, component by component in floats."""
+    n = len(x)
+    if f.name == "linear":
+        b = f.b if len(f.b) == n else f.b * n
+        return tuple(f.a * c + bc for c, bc in zip(x, b))
+    if f.name == "sgn_sqrt":
+        return tuple(-math.copysign(math.sqrt(abs(c)), c) if c != 0.0
+                     else 0.0 for c in x)
+    if f.name == "sinusoidal":
+        return tuple(f.amplitude * math.sin(f.frequency * c + f.phase)
+                     for c in x)
+    out = []
+    for xc, comp in zip(x, f.coeffs if len(f.coeffs) == n else f.coeffs * n):
+        acc = 0.0
+        for c in reversed(comp):
+            acc = acc * xc + c
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_raw_atoms(spec, mu, n_hint):
+    """(source index, velocity tuple, mass) per lifted atom, one atom at
+    a time."""
+    if spec.kind in ("ode_lift", "one_sided_ode"):
+        return [(i, reference_field(spec.field, pos), mass)
+                for i, (pos, mass) in enumerate(mu.atoms())]
+    if spec.kind == "constant":
+        return [(i, vel, mass * p) for i, mass in enumerate(mu.masses)
+                for vel, p in spec.fiber]
+    prefix = neumaier_prefix(mu.masses)
+    out = []
+    if spec.kind == "median_split":
+        split = next(i for i, f in enumerate(prefix)
+                     if f > 0.5 + MEDIAN_TIE_TOL)
+        f_before = prefix[split - 1] if split > 0 else 0.0
+        if abs(f_before - 0.5) <= MEDIAN_TIE_TOL:
+            f_before = 0.5
+        for i, mass in enumerate(mu.masses):
+            if i != split:
+                out.append((i, (-1.0 if i < split else 1.0,), mass))
+                continue
+            if 0.5 - f_before > 0.0:
+                out.append((i, (-1.0,), 0.5 - f_before))
+            if prefix[split] - 0.5 > 0.0:
+                out.append((i, (1.0,), prefix[split] - 0.5))
+        return out
+    if spec.kind == "phi_diffusion":
+        k = spec.sub_atoms or n_hint or DEFAULT_SUB_ATOMS
+        f_lo = 0.0
+        for i, (mass, f_hi) in enumerate(zip(mu.masses, prefix)):
+            for r in range(1, k + 1):
+                rank = f_lo + (r - 0.5) * mass / k
+                out.append((i, reference_field(spec.phi, (rank,)), mass / k))
+            f_lo = f_hi
+        return out
+    field = interaction_field(spec.kernel, mu.positions, mu.masses)
+    return [(i, tuple(vel), mass) for i, (vel, mass)
+            in enumerate(zip(field.tolist(), mu.masses))]
+
+
+def hexes(rows):
+    return [[float.hex(float(c)) for c in row] for row in rows]
+
+
+coefficient = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+def fields(dim):
+    vector = st.tuples(*[coefficient] * dim)
+    return st.one_of(
+        st.builds(linear_field, coefficient, vector),
+        st.just(sgn_sqrt_field()),
+        st.builds(sinusoidal_field, coefficient, coefficient, coefficient),
+        st.lists(coefficient, min_size=1, max_size=4).map(
+            lambda cs: poly_field([cs] * dim)))
+
+
+def constant_specs(dim):
+    atom = st.tuples(st.tuples(*[coefficient] * dim), st.floats(0.05, 1.0))
+    return st.lists(atom, min_size=1, max_size=4).map(lambda fiber: (
+        constant_pvf([(v, p / math.fsum(q for _, q in fiber))
+                      for v, p in fiber])))
+
+
+KERNELS = [make_kernel("linear", rate=0.5), make_kernel("bounded_attraction"),
+           make_kernel("bump_alignment", range=1.5)]
+# kind -> (dimensions it allows, specs with drawn parameters); the
+# declared C keeps drawn polynomials and amplitudes inside the bound
+LIFT_CASES = {
+    "ode_lift": ((1, 2), lambda dim: fields(dim).map(
+        lambda f: ode_lift_pvf(f, sublinear_c=1e3))),
+    "constant": ((1, 2), constant_specs),
+    "median_split": ((1,), lambda dim: st.just(median_split_pvf())),
+    "phi_diffusion": ((1,), lambda dim: st.builds(
+        phi_diffusion_pvf, fields(1), st.none() | st.integers(1, 7),
+        st.just(1e3))),
+    "interaction": ((1, 2), lambda dim: st.sampled_from(KERNELS).map(
+        interaction_pvf)),
+    "one_sided_ode": ((1, 2), lambda dim: st.just(one_sided_ode_pvf())),
+}
+
+
+@st.composite
+def measures(draw, dim):
+    point = st.tuples(*[st.floats(-3.0, 3.0, allow_nan=False)] * dim)
+    pos = draw(st.lists(point, min_size=1, max_size=6, unique=True))
+    masses = [draw(st.floats(0.05, 1.0)) for _ in pos]
+    total = math.fsum(masses)
+    return make_measure([(p, m / total) for p, m in zip(pos, masses)],
+                        dim=dim)
+
+
+@pytest.mark.parametrize("kind,dim", [
+    pytest.param(kind, dim, id=f"{kind}-{dim}d")
+    for kind, (dims, _) in LIFT_CASES.items() for dim in dims])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_lift_matches_the_per_atom_formulas(kind, dim, data):
+    spec = data.draw(LIFT_CASES[kind][1](dim), label="spec")
+    mu = data.draw(measures(dim), label="mu")
+    n_hint = data.draw(st.none() | st.integers(1, 7), label="n_hint")
+    index, velocities, masses = zip(*reference_raw_atoms(spec, mu, n_hint))
+    keys, want = _merge(np.column_stack(
+        [index, as_rows(velocities, dim, what="velocity")]), masses)
+    want = _check_masses(want, renormalize=True)
+    index, velocities, masses = lift(spec, mu.positions, mu.masses, n_hint)
+    assert index.tolist() == keys[:, 0].astype(int).tolist()
+    assert hexes(velocities.tolist()) == hexes(keys[:, 1:].tolist())
+    assert hexes([masses.tolist()]) == hexes([want])
+
+
+def test_phi_diffusion_ranks_keep_their_operation_order():
+    # each rank is f_lo + (r - 0.5) * mass / k; reassociating it as
+    # mass / k * (r - 0.5) moves about one rank in nine by an ulp, which
+    # the identity phi passes straight to the velocities
+    rng = random.Random(5)
+    masses = [rng.uniform(0.05, 1.0) for _ in range(40)]
+    total = math.fsum(masses)
+    mu = make_measure([(float(i), m / total) for i, m in enumerate(masses)])
+    spec = phi_diffusion_pvf(linear_field(1.0), sub_atoms=7)
+    want = [vel for _, vel, _ in reference_raw_atoms(spec, mu, None)]
+    _, velocities, _ = lift(spec, mu.positions, mu.masses)
+    assert hexes(velocities.tolist()) == hexes(want)
+
+
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(fields(dim),
+                                                      measures(dim))))
+@settings(max_examples=60, deadline=None)
+def test_field_rows_match_the_per_atom_formulas(case):
+    field, mu = case
+    rows = hexes(field.rows(np.array(mu.positions)).tolist())
+    assert rows == hexes(reference_field(field, p) for p in mu.positions)
+    assert rows == hexes(map(field, mu.positions))
+    if mu.dim == 1:
+        # phi_diffusion's C probes phi at the ranks k / 2000 in one call
+        top = max(abs(reference_field(field, (k / 2000.0,))[0])
+                  for k in range(2001))
+        assert (sublinear_constant(phi_diffusion_pvf(field), 1)
+                == 1.02 * top + 1e-12)
+
+
 def test_specs_cover_every_kind():
     assert sorted(spec.kind for spec in SPECS) == sorted(PVF_KINDS)
+    assert sorted(LIFT_CASES) == sorted(PVF_KINDS)
 
 
 class TestJson:
