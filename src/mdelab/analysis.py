@@ -26,7 +26,7 @@ from .fiber_metric import FiberCostKind
 from .las import Trajectory, ax_discretize, interpolate, las_solve
 from .measure import DiscreteMeasure, LiftedMeasure, dirac, make_measure, \
     push_forward, support_radius, uniform_1d
-from .pvf import (PvfSpec, VelocityField, _horner, evaluate,
+from .pvf import (PvfSpec, VelocityField, _horner, lift,
                   sublinear_constant)
 from .transport import _northwest, wasserstein
 
@@ -114,10 +114,14 @@ def _trapezoid(nodes: list[float], values: list[float]) -> float:
                      for i in range(len(nodes) - 1))
 
 
-def _lifted_flux(lifted: LiftedMeasure, f: TestFunction) -> float:
-    """Integral of grad(f)(x) . v against one lifted measure, as a
-    vectorized scan (the per-atom python loop dominated residual audits)."""
-    pos = np.asarray(lifted.positions, dtype=float)
+def _lifted_arrays(flow, mu: DiscreteMeasure) -> tuple[np.ndarray, ...]:
+    """evaluate(flow.pvf, mu) as position, velocity and mass arrays."""
+    index, velocities, masses = lift(flow.pvf, mu.positions, mu.masses)
+    return np.asarray(mu.positions, dtype=float)[index], velocities, masses
+
+
+def _lifted_flux(pos, vel, w, f: TestFunction) -> float:
+    """Integral of grad(f)(x) . v against _lifted_arrays, vectorized."""
     d = pos - np.asarray(f.center, dtype=float)
     u = (d * d).sum(axis=1) / f.radius ** 2
     inside = u < 1.0
@@ -127,8 +131,6 @@ def _lifted_flux(lifted: LiftedMeasure, f: TestFunction) -> float:
     ui = u[inside]
     scale[inside] = (-np.exp(1.0 - 1.0 / (1.0 - ui)) / (1.0 - ui) ** 2
                      * (2.0 / f.radius ** 2))
-    vel = np.asarray(lifted.velocities, dtype=float)
-    w = np.asarray(lifted.masses, dtype=float)
     return float(np.sum(w * scale * (d * vel).sum(axis=1)))
 
 
@@ -145,12 +147,12 @@ def _residuals(flow, family, t: float) -> list[float]:
             raise ValidationError(
                 f"t={t!r} beyond trajectory horizon {horizon!r}", field="t")
     nodes = _time_grid(flow, t)
-    lifteds = [evaluate(flow.pvf, _measure_at(flow, s)) for s in nodes]
+    lifteds = [_lifted_arrays(flow, _measure_at(flow, s)) for s in nodes]
     mu_start = _measure_at(flow, 0.0)
     mu_end = _measure_at(flow, t)
     residuals = []
     for f in family:
-        fluxes = [_lifted_flux(lifted, f) for lifted in lifteds]
+        fluxes = [_lifted_flux(*lifted, f) for lifted in lifteds]
         rhs = _mean(f, mu_start) + _trapezoid(nodes, fluxes)
         residuals.append(abs(_mean(f, mu_end) - rhs))
     return residuals
@@ -177,7 +179,7 @@ def distributional_residual(flow, f: TestFunction,
         mu_s = _measure_at(flow, s)
         integrand.append(_horner(da, s) * _mean(f, mu_s) +
                          _horner(a_coeffs, s) *
-                         _lifted_flux(evaluate(flow.pvf, mu_s), f))
+                         _lifted_flux(*_lifted_arrays(flow, mu_s), f))
     lhs = _horner(a_coeffs, t) * _mean(f, _measure_at(flow, t))
     rhs = (_horner(a_coeffs, 0.0) * _mean(f, _measure_at(flow, 0.0)) +
            _trapezoid(nodes, integrand))

@@ -72,7 +72,8 @@ def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, list[float]]:
     """Sum masses over exactly-equal key rows; return the distinct rows
     in lexicographic order and their masses. A group of one keeps its
     mass, a larger one gets the math.fsum of its members: exactly
-    rounded, so independent of their order."""
+    rounded, so independent of their order. A pair's one IEEE add is that
+    same sum, so all pairs take one vectorised add; fsum keeps the rest."""
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     masses = np.asarray(masses, dtype=float)[order]
@@ -80,7 +81,11 @@ def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, list[float]]:
     starts = np.flatnonzero(new)
     ends = np.append(starts[1:], len(masses))
     merged = masses[starts]
-    for g in np.flatnonzero(ends - starts > 1).tolist():
+    pairs = ends - starts == 2
+    with np.errstate(over="ignore", invalid="ignore"):  # fsum raises there
+        merged[pairs] += masses[starts[pairs] + 1]
+    exact = np.isfinite(merged) & (merged != 0.0)  # fsum: -0.0 + -0.0 is 0.0
+    for g in np.flatnonzero((ends - starts > 2) | pairs & ~exact).tolist():
         merged[g] = math.fsum(masses[starts[g]:ends[g]].tolist())
     return keys[starts], merged.tolist()
 
@@ -185,8 +190,10 @@ def push_forward(mu: DiscreteMeasure,
 
 
 def radius(rows) -> float:
-    """The largest Euclidean norm over coordinate rows, by math.hypot."""
-    return max(map(math.hypot, *np.asarray(rows, dtype=float).T.tolist()))
+    """The largest row norm by math.hypot; in 1D abs, as hypot(x) is."""
+    rows = np.asarray(rows, dtype=float)
+    return (float(np.abs(rows).max()) if rows.shape[1] == 1
+            else max(map(math.hypot, *rows.T.tolist())))
 
 
 def support_radius(mu: DiscreteMeasure) -> float:

@@ -1,6 +1,8 @@
 """Interaction kernel catalog: values, declared envelopes, selfcheck."""
 
+import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -121,16 +123,35 @@ def test_bounded_attraction_lipschitz_property(za, zb):
     assert dv <= lip * dz * (1.0 + 1e-9) + 1e-12
 
 
+def _phi_reference(kernel, z):
+    """phi(z) by its per-pair formula in math, written apart from phi_array."""
+    params = dict(kernel.params)
+    if kernel.name == "zero":
+        return [0.0] * len(z)
+    if kernel.name == "linear":
+        return [-params["rate"] * c for c in z]
+    if kernel.name == "bounded_attraction":
+        scale = 1.0 + math.fsum(c * c for c in z)
+        return [-c / scale for c in z]
+    u = math.hypot(*z) / params["range"]
+    bump = math.exp(1.0 - 1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
+    return [-c * bump for c in z]
+
+
 def _pairwise_field(kernel, positions, weights):
-    # reference: one phi call per pair, each component summed by fsum
+    # reference: one phi per pair, each component summed by fsum
     out = []
     for xi in positions:
-        terms = [[w * c for c in kernel.phi(tuple(a - b for a, b
-                                                   in zip(xj, xi)))]
+        terms = [[w * c for c in _phi_reference(
+                    kernel, [a - b for a, b in zip(xj, xi)])]
                  for xj, w in zip(positions, weights)]
         out.append([math.fsum(t[c] for t in terms)
                     for c in range(len(xi))])
     return out
+
+
+def _hex_rows(rows):
+    return [[c.hex() for c in row] for row in rows]
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -146,9 +167,39 @@ def test_interaction_field_matches_pairwise_reference(kernel, dim, unit):
         got = interaction_field(kernel, positions, weights)
         assert got.shape == (m, dim)
         # bitwise: compare the float bit patterns, not values
-        assert ([[c.hex() for c in row] for row in got.tolist()]
-                == [[c.hex() for c in row] for row in
-                    _pairwise_field(kernel, positions, weights)])
+        assert (_hex_rows(got.tolist())
+                == _hex_rows(_pairwise_field(kernel, positions, weights)))
+
+
+# coordinates from 1e-150 to 1e150 in size: no squared difference
+# overflows, so every d <= 2 pair takes the IEEE add and d = 1 takes abs
+wide = st.one_of(st.just(0.0), st.floats(1e-150, 1e150),
+                 st.floats(-1e150, -1e-150))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_interaction_field_matches_the_math_reference_over_wide_magnitudes(
+        kernel, dim, data):
+    m = data.draw(st.integers(1, 6))
+    positions = data.draw(st.lists(st.tuples(*[wide] * dim),
+                                   min_size=m, max_size=m))
+    weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m,
+                                 max_size=m))
+    got = interaction_field(kernel, positions, weights)
+    assert (_hex_rows(got.tolist())
+            == _hex_rows(_pairwise_field(kernel, positions, weights)))
+
+
+def test_bounded_attraction_overflow_still_raises_in_2d():
+    # |z|^2 = 2e308 overflows: fsum raises where the IEEE add gives inf
+    k = make_kernel("bounded_attraction")
+    with pytest.raises(OverflowError):
+        k.phi((1e154, 1e154))
+    with pytest.raises(OverflowError):
+        interaction_field(k, [(0.0, 0.0), (1e154, -1e154)], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -160,3 +211,34 @@ def test_interaction_field_permutes_with_its_inputs(kernel):
     plain = interaction_field(kernel, positions, weights)
     relabeled = interaction_field(kernel, positions[perm], weights[perm])
     assert plain[perm].tobytes() == relabeled.tobytes()
+
+
+class _CountingMath:
+    """The math module as a module sees it, counting fsum and hypot calls."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(math, name)
+        if name not in ("fsum", "hypot"):
+            return fn
+
+        def counted(*args):
+            self.calls[name] += 1
+            return fn(*args)
+        return counted
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_1d_interaction_field_makes_no_per_pair_math_call(kernel,
+                                                          monkeypatch):
+    counting = _CountingMath()
+    for module in ("mdelab.kernels", "mdelab.measure"):
+        monkeypatch.setattr(importlib.import_module(module), "math", counting)
+    m = 50
+    positions = np.linspace(-1.5, 1.5, m)[:, None]
+    interaction_field(kernel, positions, np.full(m, 1.0 / m))
+    # the m * d row sums are fsum calls; no pair may make one
+    assert counting.calls["fsum"] <= m * 1
+    assert counting.calls["hypot"] == 0

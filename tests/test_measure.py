@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdelab.measure import MAX_LATTICE_N, _merge, as_rows
+from mdelab.measure import MAX_LATTICE_N, _merge, as_rows, radius
 from mdelab import (
     DiscreteMeasure,
     ValidationError,
@@ -168,14 +168,56 @@ def key_rows(dim):
 @given(st.sampled_from([1, 2]).flatmap(key_rows), st.data())
 @settings(max_examples=200, deadline=None)
 def test_array_merge_matches_the_dict_merge_bit_for_bit(rows, data):
+    # masses over 600 decades, and signed zeros, whose pair sum fsum
+    # gives as 0.0 where IEEE gives -0.0 + -0.0 = -0.0
     masses = data.draw(st.lists(
-        st.floats(1e-12, 1.0) | st.sampled_from([0.1, 0.2, 0.3, 1e-17]),
+        st.floats(1e-12, 1.0) | st.floats(1e-300, 1e300)
+        | st.sampled_from([0.1, 0.2, 0.3, 1e-17, 0.0, -0.0]),
         min_size=len(rows), max_size=len(rows)))
     keys, merged = _merge(np.array(rows), masses)
     want_keys, want_masses = reference_merge(rows, masses)
     # repr tells -0.0 from 0.0 and an int from a float
     assert repr([tuple(k) for k in keys.tolist()]) == repr(want_keys)
     assert [m.hex() for m in merged] == [m.hex() for m in want_masses]
+
+
+def test_pair_groups_sum_to_the_fsum_of_each_group():
+    # groups of 1, 2, 3 and 7 rows with masses spread over 600 decades,
+    # plus pairs that cancel exactly or are signed zeros
+    rng = np.random.default_rng(11)
+    sizes = [1, 2, 3, 7] * 40
+    rows = [(float(g),) for g, size in enumerate(sizes) for _ in range(size)]
+    masses = (10.0 ** rng.uniform(-300, 300, len(rows))).tolist()
+    for pair in [(1.5, -1.5), (-0.0, -0.0), (0.0, -0.0), (1e-320, 1e-320)]:
+        rows += [(len(rows) + 1e6,)] * 2
+        masses += list(pair)
+    order = rng.permutation(len(rows)).tolist()
+    rows = [rows[i] for i in order]
+    masses = [masses[i] for i in order]
+    keys, merged = _merge(np.array(rows), masses)
+    want_keys, want_masses = reference_merge(rows, masses)
+    assert [tuple(k) for k in keys.tolist()] == want_keys
+    assert [m.hex() for m in merged] == [m.hex() for m in want_masses]
+
+
+@pytest.mark.parametrize("masses, error", [
+    ((1e308, 1e308), OverflowError),      # fsum's intermediate overflow
+    ((math.inf, -math.inf), ValueError),  # fsum's -inf + inf
+])
+def test_coincident_masses_fail_as_fsum_does(masses, error):
+    with pytest.raises(error):
+        make_measure([((0.5,), m) for m in masses])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radius_is_the_largest_hypot(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-150, 150,
+                                                              (40, 1))
+    for case in (rows, -rows, np.full((3, dim), -0.0), rows[:1]):
+        got = radius(case)
+        assert type(got) is float
+        assert got.hex() == max(map(math.hypot, *case.T.tolist())).hex()
 
 
 class TestLifted:
