@@ -24,8 +24,8 @@ from scipy.integrate import solve_ivp
 from .errors import ValidationError
 from .fiber_metric import FiberCostKind
 from .las import Trajectory, ax_discretize, interpolate, las_solve
-from .measure import DiscreteMeasure, LiftedMeasure, dirac, make_measure, \
-    push_forward, support_radius, uniform_1d
+from .measure import DiscreteMeasure, LiftedMeasure, _build, as_rows, dirac, \
+    make_measure, push_forward, support_radius, uniform_1d
 from .pvf import (PvfSpec, VelocityField, _horner, lift,
                   sublinear_constant)
 from .transport import _northwest, wasserstein
@@ -115,9 +115,12 @@ def _trapezoid(nodes: list[float], values: list[float]) -> float:
 
 
 def _lifted_arrays(flow, mu: DiscreteMeasure) -> tuple[np.ndarray, ...]:
-    """evaluate(flow.pvf, mu) as position, velocity and mass arrays."""
-    index, velocities, masses = lift(flow.pvf, mu.positions, mu.masses)
-    return np.asarray(mu.positions, dtype=float)[index], velocities, masses
+    """The flow's PVF at mu as position, velocity and mass arrays. A
+    trajectory's PVF is lifted with its own N, as las_step lifts it."""
+    n_hint = None if isinstance(flow, StationaryFlow) else flow.config.n_param
+    index, velocities, masses = lift(flow.pvf, mu.positions, mu.masses,
+                                     n_hint)
+    return mu.positions[index], velocities, masses
 
 
 def _lifted_flux(pos, vel, w, f: TestFunction) -> float:
@@ -135,7 +138,8 @@ def _lifted_flux(pos, vel, w, f: TestFunction) -> float:
 
 
 def _mean(f: TestFunction, mu: DiscreteMeasure) -> float:
-    return math.fsum(m * f.value(p) for p, m in mu.atoms())
+    return math.fsum(m * f.value(p) for p, m in
+                     zip(mu.positions.tolist(), mu.masses.tolist()))
 
 
 def _residuals(flow, family, t: float) -> list[float]:
@@ -245,22 +249,16 @@ def oracle(name: str, params: dict, t: float) -> DiscreteMeasure:
         a, b = float(params["a"]), float(params["b"])
         mid = 0.5 * (a + b)
         k = max(1, atoms // 2)
-        rows = []
-        for lo, hi in ((a - t, mid - t), (mid + t, b + t)):
-            width = (hi - lo) / k
-            rows.extend(((lo + (i + 0.5) * width,), 0.5 / k)
-                        for i in range(k))
-        return make_measure(rows, dim=1)
+        halves = [lo + (np.arange(k) + 0.5) * ((hi - lo) / k)
+                  for lo, hi in ((a - t, mid - t), (mid + t, b + t))]
+        return _build(as_rows(np.concatenate(halves)), np.full(2 * k, 0.5 / k))
     if name == "constant_drift":
-        mu0 = params["mu0"]
-        fiber = params["fiber"]
-        dim = mu0.dim
-        vbar = tuple(
-            math.fsum(p * ((vel,) if isinstance(vel, (int, float))
-                           else tuple(vel))[c] for vel, p in fiber)
-            for c in range(dim))
-        return push_forward(
-            mu0, lambda x: tuple(xc + t * vc for xc, vc in zip(x, vbar)))
+        mu0, fiber = params["mu0"], params["fiber"]
+        weighted = (np.array([p for _, p in fiber], dtype=float)[:, None]
+                    * as_rows([vel for vel, _ in fiber], mu0.dim, "velocity"))
+        vbar = np.array([math.fsum(col) for col in weighted.T.tolist()])
+        images = as_rows(mu0.positions + t * vbar, mu0.dim, "image")
+        return _build(images, mu0.masses, check=False)
     if name == "ode_flow":
         return push_forward(params["mu0"], _ode_flow_map(params["field"], t))
     if name == "phi_linear":
@@ -418,17 +416,14 @@ def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
     if not isinstance(kind, FiberCostKind):
         kind = FiberCostKind(kind)
     # atoms are already sorted by (position, velocity)
-    terms = []
-    for i, j, frag in _northwest(v1.masses, v2.masses):
-        x = v1.positions[i][0]
-        y = v2.positions[j][0]
-        v = v1.velocities[i][0]
-        w = v2.velocities[j][0]
-        if kind is FiberCostKind.FIBER:
-            cost = abs(v - w)
-        elif kind is FiberCostKind.COMBINED:
-            cost = abs(x - y) + abs(v - w)
-        else:
-            cost = 0.0 if x == y else (v - w) * math.copysign(1.0, x - y)
-        terms.append(frag * cost)
-    return math.fsum(terms)
+    i, j, frag = map(np.array, zip(*_northwest(v1.masses.tolist(),
+                                               v2.masses.tolist())))
+    x, y = v1.positions[i, 0], v2.positions[j, 0]
+    dv = v1.velocities[i, 0] - v2.velocities[j, 0]
+    if kind is FiberCostKind.FIBER:
+        cost = np.abs(dv)
+    elif kind is FiberCostKind.COMBINED:
+        cost = np.abs(x - y) + np.abs(dv)
+    else:
+        cost = np.where(x == y, 0.0, dv * np.copysign(1.0, x - y))
+    return math.fsum((frag * cost).tolist())

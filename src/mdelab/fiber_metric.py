@@ -35,8 +35,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import NumericalError, ValidationError
-from .measure import (DiscreteMeasure, LiftedMeasure, base_marginal,
-                      make_lifted, make_measure)
+from .measure import (DiscreteMeasure, LiftedMeasure, _build, _group_sums,
+                      as_rows, base_marginal, norms)
 from .transport import (TransportPlan, _check_coupling, _cost_matrix,
                         _northwest, _plan_cost, wasserstein)
 
@@ -87,13 +87,13 @@ def induced_base_plan(plan: LiftedPlan, v1: LiftedMeasure,
     """Project a lifted coupling to the base: weights summed over fibers."""
     mu = base_marginal(v1)
     nu = base_marginal(v2)
-    row_of = {p: i for i, p in enumerate(mu.positions)}
-    col_of = {p: k for k, p in enumerate(nu.positions)}
-    acc: dict[tuple[int, int], float] = {}
-    for a, b, w in plan.entries:
-        key = (row_of[v1.positions[a]], col_of[v2.positions[b]])
-        acc[key] = acc.get(key, 0.0) + w
-    entries = tuple(sorted((i, k, w) for (i, k), w in acc.items()))
+    a, b, w = map(np.array, zip(*plan.entries))
+    cells = _base_groups(v1)[2][a] * nu.atom_count + _base_groups(v2)[2][b]
+    # bincount adds each cell's weights in entry order, as a running sum
+    cells, inverse = np.unique(cells, return_inverse=True)
+    weights = np.bincount(inverse, w).tolist()
+    rows, cols = np.divmod(cells, nu.atom_count)
+    entries = tuple(zip(rows.tolist(), cols.tolist(), weights))
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
                          entries=entries, cost=_plan_cost(entries, mu, nu))
 
@@ -160,8 +160,8 @@ def _face_band(v1: LiftedMeasure, v2: LiftedMeasure,
     running sum can read 5.6e-17. Both ends of the range are
     nondecreasing in a, since the atoms are sorted by position.
     """
-    x1 = np.array(v1.positions)[:, 0]
-    x2 = np.array(v2.positions)[:, 0]
+    x1 = v1.positions[:, 0]
+    x2 = v2.positions[:, 0]
     z = np.union1d(x1, x2)
     pos = np.concatenate([x1, x2])
     order = np.argsort(pos, kind="stable")
@@ -212,9 +212,8 @@ def _objective_1d(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(base distance, objective) on the given cells; in 1D these equal
     math.dist and _one_sided_cost bit for bit."""
-    gap = np.array(v1.positions)[row_of, 0] - np.array(v2.positions)[col_of, 0]
-    dv = (np.array(v1.velocities)[row_of, 0]
-          - np.array(v2.velocities)[col_of, 0])
+    gap = v1.positions[row_of, 0] - v2.positions[col_of, 0]
+    dv = v1.velocities[row_of, 0] - v2.velocities[col_of, 0]
     base_dist = np.abs(gap)
     if kind is FiberCostKind.FIBER:
         return base_dist, np.abs(dv)
@@ -230,9 +229,10 @@ def _objective_nd(v1: LiftedMeasure, v2: LiftedMeasure,
     """(base distance, objective) on every pair, row-major."""
     base_dist = _cost_matrix(v1.positions, v2.positions)
     if kind is FiberCostKind.ONE_SIDED:
-        objective = np.array([[_one_sided_cost(v, w, x, y)
-                               for y, w in zip(v2.positions, v2.velocities)]
-                              for x, v in zip(v1.positions, v1.velocities)])
+        atoms2 = list(zip(v2.positions.tolist(), v2.velocities.tolist()))
+        objective = np.array([[_one_sided_cost(v, w, x, y) for y, w in atoms2]
+                              for x, v in zip(v1.positions.tolist(),
+                                              v1.velocities.tolist())])
     else:
         objective = _cost_matrix(v1.velocities, v2.velocities)
         if kind is FiberCostKind.COMBINED:
@@ -295,22 +295,20 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
          (np.concatenate([row_of, rows + col_of]),
           np.tile(np.arange(n_vars), 2))),
         shape=(rows + cols, n_vars))
-    r = np.asarray(v1.masses)
-    c = np.asarray(v2.masses)
-    res = linprog(c=objective, A_eq=a_eq, b_eq=np.concatenate([r, c]),
+    res = linprog(c=objective, A_eq=a_eq,
+                  b_eq=np.concatenate([v1.masses, v2.masses]),
                   bounds=(0, None), method="highs-ds", **lp_args)
     if res.status != 0:
         raise NumericalError(
             f"constrained fiber LP failed (status {res.status}): {res.message}")
 
-    flow = _round_to_polytope(res.x, lo, hi, r, c)
+    flow = _round_to_polytope(res.x, lo, hi, v1.masses, v2.masses)
     keep = np.flatnonzero(flow > _ENTRY_FLOOR)
     weights = flow[keep].tolist()
     entries = tuple(zip(row_of[keep].tolist(), col_of[keep].tolist(),
                         weights))
-    fiber_cost = math.fsum(
-        w * math.dist(v1.velocities[a], v2.velocities[b])
-        for a, b, w in entries)
+    moved = v1.velocities[row_of[keep]] - v2.velocities[col_of[keep]]
+    fiber_cost = math.fsum((flow[keep] * norms(moved)).tolist())
     plan = LiftedPlan(rows=rows, cols=cols, entries=entries,
                       base_cost=math.fsum(weights * base_dist[keep]),
                       fiber_cost=fiber_cost, allowed_pairs=n_vars,
@@ -320,10 +318,8 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
 
 def tangent_wasserstein(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     """Plain Wasserstein distance treating (x, v) atoms as points of R^2n."""
-    flat1 = make_measure([(p + v, m) for p, v, m in v1.atoms()],
-                         dim=2 * v1.dim)
-    flat2 = make_measure([(p + v, m) for p, v, m in v2.atoms()],
-                         dim=2 * v2.dim)
+    flat1, flat2 = (_build(np.hstack([v.positions, v.velocities]), v.masses)
+                    for v in (v1, v2))
     return wasserstein(flat1, flat2).distance
 
 
@@ -342,41 +338,13 @@ def wt_bound_check(v1: LiftedMeasure, v2: LiftedMeasure) -> bool:
     return w_tangent <= fiber_val + plan.base_cost + 1e-8
 
 
-def _base_groups(v: LiftedMeasure) -> list[tuple[tuple[float, ...], float,
-                                                 list[tuple[tuple[float, ...], float]]]]:
-    """Group lifted atoms by base position: (position, mass, fiber atoms)."""
-    groups: dict[tuple[float, ...], list[tuple[tuple[float, ...], float]]] = {}
-    for p, vel, m in v.atoms():
-        groups.setdefault(p, []).append((vel, m))
-    out = []
-    for p in sorted(groups):
-        fibers = groups[p]
-        out.append((p, math.fsum(m for _, m in fibers), fibers))
-    return out
-
-
-def _merge_fiber_sums(sums: list[tuple[tuple[float, ...], float]],
-                      ) -> list[tuple[tuple[float, ...], float]]:
-    """Merge (velocity, weight) sums at one base point.
-
-    Float addition is not associative: (v+w)+u and v+(w+u) can land
-    ulps apart. One sweep over the sorted sums joins each sum to its
-    predecessor's group when all coordinates agree within the absolute
-    _SUM_MERGE_TOL; a group keeps its first velocity and the fsum of its
-    weights. The tolerance is absolute because a tolerance relative to
-    the summands differs between the two groupings of a product, and
-    sums whose gap falls between the two would merge in one only.
-    """
-    groups: list[tuple[tuple[float, ...], list[float]]] = []
-    prev: tuple[float, ...] = ()
-    for vel, weight in sorted(sums):
-        if groups and all(abs(a - b) <= _SUM_MERGE_TOL
-                          for a, b in zip(vel, prev)):
-            groups[-1][1].append(weight)
-        else:
-            groups.append((vel, [weight]))
-        prev = vel
-    return [(vel, math.fsum(weights)) for vel, weights in groups]
+def _base_groups(v: LiftedMeasure) -> tuple[np.ndarray, ...]:
+    """The base points of v, their masses (the fsum over each fiber, as
+    base_marginal sums them) and the base point index of every atom. The
+    atoms are sorted by position, so each fiber is one run of atoms."""
+    new = np.concatenate(([True], (v.positions[1:] != v.positions[:-1])
+                          .any(axis=1)))
+    return v.positions[new], _group_sums(v.masses, new), np.cumsum(new) - 1
 
 
 def fiber_convolution(v1: LiftedMeasure, v2: LiftedMeasure) -> LiftedMeasure:
@@ -387,42 +355,56 @@ def fiber_convolution(v1: LiftedMeasure, v2: LiftedMeasure) -> LiftedMeasure:
     combine to atoms (x, v+w) with weight w1*(w2/m); with the right-hand
     neutral element mu (x) delta_0 the ratio w2/m is exactly 1, so v1's
     weights survive unchanged whenever the shared base masses agree
-    bit-for-bit. Sums within _SUM_MERGE_TOL of each other merge into one
-    atom (see _merge_fiber_sums), so regrouping a product does not split
-    an atom; the neutral element is exact for fibers whose velocities
-    are further apart than that. The tolerance is absolute: above about
-    1e3 (2^10) two ulps exceed it, and such sums can still split.
+    bit-for-bit.
+
+    Float addition is not associative: (v+w)+u and v+(w+u) can land
+    ulps apart. One sweep over each base point's sums, sorted by
+    (velocity, weight), joins each sum to its predecessor's atom when
+    all coordinates agree within the absolute _SUM_MERGE_TOL; an atom
+    keeps its first velocity and the fsum of its weights. So regrouping
+    a product does not split an atom, and the neutral element is exact
+    for fibers whose velocities are further apart than the tolerance.
+    It is absolute because a tolerance relative to the summands differs
+    between the two groupings of a product, and sums whose gap falls
+    between the two would merge in one only. Above about 1e3 (2^10) two
+    ulps exceed it, and such sums can still split.
     """
     if v1.dim != v2.dim:
         raise ValidationError(
             f"dimension mismatch: {v1.dim} vs {v2.dim}", field="dim")
-    g1 = _base_groups(v1)
-    g2 = _base_groups(v2)
-    if len(g1) != len(g2):
+    base1, mass1, group1 = _base_groups(v1)
+    base2, mass2, group2 = _base_groups(v2)
+    if len(mass1) != len(mass2):
         raise ValidationError(
             "base marginals differ: "
-            f"{len(g1)} vs {len(g2)} base atoms", field="base")
-    out = []
-    for (p1, m1, fib1), (p2, m2, fib2) in zip(g1, g2):
+            f"{len(mass1)} vs {len(mass2)} base atoms", field="base")
+    for p1, p2, m1, m2 in zip(base1.tolist(), base2.tolist(),
+                              mass1.tolist(), mass2.tolist()):
         if math.dist(p1, p2) > MARGINAL_TOL or abs(m1 - m2) > MARGINAL_TOL:
             raise ValidationError(
-                f"base marginals differ at {p1} vs {p2}", field="base")
-        sums = [(tuple(a + b for a, b in zip(vel1, vel2)), w1 * (w2 / m1))
-                for vel1, w1 in fib1 for vel2, w2 in fib2]
-        out.extend((p1, vel, weight)
-                   for vel, weight in _merge_fiber_sums(sums))
-    return make_lifted(out, dim=v1.dim)
+                f"base marginals differ at {tuple(p1)} vs {tuple(p2)}",
+                field="base")
+    # every atom of v1 pairs with the atoms of v2 at its base point
+    starts = np.searchsorted(group2, np.arange(len(mass2) + 1))
+    row_of, col_of = _band_cells(starts[group1], starts[group1 + 1])
+    group = group1[row_of]
+    velocities = v1.velocities[row_of] + v2.velocities[col_of]
+    weights = v1.masses[row_of] * (v2.masses[col_of] / mass1[group])
+    order = np.lexsort((weights, *velocities.T[::-1], group))
+    group, velocities = group[order], velocities[order]
+    gaps = np.abs(np.diff(velocities, axis=0)) > _SUM_MERGE_TOL
+    new = np.concatenate(([True], (group[1:] != group[:-1])
+                          | gaps.any(axis=1)))
+    return _build(base1[group[new]], _group_sums(weights[order], new),
+                  as_rows(velocities[new], v1.dim, what="velocity"))
 
 
 def scalar_action(lam: float, v: LiftedMeasure) -> LiftedMeasure:
     """Scale every fiber velocity by lam; merge newly coincident atoms."""
-    lam = float(lam)
-    return make_lifted(
-        [(p, tuple(lam * c for c in vel), m) for p, vel, m in v.atoms()],
-        dim=v.dim)
+    return _build(v.positions, v.masses,
+                  as_rows(float(lam) * v.velocities, v.dim, what="velocity"))
 
 
 def neutral_element(mu: DiscreteMeasure) -> LiftedMeasure:
     """mu tensor delta_0: the identity for fiber_convolution."""
-    zero = (0.0,) * mu.dim
-    return make_lifted([(p, zero, m) for p, m in mu.atoms()], dim=mu.dim)
+    return _build(mu.positions, mu.masses, np.zeros_like(mu.positions))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BoxOverflowError, SupportBoundError, ValidationError
 from .measure import (DiscreteMeasure, LatticeMeasure, LiftedMeasure,
-                      _lattice, make_lifted, make_measure, support_radius)
+                      _build, _lattice, as_rows, support_radius)
 from .pvf import PvfSpec, lift, sublinear_constant
 
 _STEP_COUNT_SNAP = 1e-9  # floor(N*T) guard against 39.999... artifacts
@@ -84,13 +84,13 @@ def ax_discretize(mu: DiscreteMeasure, n_param: int) -> LatticeMeasure:
     of 1/N^2 (half-open cells, boundary to the lower cell)."""
     if n_param < 1:
         raise ValidationError("N must be >= 1", field="n_param")
-    rows = np.array(mu.positions)
-    outside = (rows < -n_param) | (rows >= n_param)
+    outside = (mu.positions < -n_param) | (mu.positions >= n_param)
     if outside.any():
         raise ValidationError(
-            f"support reaches {rows[outside][0].item()!r}, outside [-N, N) "
-            f"with N={n_param}; increase N", field="n_param")
-    return _lattice(n_param, mu.dim, np.floor(rows * n_param ** 2), mu.masses)
+            f"support reaches {mu.positions[outside][0].item()!r}, outside "
+            f"[-N, N) with N={n_param}; increase N", field="n_param")
+    return _lattice(n_param, mu.dim, np.floor(mu.positions * n_param ** 2),
+                    mu.masses)
 
 
 def _bin_velocity(vel: np.ndarray, n_param: int) -> np.ndarray:
@@ -106,8 +106,8 @@ def _bin_velocity(vel: np.ndarray, n_param: int) -> np.ndarray:
 
 def av_discretize(v: LiftedMeasure, n_param: int) -> LiftedMeasure:
     """Floor velocities to multiples of 1/N; positions untouched."""
-    cells = _bin_velocity(np.array(v.velocities), n_param) / n_param
-    return make_lifted(zip(v.positions, cells.tolist(), v.masses), dim=v.dim)
+    cells = _bin_velocity(v.velocities, n_param) / n_param
+    return _build(v.positions, v.masses, cells)
 
 
 def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
@@ -186,4 +186,4 @@ def interpolate(traj: Trajectory, t: float) -> DiscreteMeasure:
     index, velocities, masses = lift(traj.pvf, positions, base.masses,
                                      n_hint=n)
     moved = positions[index] + s * (_bin_velocity(velocities, n) / n)
-    return make_measure(zip(moved.tolist(), masses.tolist()), dim=traj.dim)
+    return _build(as_rows(moved, traj.dim), masses)

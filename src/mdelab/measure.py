@@ -1,20 +1,20 @@
 """Atomic probability measures on R^n and on its tangent bundle.
 
-All measure types are immutable and store atoms in lexicographic
-position order. Every builder checks its coordinates as one array and
-merges coincident atoms by exact equality in one array merge (_merge).
-Lattice measures keep int64 coordinates |coords| <= N^3; their positions
-are coords / N^2 in one numpy division, of exact floats for N <= 208,063
-(N^3 <= 2^53), so it rounds as Python's c / N**2 does. A step shifts the
-coordinates by whole cells, so lattice runs replay bit-for-bit; they are
-not exact rational arithmetic, since the field is evaluated in floats.
+DiscreteMeasure and LiftedMeasure hold read-only float64 arrays, rows
+(count, dim) in lexicographic order and masses (count,), made once by
+one array builder (_build) that merges exactly-equal rows (_merge).
+Rows are arrays: `+` adds them, they are unhashable, and measures
+compare by value. Lattice measures keep tuple fields: int64 coordinates
+|coords| <= N^3, whose positions coords / N^2 are one numpy division,
+rounded as Python's c / N**2 is for N <= 208,063 (N^3 <= 2^53). A step
+shifts coordinates by whole cells, so lattice runs replay bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,9 +23,6 @@ from .errors import ValidationError
 
 MASS_SUM_TOL = 1e-9       # construction-time renormalization window
 MAX_LATTICE_N = 208_063  # largest N with N^3 <= 2^53 (exact in float64)
-
-Position = tuple[float, ...]
-Velocity = tuple[float, ...]
 
 
 def as_rows(values: Sequence, dim: int | None = None,
@@ -48,8 +45,14 @@ def as_rows(values: Sequence, dim: int | None = None,
 
 
 def _tuples(rows: np.ndarray) -> tuple:
-    """Array rows as the tuples of Python numbers the measure fields hold."""
+    """Array rows as the tuples of Python numbers the lattice fields hold."""
     return tuple(map(tuple, rows.tolist()))
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """Mark an array the caller owns as read-only and return it."""
+    array.flags.writeable = False
+    return array
 
 
 def neumaier_prefix(values: Sequence[float]) -> list[float]:
@@ -68,16 +71,12 @@ def neumaier_prefix(values: Sequence[float]) -> list[float]:
     return prefix
 
 
-def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, list[float]]:
-    """Sum masses over exactly-equal key rows; return the distinct rows
-    in lexicographic order and their masses. A group of one keeps its
-    mass, a larger one gets the math.fsum of its members: exactly
-    rounded, so independent of their order. A pair's one IEEE add is that
-    same sum, so all pairs take one vectorised add; fsum keeps the rest."""
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    masses = np.asarray(masses, dtype=float)[order]
-    new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+def _group_sums(masses: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The sum of each run of masses, a run starting wherever new is
+    True. A run of one keeps its mass, a longer one gets the math.fsum
+    of its members: exactly rounded, so independent of their order. A
+    pair's one IEEE add is that same sum, so all pairs take one
+    vectorised add; fsum keeps the rest."""
     starts = np.flatnonzero(new)
     ends = np.append(starts[1:], len(masses))
     merged = masses[starts]
@@ -87,11 +86,22 @@ def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, list[float]]:
     exact = np.isfinite(merged) & (merged != 0.0)  # fsum: -0.0 + -0.0 is 0.0
     for g in np.flatnonzero((ends - starts > 2) | pairs & ~exact).tolist():
         merged[g] = math.fsum(masses[starts[g]:ends[g]].tolist())
-    return keys[starts], merged.tolist()
+    return merged
 
 
-def _check_masses(masses: Sequence[float], renormalize: bool) -> tuple:
-    total = math.fsum(masses) if min(masses) > 0.0 else math.nan
+def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Sum masses over exactly-equal key rows (_group_sums); return the
+    distinct rows in lexicographic order and their masses."""
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    masses = np.asarray(masses, dtype=float)[order]
+    new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    return keys[new], _group_sums(masses, new)
+
+
+def _check_masses(masses: np.ndarray, renormalize: bool) -> np.ndarray:
+    out = masses.tolist()
+    total = math.fsum(out) if min(out) > 0.0 else math.nan
     if not math.isfinite(total):
         raise ValidationError("atom mass must be positive and finite",
                               field="mass")
@@ -99,53 +109,86 @@ def _check_masses(masses: Sequence[float], renormalize: bool) -> tuple:
         raise ValidationError(
             f"masses sum to {total!r}, more than {MASS_SUM_TOL} from 1",
             field="mass")
-    out = list(masses)
-    if renormalize and total != 1.0:
-        if all(m == out[0] for m in out):
-            # keep equal masses bit-equal; a rebuild takes this branch again
-            return (1.0 / len(out),) * len(out)
-        out = [m / total for m in out]
-        # The divided masses can still sum an ulp off 1, and a measure
-        # rebuilt from its own atoms would then divide again and drift.
-        # Nudge the largest mass until the compensated total is exact.
-        for _ in range(4):
-            residual = 1.0 - math.fsum(out)
-            if residual == 0.0:
-                break
-            j = max(range(len(out)), key=out.__getitem__)
-            nudged = out[j] + residual
-            if nudged == out[j] or not nudged > 0.0:
-                break
-            out[j] = nudged
-    return tuple(out)
+    if not renormalize or total == 1.0:
+        return masses
+    if all(m == out[0] for m in out):
+        # keep equal masses bit-equal; a rebuild takes this branch again
+        return np.full(len(out), 1.0 / len(out))
+    out = [m / total for m in out]
+    # The divided masses can still sum an ulp off 1, and a measure
+    # rebuilt from its own atoms would then divide again and drift.
+    # Nudge the largest mass until the compensated total is exact.
+    for _ in range(4):
+        residual = 1.0 - math.fsum(out)
+        if residual == 0.0:
+            break
+        j = max(range(len(out)), key=out.__getitem__)
+        nudged = out[j] + residual
+        if nudged == out[j] or not nudged > 0.0:
+            break
+        out[j] = nudged
+    return np.array(out)
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finite convex combination of Dirac atoms on R^dim."""
-
-    dim: int
-    positions: tuple[Position, ...]
-    masses: tuple[float, ...]
+class _ArrayFields:
+    """Atoms (or particles) as array rows. Equality is by value, every
+    field by np.array_equal, so a copy with tuple fields compares equal;
+    like its arrays, the object is unhashable."""
 
     @property
     def atom_count(self) -> int:
         return len(self.positions)
 
-    def atoms(self) -> list[tuple[Position, float]]:
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteMeasure(_ArrayFields):
+    """Finite convex combination of Dirac atoms on R^dim."""
+
+    dim: int
+    positions: np.ndarray
+    masses: np.ndarray
+
+    def atoms(self) -> list[tuple[np.ndarray, float]]:
         return list(zip(self.positions, self.masses))
 
     def mass_at(self, position) -> float:
-        pos, = _tuples(as_rows([position], self.dim))
-        for p, m in self.atoms():
-            if p == pos:
-                return m
-        return 0.0
+        hit = (self.positions == as_rows([position], self.dim)).all(axis=1)
+        return float(self.masses[hit.argmax()]) if hit.any() else 0.0
 
     def mean(self) -> tuple[float, ...]:
-        return tuple(
-            math.fsum(m * p[c] for p, m in self.atoms())
-            for c in range(self.dim))
+        weighted = self.masses[:, None] * self.positions
+        return tuple(map(math.fsum, weighted.T.tolist()))
+
+
+def _build(positions: np.ndarray, masses, velocities: np.ndarray | None = None,
+           check: bool = True, merge: bool = True,
+           ) -> DiscreteMeasure | LiftedMeasure:
+    """The array builder of DiscreteMeasure and, given velocities, of
+    LiftedMeasure. It owns the rows it gets (checked by as_rows), merges
+    exactly-equal rows unless they are sorted and distinct already (not
+    merge), checks and renormalizes the masses of a new measure (check),
+    and freezes every field."""
+    dim = positions.shape[1]
+    keys = (positions if velocities is None
+            else np.hstack([positions, velocities]))
+    if merge:
+        keys, masses = _merge(keys, masses)
+    else:
+        masses = np.array(masses, dtype=float)
+    if check:
+        masses = _check_masses(masses, renormalize=True)
+    _readonly(keys)
+    if velocities is None:
+        return DiscreteMeasure(dim=dim, positions=keys,
+                               masses=_readonly(masses))
+    return LiftedMeasure(dim=dim, positions=keys[:, :dim],
+                         velocities=keys[:, dim:], masses=_readonly(masses))
 
 
 def make_measure(atoms: Iterable[tuple], dim: int | None = None) -> DiscreteMeasure:
@@ -158,9 +201,7 @@ def make_measure(atoms: Iterable[tuple], dim: int | None = None) -> DiscreteMeas
     if not atoms:
         raise ValidationError("measure needs at least one atom", field="atoms")
     positions, masses = zip(*atoms)
-    keys, masses = _merge(as_rows(positions, dim), masses)
-    return DiscreteMeasure(dim=keys.shape[1], positions=_tuples(keys),
-                           masses=_check_masses(masses, renormalize=True))
+    return _build(as_rows(positions, dim), masses)
 
 
 def dirac(position) -> DiscreteMeasure:
@@ -175,25 +216,29 @@ def uniform_1d(a: float, b: float, atoms: int) -> DiscreteMeasure:
     if not b > a:
         raise ValidationError("uniform generator needs b > a", field="b")
     width = (b - a) / atoms
-    mass = 1.0 / atoms
-    return make_measure(
-        [(a + (k + 0.5) * width, mass) for k in range(atoms)])
+    return _build(as_rows(a + (np.arange(atoms) + 0.5) * width),
+                  np.full(atoms, 1.0 / atoms))
 
 
 def push_forward(mu: DiscreteMeasure,
                  fmap: Callable) -> DiscreteMeasure:
-    """Image measure: atoms moved through fmap, coincident images merged."""
-    images = as_rows([fmap(pos) for pos in mu.positions], mu.dim, "image")
-    keys, masses = _merge(images, mu.masses)
-    return DiscreteMeasure(dim=mu.dim, positions=_tuples(keys),
-                           masses=tuple(masses))
+    """Image measure: atoms moved through fmap, coincident images merged.
+    fmap gets each position as a list of floats."""
+    images = as_rows([fmap(pos) for pos in mu.positions.tolist()], mu.dim,
+                     "image")
+    return _build(images, mu.masses, check=False)
 
 
-def radius(rows) -> float:
-    """The largest row norm by math.hypot; in 1D abs, as hypot(x) is."""
-    rows = np.asarray(rows, dtype=float)
-    return (float(np.abs(rows).max()) if rows.shape[1] == 1
-            else max(map(math.hypot, *rows.T.tolist())))
+def norms(rows: np.ndarray) -> np.ndarray:
+    """math.hypot of every row; in 1D abs, as hypot(x) is. Of a row of
+    differences x - y it is math.dist(x, y), bit for bit."""
+    return (np.abs(rows[:, 0]) if rows.shape[1] == 1 else
+            np.fromiter(map(math.hypot, *rows.T.tolist()), float, len(rows)))
+
+
+def radius(rows: np.ndarray) -> float:
+    """The largest row norm (norms)."""
+    return float(norms(rows).max())
 
 
 def support_radius(mu: DiscreteMeasure) -> float:
@@ -218,9 +263,8 @@ class LatticeMeasure:
         return np.array(self.coords, dtype=np.int64) / self.n_param ** 2
 
     def to_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(dim=self.dim,
-                               positions=_tuples(self.position_rows()),
-                               masses=self.masses)
+        return _build(self.position_rows(), self.masses, check=False,
+                      merge=False)
 
     def support_radius(self) -> float:
         return radius(self.position_rows())
@@ -255,24 +299,21 @@ def _lattice(n_param: int, dim: int, coords, masses) -> LatticeMeasure:
             f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
             field="coords")
     keys, masses = _merge(rows, masses)
+    masses = _check_masses(masses, renormalize=False)
     return LatticeMeasure(n_param=n_param, dim=dim, coords=_tuples(keys),
-                          masses=_check_masses(masses, renormalize=False))
+                          masses=tuple(masses.tolist()))
 
 
-@dataclass(frozen=True)
-class LiftedMeasure:
+@dataclass(frozen=True, eq=False)
+class LiftedMeasure(_ArrayFields):
     """Atomic measure on the tangent bundle: (position, velocity, mass)."""
 
     dim: int
-    positions: tuple[Position, ...]
-    velocities: tuple[Velocity, ...]
-    masses: tuple[float, ...]
+    positions: np.ndarray
+    velocities: np.ndarray
+    masses: np.ndarray
 
-    @property
-    def atom_count(self) -> int:
-        return len(self.positions)
-
-    def atoms(self) -> list[tuple[Position, Velocity, float]]:
+    def atoms(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
         return list(zip(self.positions, self.velocities, self.masses))
 
     def max_speed(self) -> float:
@@ -287,19 +328,13 @@ def make_lifted(atoms: Iterable[tuple], dim: int | None = None) -> LiftedMeasure
                               field="atoms")
     positions, velocities, masses = zip(*atoms)
     positions = as_rows(positions, dim)
-    dim = positions.shape[1]
-    velocities = as_rows(velocities, dim, what="velocity")
-    keys, masses = _merge(np.hstack([positions, velocities]), masses)
-    return LiftedMeasure(dim=dim, positions=_tuples(keys[:, :dim]),
-                         velocities=_tuples(keys[:, dim:]),
-                         masses=_check_masses(masses, renormalize=True))
+    velocities = as_rows(velocities, positions.shape[1], what="velocity")
+    return _build(positions, masses, velocities)
 
 
 def base_marginal(lifted: LiftedMeasure) -> DiscreteMeasure:
     """Project (x, v, m) atoms to x, summing masses over velocities."""
-    keys, masses = _merge(np.array(lifted.positions), lifted.masses)
-    return DiscreteMeasure(dim=lifted.dim, positions=_tuples(keys),
-                           masses=tuple(masses))
+    return _build(lifted.positions, lifted.masses, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +372,7 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
 
 def measure_to_dict(mu: DiscreteMeasure) -> dict:
     return {"schema": 1, "dim": mu.dim,
-            "atoms": [list(p) + [m] for p, m in mu.atoms()]}
+            "atoms": np.column_stack([mu.positions, mu.masses]).tolist()}
 
 
 def lifted_from_dict(doc: dict) -> LiftedMeasure:
@@ -357,7 +392,8 @@ def lifted_from_dict(doc: dict) -> LiftedMeasure:
 
 def lifted_to_dict(lifted: LiftedMeasure) -> dict:
     return {"schema": 1, "dim": lifted.dim,
-            "atoms": [list(p) + list(v) + [m] for p, v, m in lifted.atoms()]}
+            "atoms": np.column_stack([lifted.positions, lifted.velocities,
+                                      lifted.masses]).tolist()}
 
 
 def load_json(path: str) -> dict:

@@ -5,7 +5,8 @@ The dynamics is the symmetric pairwise system
 
     dx_i/dt = (1/m) sum_j phi(x_j - x_i)      (self term included),
 
-integrated with a classical fixed-step 4th-order scheme. The velocities
+integrated with a classical fixed-step 4th-order scheme on the read-only
+(m, d) float64 array of a ParticleState's positions. The velocities
 are kernels.interaction_field (unit weights) divided by m, the field the
 interaction PVF lifts; its sums are exact, so relabeling particles
 permutes the computed trajectory bit-for-bit. The mean-field comparison
@@ -26,24 +27,24 @@ from .analysis import SAMPLE_FRACTIONS
 from .errors import NumericalError, ValidationError
 from .kernels import KernelSpec, interaction_field
 from .las import interpolate, las_solve
-from .measure import DiscreteMeasure, make_measure, radius
+from .measure import (DiscreteMeasure, _ArrayFields, _build, _readonly,
+                      as_rows, radius)
 from .pvf import interaction_pvf
 from .transport import wasserstein
 
 REFERENCE_SUBSTEPS = 10  # reference dt_ode = lattice dt / 10
 
 
-@dataclass(frozen=True)
-class ParticleState:
-    positions: tuple[tuple[float, ...], ...]
+@dataclass(frozen=True, eq=False)
+class ParticleState(_ArrayFields):
+    """Particle positions, a read-only float64 array of shape (m, d)."""
+
+    positions: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
         if len(self.positions) < 1:
             raise ValidationError("need at least one particle",
-                                  field="positions")
-        if not all(math.isfinite(c) for p in self.positions for c in p):
-            raise ValidationError("non-finite particle coordinate",
                                   field="positions")
 
     @property
@@ -52,20 +53,15 @@ class ParticleState:
 
     @property
     def dim(self) -> int:
-        return len(self.positions[0])
+        return self.positions.shape[1]
 
     def radius(self) -> float:
         return radius(self.positions)
 
 
 def make_state(positions, time: float = 0.0) -> ParticleState:
-    rows = [(float(p),) if isinstance(p, (int, float))
-            else tuple(float(c) for c in p) for p in positions]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise ValidationError("particles have mixed dimensions",
-                              field="positions")
-    return ParticleState(positions=tuple(rows), time=float(time))
+    rows = as_rows(list(positions), what="positions")
+    return ParticleState(positions=_readonly(rows), time=float(time))
 
 
 def state_from_dict(doc: dict) -> ParticleState:
@@ -95,7 +91,7 @@ def integrate(state0: ParticleState, kernel: KernelSpec, horizon: float,
     steps = max(1, round(horizon / dt_ode))
     h = horizon / steps
     states = [state0]
-    pos = np.array(state0.positions, dtype=float)
+    pos = state0.positions
     for j in range(1, steps + 1):
         # a blow-up overflows here; the isfinite check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -107,16 +103,14 @@ def integrate(state0: ParticleState, kernel: KernelSpec, horizon: float,
         if not np.isfinite(pos).all():
             raise NumericalError(
                 f"particle integration blew up at t={state0.time + j * h!r}")
-        states.append(ParticleState(positions=tuple(map(tuple, pos.tolist())),
+        states.append(ParticleState(positions=_readonly(pos),
                                     time=state0.time + j * h))
     return states
 
 
 def empirical(state: ParticleState) -> DiscreteMeasure:
     """Equal-mass atom per particle; coincident particles merge."""
-    mass = 1.0 / state.m
-    return make_measure([(p, mass) for p in state.positions],
-                        dim=state.dim)
+    return _build(as_rows(state.positions), np.full(state.m, 1.0 / state.m))
 
 
 def meanfield_compare(state0: ParticleState, kernel: KernelSpec,
@@ -147,9 +141,8 @@ def permute_state(state: ParticleState, perm) -> ParticleState:
     if sorted(perm) != list(range(state.m)):
         raise ValidationError("not a permutation of the particle labels",
                               field="perm")
-    return ParticleState(
-        positions=tuple(state.positions[i] for i in perm),
-        time=state.time)
+    return ParticleState(positions=_readonly(state.positions[perm]),
+                         time=state.time)
 
 
 def stability_rate(kernel: KernelSpec, radius: float) -> float:

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import SublinearityError, ValidationError
 from .kernels import (KernelSpec, interaction_field, kernel_from_dict,
                       kernel_to_dict)
-from .measure import (DiscreteMeasure, LiftedMeasure, _check_masses, _merge,
-                      _tuples, as_rows, neumaier_prefix, radius)
+from .measure import (DiscreteMeasure, LiftedMeasure, _build, _check_masses,
+                      _merge, as_rows, neumaier_prefix, radius)
 
 PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
              "interaction", "one_sided_ode")
@@ -338,12 +338,11 @@ def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
 
 def lift(spec: PvfSpec, positions, masses, n_hint: int | None = None
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the PVF to atoms given as (m, n) positions and m masses: the
-    merged lifted atoms as arrays of source index, velocity rows and
+    """Apply the PVF to atoms given as (m, n) float positions and m masses:
+    the merged lifted atoms as arrays of source index, velocity rows and
     masses in (index, velocity) order, masses renormalised as make_lifted
     does. n_hint feeds phi_diffusion's default sub-atom count (the
     lattice solver passes its N). Raises SublinearityError when C fails."""
-    positions = np.asarray(positions, dtype=float)
     dim = positions.shape[1]
     index, velocities, sub = _raw_atoms(
         spec, positions, np.asarray(masses, dtype=float), n_hint)
@@ -357,7 +356,7 @@ def lift(spec: PvfSpec, positions, masses, n_hint: int | None = None
         raise SublinearityError(
             f"{spec.kind} PVF: max speed {max_v!r} exceeds "
             f"C(1+max|x|) = {c * (1.0 + max_x)!r} with declared C={c!r}")
-    return keys[:, 0].astype(np.int64), keys[:, 1:], np.array(sub)
+    return keys[:, 0].astype(np.int64), keys[:, 1:], sub
 
 
 def evaluate(spec: PvfSpec, mu: DiscreteMeasure,
@@ -365,10 +364,8 @@ def evaluate(spec: PvfSpec, mu: DiscreteMeasure,
     """lift with each atom's source position attached. mu's positions
     are sorted and distinct, so this is the canonical LiftedMeasure."""
     index, velocities, masses = lift(spec, mu.positions, mu.masses, n_hint)
-    positions = tuple(mu.positions[i] for i in index.tolist())
-    return LiftedMeasure(dim=mu.dim, positions=positions,
-                         velocities=_tuples(velocities),
-                         masses=tuple(masses.tolist()))
+    return _build(mu.positions[index], masses, velocities, check=False,
+                  merge=False)
 
 
 def check_h1(spec: PvfSpec, mu: DiscreteMeasure) -> bool:

@@ -23,6 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .measure import DiscreteMeasure, make_measure
 from .rng import SplitMix64
 from .transport import kr_dual_gap, wasserstein
@@ -94,12 +96,11 @@ def check_fast_path_vs_lp(seed: int = DEFAULT_SEED,
 
 
 def _brute_force_equal_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    k = len(mu.masses)
+    p, q = mu.positions.tolist(), nu.positions.tolist()
+    k = len(p)
     best = math.inf
     for perm in itertools.permutations(range(k)):
-        cost = math.fsum(
-            math.dist(mu.positions[i], nu.positions[perm[i]])
-            for i in range(k)) / k
+        cost = math.fsum(math.dist(p[i], q[perm[i]]) for i in range(k)) / k
         best = min(best, cost)
     return best
 
@@ -143,7 +144,7 @@ def check_dual_feasibility(seed: int = DEFAULT_SEED,
         dim = 1 + trial % 2
         mu = _random_measure(rng, dim, 6)
         nu = _random_measure(rng, dim, 6)
-        anchors = mu.positions + nu.positions
+        anchors = np.concatenate([mu.positions, nu.positions]).tolist()
         witnesses = [_mcshane_witness(rng, anchors) for _ in range(3)]
         gap = kr_dual_gap(mu, nu, witnesses)
         margin = min(margin, gap + DUAL_TOL)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _merge, norms
 
 PLAN_TOL = 1e-10          # marginal and cost-consistency tolerance
 OPT_REL_TOL = 1e-7        # plan_is_optimal: cost <= W + 1e-7*(1+W)
@@ -55,13 +55,12 @@ class WassersteinResult:
 
 
 def _plan_cost(entries, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    return math.fsum(w * math.dist(mu.positions[i], nu.positions[k])
-                     for i, k, w in entries)
+    p, q = mu.positions.tolist(), nu.positions.tolist()
+    return math.fsum(w * math.dist(p[i], q[k]) for i, k, w in entries)
 
 
-def _check_coupling(plan, row_masses: Sequence[float],
-                    col_masses: Sequence[float], tol: float,
-                    what: str) -> None:
+def _check_coupling(plan, row_masses: np.ndarray, col_masses: np.ndarray,
+                    tol: float, what: str) -> None:
     """Check a coupling's shape, indices, positivity and both marginals."""
     if plan.rows != len(row_masses) or plan.cols != len(col_masses):
         raise ValidationError(f"{what} shape does not match the measures")
@@ -74,8 +73,8 @@ def _check_coupling(plan, row_masses: Sequence[float],
             raise ValidationError(f"{what} weights must be positive")
         row_sums[i] += w
         col_sums[k] += w
-    for side, sums, masses in (("row", row_sums, row_masses),
-                               ("column", col_sums, col_masses)):
+    for side, sums, masses in (("row", row_sums, row_masses.tolist()),
+                               ("column", col_sums, col_masses.tolist())):
         for i, (total, m) in enumerate(zip(sums, masses)):
             if abs(total - m) > tol:
                 raise ValidationError(
@@ -128,27 +127,24 @@ def _northwest(src: Sequence[float], tgt: Sequence[float],
 
 def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     # positions are already sorted lexicographically = numerically in 1D
-    entries = tuple(_northwest(mu.masses, nu.masses))
-    cost = math.fsum(delta * abs(mu.positions[i][0] - nu.positions[k][0])
-                     for i, k, delta in entries)
+    entries = tuple(_northwest(mu.masses.tolist(), nu.masses.tolist()))
+    x, y = mu.positions[:, 0].tolist(), nu.positions[:, 0].tolist()
+    cost = math.fsum(delta * abs(x[i] - y[k]) for i, k, delta in entries)
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
                          entries=entries, cost=cost)
 
 
-def _cost_matrix(rows: Sequence, cols: Sequence) -> np.ndarray:
-    """Ground costs |x - y| between two sequences of coordinate rows, by
-    math.dist as _plan_cost prices them."""
-    return np.array([[math.dist(p, q) for q in cols] for p in rows],
-                    dtype=float)
+def _cost_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Ground costs |x - y| between two arrays of coordinate rows, the
+    math.dist that _plan_cost prices them by."""
+    diffs = rows[:, None, :] - cols[None, :, :]
+    return norms(diffs.reshape(-1, rows.shape[1])).reshape(diffs.shape[:2])
 
 
 def _equal_masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     """m vs m atoms, every mass of both measures bit-equal."""
-    if mu.atom_count != nu.atom_count:
-        return False
-    w = mu.masses[0]
-    return (all(m == w for m in mu.masses)
-            and all(m == w for m in nu.masses))
+    return (mu.atom_count == nu.atom_count
+            and len(set(mu.masses.tolist() + nu.masses.tolist())) == 1)
 
 
 def _assignment(cost: np.ndarray, w: float) -> TransportPlan:
@@ -317,10 +313,10 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
         plan = _monotone_1d(mu, nu)
     elif method == "auto" and _equal_masses(mu, nu):
         plan = _assignment(_cost_matrix(mu.positions, nu.positions),
-                           mu.masses[0])
+                           mu.masses[0].item())
     else:
         solver = _Simplex(_cost_matrix(mu.positions, nu.positions),
-                          mu.masses, nu.masses)
+                          mu.masses.tolist(), nu.masses.tolist())
         solver.solve()
         plan = solver.plan()
     return WassersteinResult(distance=plan.cost, plan=plan)
@@ -340,12 +336,11 @@ def kr_dual_gap(mu: DiscreteMeasure, nu: DiscreteMeasure,
             f"dimension mismatch: {mu.dim} vs {nu.dim}", field="dim")
     if not witnesses:
         raise ValidationError("need at least one witness", field="witnesses")
-    points = sorted(set(mu.positions) | set(nu.positions))
-    signed = {p: 0.0 for p in points}
-    for p, m in mu.atoms():
-        signed[p] += m
-    for p, m in nu.atoms():
-        signed[p] -= m
+    # the union of both supports, sorted, with mu's minus nu's mass
+    rows, signed = _merge(np.concatenate([mu.positions, nu.positions]),
+                          np.concatenate([mu.masses, -nu.masses]))
+    points = list(map(tuple, rows.tolist()))
+    signed = signed.tolist()
     best = -math.inf
     for idx, f in enumerate(witnesses):
         values = [float(f(p)) for p in points]
@@ -360,9 +355,7 @@ def kr_dual_gap(mu: DiscreteMeasure, nu: DiscreteMeasure,
                         f"{abs(values[a] - values[b])!r} > {d!r}",
                         field=f"witnesses[{idx}]")
         # -f is a witness whenever f is, so orientation is irrelevant
-        best = max(best,
-                   abs(math.fsum(values[a] * signed[points[a]]
-                                 for a in range(len(points)))))
+        best = max(best, abs(math.fsum(v * m for v, m in zip(values, signed))))
     return wasserstein(mu, nu).distance - best
 
 

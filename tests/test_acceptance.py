@@ -238,14 +238,14 @@ def test_criterion_07_fiber_monoid_morphism():
         conv = fiber_convolution(evaluate(ode_lift_pvf(f1), mu),
                                  evaluate(ode_lift_pvf(f2), mu))
         direct = evaluate(ode_lift_pvf(add_fields(f1, f2)), mu)
-        assert conv.positions == direct.positions
+        assert conv.positions.tolist() == direct.positions.tolist()
         for (va,), (vb,), ma, mb in zip(conv.velocities, direct.velocities,
                                         conv.masses, direct.masses):
             worst = max(worst, abs(va - vb), abs(ma - mb))
         for lam in (-2.0, 0.0, 0.5):
             scaled = scalar_action(lam, evaluate(ode_lift_pvf(f1), mu))
             target = evaluate(ode_lift_pvf(scale_field(lam, f1)), mu)
-            assert scaled.positions == target.positions
+            assert scaled.positions.tolist() == target.positions.tolist()
             for (va,), (vb,), ma, mb in zip(
                     scaled.velocities, target.velocities,
                     scaled.masses, target.masses):
@@ -352,7 +352,7 @@ def test_criterion_11_mean_field_correspondence():
         relabeled = integrate(permute_state(make_state(positions), perm),
                               kern, 0.5, 0.05)
         for s, r in zip(plain, relabeled):
-            if permute_state(s, perm).positions != r.positions:
+            if permute_state(s, perm).positions.tolist() != r.positions.tolist():
                 perm_ok = False
     elapsed = time.perf_counter() - t0
     ok = bound_ok and halving_ok and perm_ok and elapsed < 20.0

@@ -39,6 +39,8 @@ from mdelab import (
     monotone_fiber_cost_1d,
     ode_lift_pvf,
     oracle,
+    phi_diffusion_pvf,
+    poly_field,
     push_forward,
     semigroup_check,
     step_displacement_check,
@@ -180,6 +182,23 @@ class TestWeakResidual:
             las_solve(dirac(0.0), median_split_pvf(), 40, 1.0), 1.0)
         assert r40 <= 1.5 * r20
         assert r20 < 1e-3
+
+    def test_phi_diffusion_is_audited_with_the_trajectory_n(self):
+        # without sub_atoms, a lattice step splits each atom into N
+        # sub-atoms; the audit must lift with that N, not the default 16
+        phi = poly_field([-0.5, 0.0, 1.0])
+        runs = [las_solve(dirac(0.0), phi_diffusion_pvf(
+                    phi, sub_atoms=sub, sublinear_c=1.0), 40, 1.0)
+                for sub in (None, 40)]
+        assert runs[0].steps == runs[1].steps
+        f = TestFunction(center=(0.0,), radius=1.5)
+        implicit, declared = ([max_family_residual(traj, 1.0),
+                               weak_residual(traj, f, 1.0),
+                               distributional_residual(traj, f, (1.0, 2.0),
+                                                       1.0)]
+                              for traj in runs)
+        assert implicit == declared
+        assert implicit[0] == pytest.approx(0.0071146, abs=1e-7)
 
 
 class TestDistributionalResidual:

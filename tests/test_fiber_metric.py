@@ -270,7 +270,7 @@ def test_face_lp_matches_brute_force_over_optimal_matchings(pair):
             for perm in itertools.permutations(range(k))}
     optimal = [perm for perm, cost in base.items()
                if cost == min(base.values())]
-    base_plans = {frozenset(Counter((a1[i][0], a2[j][0])
+    base_plans = {frozenset(Counter((a1[i][0][0], a2[j][0][0])
                                     for i, j in enumerate(perm)).items())
                   for perm in optimal}
     w = wasserstein(base_marginal(va), base_marginal(vb)).distance
@@ -414,14 +414,14 @@ def test_convolution_is_commutative_and_associative(triple):
     va, vb, vc = triple
     ab = fiber_convolution(va, vb)
     ba = fiber_convolution(vb, va)
-    assert ab.positions == ba.positions
+    assert ab.positions.tolist() == ba.positions.tolist()
     for x, y in zip(ab.velocities, ba.velocities):
         assert x == pytest.approx(y, abs=1e-12)
     for x, y in zip(ab.masses, ba.masses):
         assert x == pytest.approx(y, abs=1e-12)
     left = fiber_convolution(ab, vc)
     right = fiber_convolution(va, fiber_convolution(vb, vc))
-    assert left.positions == right.positions
+    assert left.positions.tolist() == right.positions.tolist()
     for x, y in zip(left.velocities, right.velocities):
         assert x == pytest.approx(y, abs=1e-10)
     for x, y in zip(left.masses, right.masses):

@@ -28,7 +28,7 @@ from mdelab.errors import NumericalError, ValidationError
 class TestStateConstruction:
     def test_scalars_promote_to_1d_vectors(self):
         state = make_state([0, 2])
-        assert state.positions == ((0.0,), (2.0,))
+        assert state.positions.tolist() == [[0.0], [2.0]]
         assert state.m == 2
         assert state.dim == 1
 
@@ -51,7 +51,7 @@ class TestStateConstruction:
     def test_from_dict_with_matching_dim(self):
         state = state_from_dict({"dim": 2, "positions": [[0, 1], [2, 3]]})
         assert state.dim == 2
-        assert state.positions == ((0.0, 1.0), (2.0, 3.0))
+        assert state.positions.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
     def test_from_dict_dim_mismatch(self):
         with pytest.raises(ValidationError):
@@ -68,7 +68,7 @@ class TestIntegrate:
         states = integrate(state, make_kernel("zero"), 1.0, 0.1)
         assert len(states) == 11
         for s in states:
-            assert s.positions == state.positions
+            assert s.positions.tolist() == state.positions.tolist()
 
     def test_step_count_snaps_to_horizon(self):
         # dt_ode is a hint: 1.0 / 0.3 rounds to 3 equal steps
@@ -114,7 +114,8 @@ class TestIntegrate:
         relabeled = integrate(permute_state(make_state(positions), perm),
                               kern, 1.0, 0.1)
         for s, r in zip(plain, relabeled):
-            assert permute_state(s, perm).positions == r.positions
+            assert (permute_state(s, perm).positions.tolist()
+                    == r.positions.tolist())
 
     def test_permute_rejects_non_permutations(self):
         state = make_state([0.0, 1.0, 2.0])
@@ -139,7 +140,8 @@ def test_permutation_equivariance_property(data, m, dim):
     relabeled = integrate(permute_state(make_state(positions), list(perm)),
                           kern, 0.3, 0.1)
     for s, r in zip(plain, relabeled):
-        assert permute_state(s, list(perm)).positions == r.positions
+        assert (permute_state(s, list(perm)).positions.tolist()
+                == r.positions.tolist())
 
 
 class TestEmpirical:
@@ -160,8 +162,9 @@ def test_interaction_field_matches_the_pairwise_sums():
     state = make_state([(0.0, 0.5), (1.0, -0.25), (0.75, 2.0), (-1.5, 0.125)])
     kern = make_kernel("bounded_attraction")
     lifted = evaluate(interaction_pvf(kern), empirical(state))
-    by_position = {pos: vel for pos, vel, _ in lifted.atoms()}
-    for xi in state.positions:
+    by_position = dict(zip(map(tuple, lifted.positions.tolist()),
+                           lifted.velocities.tolist()))
+    for xi in map(tuple, state.positions.tolist()):
         terms = [kern.phi(tuple(a - b for a, b in zip(xj, xi)))
                  for xj in state.positions]
         want = tuple(math.fsum(t[c] for t in terms) / state.m

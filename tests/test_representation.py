@@ -1,0 +1,167 @@
+"""The one array representation of measures and particle states.
+
+Every builder returns read-only float64 arrays: positions (and
+velocities) of shape (count, dim), masses of shape (count,). Objects
+compare by value, field by field, so a copy whose fields are tuples
+compares equal, and neither the objects nor their rows can be hashed.
+The pinned hex values below were computed before the fields became
+arrays, at the sites where tuple rows were concatenated with `+`,
+compared with `==` or used as dict and set keys.
+"""
+
+import dataclasses
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+import mdelab as m
+from mdelab import selfcheck
+
+
+def _cloud(seed, count=5, dim=2):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 1.0, count)
+    return m.make_measure(zip(rng.uniform(-1.0, 1.0, (count, dim)),
+                              weights / weights.sum()))
+
+
+def _lifted_pair(seed):
+    """Two 2D lifted measures, two fibers per base point, sharing two of
+    their four base points."""
+    rng = np.random.default_rng(seed)
+    shared = rng.uniform(-1.0, 1.0, (2, 2))
+    sides = []
+    for _ in range(2):
+        base = np.vstack([shared, rng.uniform(-1.0, 1.0, (2, 2))])
+        rows = [(p, rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 1.0))
+                for p in base for _ in range(2)]
+        total = math.fsum(w for _, _, w in rows)
+        sides.append(m.make_lifted([(p, v, w / total) for p, v, w in rows]))
+    return sides
+
+
+TWO_SPEEDS = m.constant_pvf([((1.0, 0.0), 0.5), ((0.0, -1.0), 0.5)])
+STATE = [(0.1, -0.4), (1.2, 0.3), (-0.7, 0.9)]
+
+
+def _interpolated():
+    traj = m.las_solve(_cloud(1, count=3), TWO_SPEEDS, 10, 0.5)
+    return m.interpolate(traj, 0.23)
+
+
+BUILDERS = {
+    "make_measure": lambda: _cloud(1),
+    "uniform_1d": lambda: m.uniform_1d(-1.0, 1.0, 7),
+    "push_forward": lambda: m.push_forward(
+        _cloud(1), lambda x: (abs(x[0]), x[1])),
+    "base_marginal": lambda: m.base_marginal(_lifted_pair(3)[0]),
+    "to_measure": lambda: m.make_lattice_measure(
+        4, 2, [((3, -5), 0.25), ((0, 2), 0.75)]).to_measure(),
+    "interpolate": _interpolated,
+    "evaluate": lambda: m.evaluate(TWO_SPEEDS, _cloud(1)),
+    "av_discretize": lambda: m.av_discretize(
+        m.evaluate(TWO_SPEEDS, _cloud(1)), 7),
+    "empirical": lambda: m.empirical(m.make_state(STATE)),
+    "make_lifted": lambda: _lifted_pair(3)[0],
+    "fiber_convolution": lambda: m.fiber_convolution(
+        *[m.evaluate(TWO_SPEEDS, _cloud(1))] * 2),
+    "scalar_action": lambda: m.scalar_action(-2.0, _lifted_pair(3)[0]),
+    "neutral_element": lambda: m.neutral_element(_cloud(1)),
+    "oracle": lambda: m.oracle("constant_drift", {
+        "mu0": _cloud(1), "fiber": [((1.0, 0.0), 0.5), ((0.0, 2.0), 0.5)]},
+        0.5),
+    "integrate": lambda: m.integrate(
+        m.make_state(STATE), m.make_kernel("bounded_attraction"), 0.3,
+        0.1)[-1],
+}
+
+
+def _array_fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if f.name in ("positions", "velocities", "masses")}
+
+
+def _moved(obj):
+    """A copy with a quarter of the first atom's mass on the last atom;
+    a particle state, which has no masses, gets its first particle moved
+    to the last one's position instead."""
+    if hasattr(obj, "masses"):
+        masses = obj.masses.copy()
+        masses[[0, -1]] += (-0.25 * masses[0], 0.25 * masses[0])
+        return dataclasses.replace(obj, masses=masses)
+    positions = obj.positions.copy()
+    positions[0] = positions[-1]
+    return dataclasses.replace(obj, positions=positions)
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_builders_make_read_only_arrays_compared_by_value(build):
+    obj = build()
+    count, dim = obj.positions.shape
+    assert count >= 2 and dim == (1 if build is BUILDERS["uniform_1d"] else 2)
+    fields = _array_fields(obj)
+    for name, values in fields.items():
+        assert type(values) is np.ndarray and values.dtype == np.float64
+        assert values.shape == ((count,) if name == "masses" else (count, dim))
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    with pytest.raises(TypeError):
+        hash(obj)
+    with pytest.raises(TypeError):
+        hash(obj.positions[0])
+
+    again = build()
+    assert again is not obj and again == obj and not again != obj
+    assert _moved(obj) != obj and not _moved(obj) == obj
+    # the kind of copy the benchmark perturbs: tuple fields, same values
+    as_tuples = dataclasses.replace(obj, **{
+        name: tuple(map(tuple, values.tolist())) if values.ndim == 2
+        else tuple(values.tolist()) for name, values in fields.items()})
+    assert as_tuples == obj and obj == as_tuples
+    assert obj != (obj.positions, getattr(obj, "masses", None))
+
+
+def test_rows_add_as_vectors():
+    mu = _cloud(1)
+    assert (mu.positions[0] + mu.positions[1]).shape == (2,)
+    lifted = _lifted_pair(3)[0]
+    for p, v, _ in lifted.atoms():
+        assert (p + v).tolist() == [p[0] + v[0], p[1] + v[1]]
+
+
+def test_mass_at_matches_whole_rows():
+    mu = m.make_measure([((0.5, -1.0), 0.25), ((0.5, 1.0), 0.75)])
+    assert mu.mass_at((0.5, 1.0)) == 0.75
+    assert mu.mass_at(mu.positions[0]) == 0.25
+    assert mu.mass_at((1.0, 0.5)) == 0.0
+    assert mu.mass_at((0.5, 0.0)) == 0.0
+
+
+def test_former_tuple_sites_give_the_same_floats():
+    # tangent_wasserstein joined p + v; the one-sided integrand compared
+    # rows with ==; induced_base_plan, fiber_convolution and kr_dual_gap
+    # keyed dicts and sets on rows; the McShane anchors were
+    # mu.positions + nu.positions
+    v1, v2 = _lifted_pair(12)
+    assert m.tangent_wasserstein(v1, v2).hex() == "0x1.085aba3693331p+0"
+    value, plan = m.constrained_fiber_cost(v1, v2, m.FiberCostKind.ONE_SIDED)
+    assert value.hex() == "-0x1.932a2508c2e30p-2"
+    base = m.induced_base_plan(plan, v1, v2)
+    assert len(plan.entries) == 16 and len(base.entries) == 8
+    assert base.cost.hex() == "0x1.b50fe0705a061p-2"
+    assert [w.hex() for _, _, w in base.entries] == [
+        "0x1.94fc0a678440bp-3", "0x1.a3ad34f223bbfp-23",
+        "0x1.0a8493c2f87d2p-3", "0x1.9f1e89fb589cdp-3",
+        "0x1.d2c5b54c5e6a4p-4", "0x1.56ff505d80a4ep-7",
+        "0x1.394955a3749fap-4", "0x1.12f4a190cae38p-2"]
+    conv = m.fiber_convolution(v1, m.scalar_action(-0.5, v1))
+    digest = hashlib.sha256(json.dumps(m.lifted_to_dict(conv)).encode())
+    assert digest.hexdigest()[:16] == "b0455344ea975147"
+    gap = m.kr_dual_gap(m.base_marginal(v1), m.base_marginal(v2),
+                        [lambda x: x[0], lambda x: math.dist(x, (0.5, 0.5))])
+    assert gap.hex() == "0x1.813dc23ee910bp-2"
+    margin = selfcheck.check_dual_feasibility(seed=12, instances=20).margin
+    assert margin.hex() == "0x1.2bd84965827e0p-2"
