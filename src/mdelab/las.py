@@ -3,14 +3,19 @@
 One parameter N sets every resolution: time step 1/N, velocity step 1/N,
 space step 1/N^2 (their product, the space a velocity cell covers in
 one time step). Measures live on the grid Z^n / N^2 inside the box
-[-N, N]^n, stored as int64 coordinates (N <= 208,063). A step works on
-whole arrays and builds no DiscreteMeasure: it lifts the positions
-coords / N^2 (one numpy division) into (source index, velocity, mass)
-arrays, floors the velocities to cells k = floor(v * N) in floats
-(_bin_velocity, the only floor), shifts coords[index] + k and merges
-coincident atoms in the one array merge of every measure builder. Runs
-replay bit-for-bit, but they are not exact rational arithmetic: a float
-product can land just below an integer and floor one cell lower.
+[-N, N]^n, stored as int64 coordinates (N <= 208,063). A solve carries
+three arrays from step to step: the int64 coordinate rows, the float64
+masses and the positions rows / N^2. That one numpy division per step
+serves both the step's support-radius check and the next step's lift.
+A step lifts the positions into (source index, velocity, mass) arrays,
+floors the velocities to cells k = floor(v * N) in floats
+(_bin_velocity, the only floor), shifts rows[index] + k and merges
+coincident atoms in the one array merge of every measure builder. Each
+step's LatticeMeasure, whose fields are tuples (see measure.py), is
+built from the merged arrays once; las_step runs the same step on one
+LatticeMeasure. Runs replay bit-for-bit, but they are not exact
+rational arithmetic: a float product can land just below an integer and
+floor one cell lower.
 
 A run checks two a-priori bounds and fails loudly when either breaks:
 the box must satisfy exp(C*T)*(R+1) <= N before starting (refusing, not
@@ -27,7 +32,8 @@ import numpy as np
 
 from .errors import BoxOverflowError, SupportBoundError, ValidationError
 from .measure import (DiscreteMeasure, LatticeMeasure, LiftedMeasure,
-                      _build, _lattice, as_rows, support_radius)
+                      _build, _lattice, _lattice_rows, as_rows, radius,
+                      support_radius)
 from .pvf import PvfSpec, lift, sublinear_constant
 
 _STEP_COUNT_SNAP = 1e-9  # floor(N*T) guard against 39.999... artifacts
@@ -82,6 +88,11 @@ class Trajectory:
 def ax_discretize(mu: DiscreteMeasure, n_param: int) -> LatticeMeasure:
     """Bin atoms to the space lattice: componentwise floor to multiples
     of 1/N^2 (half-open cells, boundary to the lower cell)."""
+    return _lattice(n_param, mu.dim, *_binned(mu, n_param))
+
+
+def _binned(mu: DiscreteMeasure, n_param: int) -> tuple[np.ndarray, np.ndarray]:
+    """ax_discretize's int64 rows and float64 masses (_lattice_rows)."""
     if n_param < 1:
         raise ValidationError("N must be >= 1", field="n_param")
     outside = (mu.positions < -n_param) | (mu.positions >= n_param)
@@ -89,8 +100,8 @@ def ax_discretize(mu: DiscreteMeasure, n_param: int) -> LatticeMeasure:
         raise ValidationError(
             f"support reaches {mu.positions[outside][0].item()!r}, outside "
             f"[-N, N) with N={n_param}; increase N", field="n_param")
-    return _lattice(n_param, mu.dim, np.floor(mu.positions * n_param ** 2),
-                    mu.masses)
+    return _lattice_rows(n_param, np.floor(mu.positions * n_param ** 2),
+                         mu.masses)
 
 
 def _bin_velocity(vel: np.ndarray, n_param: int) -> np.ndarray:
@@ -110,20 +121,28 @@ def av_discretize(v: LiftedMeasure, n_param: int) -> LiftedMeasure:
     return _build(v.positions, v.masses, cells)
 
 
-def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
-    """One recursion step: lift, bin the velocity array, shift each source
-    atom's coordinates by integer cells (dt * v = k / N^2), merge once."""
-    n = mu_ell.n_param
-    coords = np.array(mu_ell.coords, dtype=np.int64)
-    index, velocities, masses = lift(spec, coords / n ** 2, mu_ell.masses,
-                                     n_hint=n)
-    coords = coords[index] + _bin_velocity(velocities, n)
+def _step(rows: np.ndarray, masses, positions: np.ndarray, n_param: int,
+          spec: PvfSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One recursion step on arrays: lift the positions rows / N^2, bin
+    the velocity array, shift each source row by its integer cells
+    (dt * v = k / N^2), merge once. Returns the checked int64 rows and
+    float64 masses of the next step (_lattice_rows)."""
+    index, velocities, masses = lift(spec, positions, masses, n_hint=n_param)
+    shifted = rows[index] + _bin_velocity(velocities, n_param)
     try:
-        return _lattice(n, mu_ell.dim, coords, masses)
+        return _lattice_rows(n_param, shifted, masses)
     except ValidationError as exc:
         raise BoxOverflowError(
-            f"step left the lattice box [-N, N]^n with N={n}: {exc}; "
+            f"step left the lattice box [-N, N]^n with N={n_param}: {exc}; "
             "support growth exceeded the a-priori radius bound") from exc
+
+
+def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
+    """One recursion step of a lattice measure (the step las_solve runs)."""
+    n = mu_ell.n_param
+    rows = np.array(mu_ell.coords, dtype=np.int64)
+    return _lattice(n, mu_ell.dim, *_step(rows, mu_ell.masses, rows / n ** 2,
+                                          n, spec))
 
 
 def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
@@ -142,10 +161,13 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
                 f"initial lattice measure has N={mu0.n_param}, "
                 f"run wants N={n_param}", field="n_param")
         start = mu0
-        radius0 = mu0.support_radius()
+        rows, masses = np.array(mu0.coords, dtype=np.int64), mu0.masses
     else:
-        start = ax_discretize(mu0, n_param)
-        radius0 = support_radius(mu0)
+        rows, masses = _binned(mu0, n_param)
+        start = _lattice(n_param, mu0.dim, rows, masses)
+    positions = rows / n_param ** 2
+    # a fresh run bounds its support by the radius before binning
+    radius0 = radius(positions) if start is mu0 else support_radius(mu0)
     c_sub = sublinear_constant(spec, start.dim)
     envelope = math.exp(c_sub * horizon) * (radius0 + 1.0)
     if envelope > n_param:
@@ -156,15 +178,16 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
             field="n_param")
     steps = [start]
     for ell in range(1, config.step_count + 1):
-        nxt = las_step(steps[-1], spec)
+        rows, masses = _step(rows, masses, positions, n_param, spec)
+        positions = rows / n_param ** 2
         bound = math.exp(c_sub * ell * config.dt) * (radius0 + 1.0)
-        radius = nxt.support_radius()
-        if radius > bound * (1.0 + 1e-12):
+        reach = radius(positions)
+        if reach > bound * (1.0 + 1e-12):
             raise SupportBoundError(
-                f"step {ell}: support radius {radius!r} exceeds the "
+                f"step {ell}: support radius {reach!r} exceeds the "
                 f"a-priori bound {bound!r}; the declared sublinearity "
                 f"constant C={c_sub!r} is too small for this field")
-        steps.append(nxt)
+        steps.append(_lattice(n_param, start.dim, rows, masses))
     return Trajectory(config=config, steps=tuple(steps), pvf=spec,
                       initial_radius=radius0)
 

@@ -4,10 +4,16 @@ DiscreteMeasure and LiftedMeasure hold read-only float64 arrays, rows
 (count, dim) in lexicographic order and masses (count,), made once by
 one array builder (_build) that merges exactly-equal rows (_merge).
 Rows are arrays: `+` adds them, they are unhashable, and measures
-compare by value. Lattice measures keep tuple fields: int64 coordinates
+compare by value, and a merge of rows already sorted and distinct skips
+its lexsort. Lattice measures keep tuple fields: int64 coordinates
 |coords| <= N^3, whose positions coords / N^2 are one numpy division,
 rounded as Python's c / N**2 is for N <= 208,063 (N^3 <= 2^53). A step
 shifts coordinates by whole cells, so lattice runs replay bit-for-bit.
+The lattice solver carries its rows and masses as arrays and makes the
+tuple fields once per step (_lattice, the only place rows become
+tuples). They stay tuples because the benchmark's self-test perturbs a
+lattice row as (c[0] + k,) + c[1:], which on an array row broadcasts to
+an empty row and would hide the perturbation.
 """
 
 from __future__ import annotations
@@ -89,9 +95,26 @@ def _group_sums(masses: np.ndarray, new: np.ndarray) -> np.ndarray:
     return merged
 
 
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether every key row is lexicographically below the next, decided
+    one vectorised pass per column, last column first. A tie in a column
+    defers to the columns after it; -0.0 against 0.0 in the deciding
+    column, or a NaN, reads as out of order."""
+    before, after = keys[:-1], keys[1:]
+    below = before[:, -1] < after[:, -1]
+    for j in range(keys.shape[1] - 2, -1, -1):
+        below = np.where(before[:, j] == after[:, j], below,
+                         before[:, j] < after[:, j])
+    return bool(below.all())
+
+
 def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
     """Sum masses over exactly-equal key rows (_group_sums); return the
-    distinct rows in lexicographic order and their masses."""
+    distinct rows in lexicographic order and their masses, as new arrays.
+    Rows already sorted and distinct (_increasing) skip the lexsort: that
+    is the lexsort's own result, every group a single row."""
+    if _increasing(keys):
+        return keys.copy(), np.array(masses, dtype=float)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     masses = np.asarray(masses, dtype=float)[order]
@@ -158,8 +181,10 @@ class DiscreteMeasure(_ArrayFields):
         return list(zip(self.positions, self.masses))
 
     def mass_at(self, position) -> float:
+        """The math.fsum of the masses of every row at position (rows can
+        repeat in LatticeMeasure.to_measure near the largest N)."""
         hit = (self.positions == as_rows([position], self.dim)).all(axis=1)
-        return float(self.masses[hit.argmax()]) if hit.any() else 0.0
+        return math.fsum(self.masses[hit].tolist())
 
     def mean(self) -> tuple[float, ...]:
         weighted = self.masses[:, None] * self.positions
@@ -277,13 +302,14 @@ def make_lattice_measure(n_param: int, dim: int,
         raise ValidationError("lattice measure needs at least one atom",
                               field="atoms")
     coords, masses = zip(*cells)
-    return _lattice(n_param, dim, coords, masses)
+    return _lattice(n_param, dim, *_lattice_rows(n_param, coords, masses))
 
 
-def _lattice(n_param: int, dim: int, coords, masses) -> LatticeMeasure:
+def _lattice_rows(n_param: int, coords, masses) -> tuple[np.ndarray, np.ndarray]:
     """The lattice builder on integer coordinate rows (an int64 array or
     anything that converts to one): check N and the box [-N^3, N^3]^dim,
-    merge coincident rows, check the masses."""
+    merge coincident rows, check the masses. Returns the int64 rows and
+    float64 masses, new arrays, that _lattice turns into a measure."""
     if n_param > MAX_LATTICE_N:
         raise ValidationError(f"N={n_param} above {MAX_LATTICE_N}: "
                               "coordinates up to N^3 must be exact floats",
@@ -299,8 +325,14 @@ def _lattice(n_param: int, dim: int, coords, masses) -> LatticeMeasure:
             f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
             field="coords")
     keys, masses = _merge(rows, masses)
-    masses = _check_masses(masses, renormalize=False)
-    return LatticeMeasure(n_param=n_param, dim=dim, coords=_tuples(keys),
+    return keys, _check_masses(masses, renormalize=False)
+
+
+def _lattice(n_param: int, dim: int, rows: np.ndarray,
+             masses: np.ndarray) -> LatticeMeasure:
+    """The LatticeMeasure of rows and masses checked by _lattice_rows: the
+    one place its tuple fields are made."""
+    return LatticeMeasure(n_param=n_param, dim=dim, coords=_tuples(rows),
                           masses=tuple(masses.tolist()))
 
 

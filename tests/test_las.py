@@ -35,6 +35,7 @@ from mdelab import (
     make_measure,
     median_split_pvf,
     ode_lift_pvf,
+    one_sided_ode_pvf,
     phi_diffusion_pvf,
     uniform_1d,
     wasserstein,
@@ -200,6 +201,48 @@ class TestStepMatchesEvaluate:
         assert traj.dim == 2 and traj.steps[-1].atom_count > 1
         for prev, nxt in zip(traj.steps, traj.steps[1:]):
             assert nxt == step_from_evaluate(prev, spec)
+
+
+def _cloud(seed, count, dim):
+    rng = random.Random(seed)
+    weights = [rng.uniform(0.2, 1.0) for _ in range(count)]
+    return make_measure([(tuple(rng.uniform(-0.9, 0.9) for _ in range(dim)),
+                          w / math.fsum(weights)) for w in weights])
+
+
+def _bits(steps):
+    return [(mu.n_param, mu.dim, mu.coords, [m.hex() for m in mu.masses])
+            for mu in steps]
+
+
+@pytest.mark.parametrize("mu0, spec, n", [
+    (dirac(0.1), constant_pvf([(-1.0, 0.5), (1.0, 0.5)]), 40),
+    # unsorted, with a repeated velocity, so the lift has to merge
+    (_cloud(1, 12, 1), constant_pvf([(0.5, 0.25), (-0.25, 0.25),
+                                      (0.5, 0.5)]), 20),
+    (_cloud(2, 15, 1), median_split_pvf(), 20),
+    (_cloud(3, 6, 1), phi_diffusion_pvf(linear_field(1.0, -0.5)), 20),
+    (_cloud(4, 20, 1), ode_lift_pvf(linear_field(-1.0)), 20),
+    (_cloud(5, 20, 1), one_sided_ode_pvf(), 20),
+    (_cloud(6, 20, 1), interaction_pvf(make_kernel("bounded_attraction")),
+     20),
+    (_cloud(7, 20, 2), ode_lift_pvf(linear_field(-1.0)), 20),
+    (_cloud(8, 20, 2), interaction_pvf(make_kernel("bump_alignment",
+                                                   range=0.5)), 20),
+], ids=["constant", "constant_unsorted", "median_split", "phi_diffusion",
+        "ode_lift", "one_sided_ode", "interaction", "ode_lift_2d",
+        "interaction_2d"])
+def test_solve_is_the_chain_of_public_steps(mu0, spec, n):
+    whole = las_solve(mu0, spec, n, 1.0)
+    chain = [whole.steps[0]]
+    for _ in range(n):
+        chain.append(las_step(chain[-1], spec))
+    assert _bits(whole.steps) == _bits(chain)
+    # a continuation from a LatticeMeasure concatenates bit for bit
+    first = las_solve(mu0, spec, n, 0.5)
+    second = las_solve(first.steps[-1], spec, n, 0.5)
+    assert _bits(first.steps + second.steps[1:]) == _bits(whole.steps)
+    assert second.initial_radius == first.steps[-1].support_radius()
 
 
 class TestSolve:

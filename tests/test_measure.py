@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdelab.measure import MAX_LATTICE_N, _merge, as_rows, radius
+from mdelab.measure import (MAX_LATTICE_N, _build, _increasing, _merge,
+                            as_rows, radius)
 from mdelab import (
     DiscreteMeasure,
     ValidationError,
@@ -123,6 +124,23 @@ class TestLattice:
         old_n, c = 2_097_151, 5_575_819_387_313_679_072
         assert (np.array([c]) / old_n ** 2)[0] != c / old_n ** 2
 
+    def test_mass_at_sums_the_rows_that_repeat_near_the_cap(self):
+        # distinct coordinates N^3 - d round to 318 distinct positions
+        n = MAX_LATTICE_N
+        weights = [1 + d % 3 for d in range(400)]
+        total = sum(weights)
+        lat = make_lattice_measure(n, 1, [((n ** 3 - d,), w / total)
+                                          for d, w in enumerate(weights)])
+        mu = lat.to_measure()
+        distinct = np.unique(mu.positions)
+        assert (mu.atom_count, len(distinct)) == (400, 318)
+        for x in distinct.tolist():
+            rows = [m for (p,), m in zip(mu.positions.tolist(),
+                                         mu.masses.tolist()) if p == x]
+            assert mu.mass_at(x) == math.fsum(rows)
+        assert math.fsum(mu.mass_at(x) for x in distinct.tolist()) == (
+            pytest.approx(1.0, abs=1e-12))
+
     def test_coordinates_beyond_int64_are_a_box_error(self):
         with pytest.raises(ValidationError) as err:
             make_lattice_measure(3, 1, [((2 ** 70,), 1.0)])
@@ -165,8 +183,16 @@ def key_rows(dim):
                      st.lists(floats, min_size=1, max_size=12))
 
 
-@given(st.sampled_from([1, 2]).flatmap(key_rows), st.data())
-@settings(max_examples=200, deadline=None)
+def sorted_key_rows(dim):
+    """Rows already sorted and distinct, which _merge returns without a
+    lexsort. Rows that differ only in the sign of a zero are equal to
+    set(), as to the merge, so one of them is kept."""
+    return key_rows(dim).map(lambda rows: sorted(set(rows)))
+
+
+@given(st.sampled_from([1, 2]).flatmap(key_rows)
+       | st.sampled_from([1, 2, 3]).flatmap(sorted_key_rows), st.data())
+@settings(max_examples=300, deadline=None)
 def test_array_merge_matches_the_dict_merge_bit_for_bit(rows, data):
     # masses over 600 decades, and signed zeros, whose pair sum fsum
     # gives as 0.0 where IEEE gives -0.0 + -0.0 = -0.0
@@ -179,6 +205,35 @@ def test_array_merge_matches_the_dict_merge_bit_for_bit(rows, data):
     # repr tells -0.0 from 0.0 and an int from a float
     assert repr([tuple(k) for k in keys.tolist()]) == repr(want_keys)
     assert [m.hex() for m in merged] == [m.hex() for m in want_masses]
+
+
+@pytest.mark.parametrize("rows, increasing", [
+    ([(-0.0, 1.0), (0.0, 2.0)], True),    # a tie defers to the next column
+    ([(-0.0,), (0.0,)], False),           # equal rows, signed zeros
+    ([(0.0, 1.0), (-0.0, 1.0)], False),
+    ([(1.0, math.nan), (2.0, 0.0)], True),
+    ([(math.nan,), (1.0,)], False),
+    ([(1, 5), (1, 5)], False),
+    ([(1, 5), (2, -7), (2, -6)], True),
+])
+def test_sorted_rows_are_decided_conservatively(rows, increasing):
+    assert _increasing(np.array(rows)) is increasing
+
+
+@pytest.mark.parametrize("rows", [[(0.5,), (1.0,)], [(1.0,), (0.5,)]],
+                         ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("lifted", [False, True], ids=["measure", "lifted"])
+def test_build_freezes_no_array_the_caller_holds(rows, lifted):
+    positions, masses = np.array(rows), np.array([0.25, 0.75])
+    velocities = np.zeros_like(positions) if lifted else None
+    mu = _build(positions, masses, velocities)
+    held = [positions, masses] + ([velocities] if lifted else [])
+    assert all(array.flags.writeable for array in held)
+    assert not any(getattr(mu, f).flags.writeable
+                   for f in ("positions", "masses"))
+    keys, merged = _merge(positions, masses)
+    assert not np.shares_memory(keys, positions)
+    assert not np.shares_memory(merged, masses)
 
 
 def test_pair_groups_sum_to_the_fsum_of_each_group():
