@@ -416,8 +416,8 @@ def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
     if not isinstance(kind, FiberCostKind):
         kind = FiberCostKind(kind)
     # atoms are already sorted by (position, velocity)
-    i, j, frag = map(np.array, zip(*_northwest(v1.masses.tolist(),
-                                               v2.masses.tolist())))
+    i, j, frag = map(np.array, _northwest(v1.masses.tolist(),
+                                          v2.masses.tolist()))
     x, y = v1.positions[i, 0], v2.positions[j, 0]
     dv = v1.velocities[i, 0] - v2.velocities[j, 0]
     if kind is FiberCostKind.FIBER:

@@ -134,9 +134,10 @@ def _round_to_polytope(flow: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     err_r = np.maximum(r - np.bincount(row_of, flow, len(r)), 0.0)
     err_c = np.maximum(c - np.bincount(col_of, flow, len(c)), 0.0)
     starts = np.cumsum(hi - lo) - (hi - lo)
-    for a, b, step in _northwest(err_r.tolist(), err_c.tolist(),
-                                 (lo.tolist(), hi.tolist())):
-        flow[starts[a] + b - lo[a]] += step
+    a, b, step = _northwest(err_r.tolist(), err_c.tolist(),
+                            (lo.tolist(), hi.tolist()))
+    a, b = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
+    flow[starts[a] + b - lo[a]] += step  # a sweep visits each cell once
     left = max(np.abs(r - np.bincount(row_of, flow, len(r))).max(),
                np.abs(c - np.bincount(col_of, flow, len(c))).max())
     if left > MARGINAL_TOL:

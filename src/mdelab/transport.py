@@ -9,12 +9,18 @@ Distance is the transportation LP optimum with Euclidean ground cost
   problem: by Birkhoff-von Neumann an optimal permutation is an optimal
   vertex, so `scipy.optimize.linear_sum_assignment` on the cost matrix
   gives an exact plan with m entries;
-- everything else runs a transportation simplex: northwest corner
-  start and tree duals. It enters the cell with the most negative
-  reduced cost (Dantzig's rule, first in lex order among ties), except
-  after a degenerate pivot (theta = 0), where it enters the first
-  negative cell in lex order (Bland's rule); the leaving cell is always
-  Bland's. A cycle of bases leaves the cost unchanged, so each of its
+- everything else runs a transportation simplex from the northwest
+  corner start. It keeps the basis tree (rows and columns as nodes,
+  basic cells as edges) between pivots as parent pointers from row 0,
+  with depths and duals. The entering cell's cycle is the two paths up
+  to the common ancestor, and only the subtree that the leaving cell
+  cuts off hangs again and gets new duals. A dual is cost minus its
+  parent's, fixed by the unique path from row 0, so each is the float
+  a recompute of the whole tree gives. It enters the cell with the most
+  negative reduced cost (Dantzig's rule, first in lex order among
+  ties), except after a degenerate pivot (theta = 0), where it enters
+  the first negative cell in lex order (Bland's rule); the leaving cell
+  is always Bland's. A cycle of bases leaves the cost unchanged, so each of its
   pivots is degenerate and follows a degenerate pivot: all of them run
   under Bland's rule, which cannot cycle. Every pivot sequence
   therefore terminates.
@@ -92,10 +98,12 @@ def validate_plan(plan: TransportPlan, mu: DiscreteMeasure,
 
 
 def _northwest(src: Sequence[float], tgt: Sequence[float],
-               band: tuple[Sequence[int], Sequence[int]] | None = None):
-    """Northwest-corner sweep over two mass lists: yields (i, k, delta)
-    as the monotone (quantile) coupling moves delta from source i to
-    target k, until either list runs out. Zero masses give zero moves.
+               band: tuple[Sequence[int], Sequence[int]] | None = None,
+               ) -> tuple[list[int], list[int], list[float]]:
+    """Northwest-corner sweep over two mass lists: the monotone
+    (quantile) coupling as lists (rows, cols, deltas), move j carrying
+    deltas[j] from source rows[j] to target cols[j], until either list
+    runs out. Zero masses give zero moves.
 
     With band = (lo, hi), both nondecreasing, source i may only move to
     targets in [lo[i], hi[i]): the sweep skips targets below lo[i] and
@@ -103,35 +111,38 @@ def _northwest(src: Sequence[float], tgt: Sequence[float],
     """
     src = list(src)
     tgt = list(tgt)
-    i = k = 0
-    while i < len(src) and k < len(tgt):
-        if band is not None:
-            if k < band[0][i]:
-                k = band[0][i]
+    m, n = len(src), len(tgt)
+    lo, hi = band if band is not None else ([0] * m, [n] * m)
+    rows, cols, deltas = [], [], []
+    i, k, top = 0, lo[0], hi[0]  # top: hi of the current source
+    while True:
+        if k < top:
+            s, t = src[i], tgt[k]
+            rows.append(i)
+            cols.append(k)
+            if s > t:
+                deltas.append(t)
+                src[i] = s - t
+                k += 1
                 continue
-            if k >= band[1][i]:
-                i += 1
-                continue
-        delta = min(src[i], tgt[k])
-        yield i, k, delta
-        if src[i] == tgt[k]:
-            i += 1
-            k += 1
-        elif src[i] < tgt[k]:
-            tgt[k] -= src[i]
-            i += 1
-        else:
-            src[i] -= tgt[k]
-            k += 1
+            deltas.append(s)
+            if s == t:
+                k += 1
+            else:
+                tgt[k] = t - s
+        i += 1
+        if i == m or k == n:
+            return rows, cols, deltas
+        k, top = max(k, lo[i]), hi[i]
 
 
 def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     # positions are already sorted lexicographically = numerically in 1D
-    entries = tuple(_northwest(mu.masses.tolist(), nu.masses.tolist()))
-    x, y = mu.positions[:, 0].tolist(), nu.positions[:, 0].tolist()
-    cost = math.fsum(delta * abs(x[i] - y[k]) for i, k, delta in entries)
+    rows, cols, deltas = _northwest(mu.masses.tolist(), nu.masses.tolist())
+    gaps = np.abs(mu.positions[rows, 0] - nu.positions[cols, 0])
+    cost = math.fsum((np.array(deltas) * gaps).tolist())
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
-                         entries=entries, cost=cost)
+                         entries=tuple(zip(rows, cols, deltas)), cost=cost)
 
 
 def _cost_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -157,28 +168,43 @@ def _assignment(cost: np.ndarray, w: float) -> TransportPlan:
                          entries=entries, cost=total)
 
 
+def _pivot_budget(m: int, n: int) -> int:
+    """Pivots the transportation simplex may take on an m x n instance."""
+    return 200000 + 200 * (m + n) ** 2
+
+
 class _Simplex:
-    """Transportation simplex state: basis tree, flows, duals."""
+    """Transportation simplex state: flows of the basic cells, and their
+    spanning tree over nodes 0..m-1 (rows) and m..m+n-1 (columns),
+    rooted at row 0, as parent pointers with depths and duals."""
 
     def __init__(self, cost: np.ndarray, row_masses: Sequence[float],
                  col_masses: Sequence[float]):
         self.m, self.n = cost.shape
         self.cost = cost
+        self.c = cost.tolist()
         self.tol = _PIVOT_TOL_SCALE * (1.0 + float(self.cost.max(initial=0.0)))
         self.flow: dict[tuple[int, int], float] = {}
-        self.row_adj: list[set[int]] = [set() for _ in range(self.m)]
-        self.col_adj: list[set[int]] = [set() for _ in range(self.n)]
+        self.adj: list[set[int]] = [set() for _ in range(self.m + self.n)]
         self._northwest(list(row_masses), list(col_masses))
+        self.parent = [-1] * (self.m + self.n)
+        self.depth = [0] * (self.m + self.n)
+        self.dual = [0.0] * (self.m + self.n)  # u = dual[:m], v = dual[m:]
+        self._hang(0, -1)
 
     def _add(self, i: int, k: int, w: float) -> None:
         self.flow[(i, k)] = w
-        self.row_adj[i].add(k)
-        self.col_adj[k].add(i)
+        self.adj[i].add(self.m + k)
+        self.adj[self.m + k].add(i)
 
     def _drop(self, i: int, k: int) -> None:
         del self.flow[(i, k)]
-        self.row_adj[i].discard(k)
-        self.col_adj[k].discard(i)
+        self.adj[i].discard(self.m + k)
+        self.adj[self.m + k].discard(i)
+
+    def _cell(self, a: int, b: int) -> tuple[int, int]:
+        """The cell of the tree edge between nodes a and b."""
+        return (a, b - self.m) if a < self.m else (b, a - self.m)
 
     def _northwest(self, src: list[float], tgt: list[float]) -> None:
         # exactly m+n-1 basic cells: every step advances one index
@@ -201,79 +227,58 @@ class _Simplex:
             else:
                 i += 1  # simultaneous exhaustion keeps a zero basic cell
 
-    def _duals(self) -> tuple[np.ndarray, np.ndarray]:
-        u = np.full(self.m, np.nan)
-        v = np.full(self.n, np.nan)
-        u[0] = 0.0
-        stack: list[tuple[bool, int]] = [(True, 0)]
+    def _hang(self, top: int, parent: int) -> None:
+        """Hang the subtree of node top from parent (-1: top is the
+        root) and set the parents, depths and duals in it."""
+        m, c, adj = self.m, self.c, self.adj
+        up, depth, dual = self.parent, self.depth, self.dual
+        up[top] = parent
+        stack = [top]
         while stack:
-            is_row, idx = stack.pop()
-            if is_row:
-                for k in self.row_adj[idx]:
-                    if math.isnan(v[k]):
-                        v[k] = self.cost[idx, k] - u[idx]
-                        stack.append((False, k))
-            else:
-                for i in self.col_adj[idx]:
-                    if math.isnan(u[i]):
-                        u[i] = self.cost[i, idx] - v[idx]
-                        stack.append((True, i))
-        if np.isnan(u).any() or np.isnan(v).any():
-            raise NumericalError("transport basis lost connectivity")
-        return u, v
+            a = stack.pop()
+            p = up[a]
+            if p >= 0:
+                depth[a] = depth[p] + 1
+                dual[a] = (c[a][p - m] if a < m else c[p][a - m]) - dual[p]
+            for b in adj[a]:
+                if b != p:
+                    up[b] = a
+                    stack.append(b)
 
-    def _cycle(self, enter_i: int, enter_k: int) -> list[tuple[int, int]]:
-        """Unique basis-tree path from column enter_k back to row enter_i."""
-        parent: dict[tuple[bool, int], tuple[bool, int]] = {}
-        start = (False, enter_k)
-        goal = (True, enter_i)
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            nxt = []
-            for node in frontier:
-                is_row, idx = node
-                neighbors = (self.row_adj[idx] if is_row
-                             else self.col_adj[idx])
-                for other in neighbors:
-                    child = (not is_row, other)
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                    parent[child] = node
-                    if child == goal:
-                        nxt = []
-                        frontier = []
-                        break
-                    nxt.append(child)
-                else:
-                    continue
-                break
+    def _cycle(self, i: int, k: int) -> tuple[list[tuple[int, int]], int]:
+        """The entering cell (i, k), then the tree path from row i to
+        column k; and how many of its cells lie on row i's side of the
+        two endpoints' common ancestor."""
+        a, b = i, self.m + k
+        up_a, up_b = [], []
+        while a != b:
+            if self.depth[a] >= self.depth[b]:
+                up_a.append(self._cell(a, self.parent[a]))
+                a = self.parent[a]
             else:
-                frontier = nxt
-        path_nodes = [goal]
-        while path_nodes[-1] != start:
-            path_nodes.append(parent[path_nodes[-1]])
-        cells = [(enter_i, enter_k)]
-        for a, b in zip(path_nodes, path_nodes[1:]):
-            (a_row, a_idx), (b_row, b_idx) = a, b
-            cells.append((a_idx, b_idx) if a_row else (b_idx, a_idx))
-        return cells
+                up_b.append(self._cell(b, self.parent[b]))
+                b = self.parent[b]
+        return [(i, k)] + up_a + up_b[::-1], len(up_a)
 
     def solve(self) -> None:
-        max_pivots = 200000 + 200 * (self.m + self.n) ** 2
+        budget = _pivot_budget(self.m, self.n)
         bland = False  # Bland's entering rule right after a degenerate pivot
-        for _ in range(max_pivots):
-            u, v = self._duals()
-            reduced = self.cost - u[:, None] - v[None, :]
+        for done in range(budget + 1):
+            dual = np.array(self.dual)
+            reduced = self.cost - dual[:self.m, None] - dual[None, self.m:]
             negative = reduced < -self.tol
             if not negative.any():
                 return
+            if done == budget:
+                raise NumericalError(
+                    f"transportation simplex on m x n = {self.m} x {self.n} "
+                    f"cells: {done} pivots done of a budget of {budget}, "
+                    f"and the basis is still not optimal")
             # Bland: first negative cell in lex order; Dantzig: most
             # negative cell, first in lex order among ties
             flat = np.argmax(negative) if bland else np.argmin(reduced)
             enter_i, enter_k = divmod(int(flat), self.n)
-            cycle = self._cycle(enter_i, enter_k)
+            cycle, row_side = self._cycle(enter_i, enter_k)
             donors = cycle[1::2]
             theta = min(self.flow[c] for c in donors)
             bland = theta == 0.0
@@ -282,7 +287,11 @@ class _Simplex:
             for pos, cell in enumerate(cycle):
                 self.flow[cell] += theta if pos % 2 == 0 else -theta
             self._drop(*leaving)
-        raise NumericalError("transportation simplex exceeded pivot budget")
+            # the leaving cell cuts off the subtree holding the entering
+            # endpoint on its side of the cycle; it hangs from the other
+            ends = (enter_i, self.m + enter_k)
+            row_end = cycle.index(leaving) <= row_side
+            self._hang(*(ends if row_end else ends[::-1]))
 
     def plan(self) -> TransportPlan:
         entries = tuple(sorted((i, k, w) for (i, k), w in self.flow.items()

@@ -5,9 +5,13 @@ coupling, against brute-force enumeration over permutation couplings,
 and against hand-derived instances frozen below. The assignment regime
 (m vs m atoms of one bit-equal mass) is cross-checked against the
 simplex and against an independent assignment on a numpy cost matrix.
+The simplex's kept basis tree is checked against a breadth-first
+recompute from row 0, and a digest pins 54 seeded plans of every solver.
 """
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,10 +27,13 @@ from mdelab import (
     kr_dual_gap,
     make_measure,
     plan_is_optimal,
+    transport,
     validate_plan,
     wasserstein,
 )
-from mdelab.transport import _cost_matrix
+from mdelab.cli import main
+from mdelab.measure import measure_to_dict
+from mdelab.transport import _cost_matrix, _Simplex
 
 
 def test_two_diracs():
@@ -263,3 +270,145 @@ def test_cost_matrix_is_math_dist_bit_for_bit(dim):
             for p in rows.tolist()]
     got = _cost_matrix(rows, cols).tolist()
     assert [[v.hex() for v in row] for row in got] == want
+
+
+@st.composite
+def grid_measure(draw, dim, max_atoms):
+    # positions on multiples of 1/4 and masses in {1, 2, 3, 4}/total:
+    # tied costs and degenerate pivots
+    k = draw(st.integers(1, max_atoms))
+    raw = [(tuple(0.25 * draw(st.integers(-4, 4)) for _ in range(dim)),
+            draw(st.integers(1, 4))) for _ in range(k)]
+    total = sum(w for _, w in raw)
+    return make_measure([(p, w / total) for p, w in raw], dim=dim)
+
+
+def _bfs_duals(cells, m, n, cost):
+    """Duals from scratch: breadth-first from row 0 over the basic cells,
+    u_i = c_ik - v_k and v_k = c_ik - u_i. The oracle for the tree."""
+    adj = [[] for _ in range(m + n)]
+    for i, k in cells:
+        adj[i].append(m + k)
+        adj[m + k].append(i)
+    dual = [None] * (m + n)
+    dual[0] = 0.0
+    queue = [0]
+    for a in queue:
+        for b in adj[a]:
+            if dual[b] is None:
+                i, k = (a, b - m) if a < m else (b, a - m)
+                dual[b] = cost[i][k] - dual[a]
+                queue.append(b)
+    return dual
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_simplex_tree_invariants(data):
+    dim = data.draw(st.integers(1, 3))
+    draw_measure = st.one_of(random_measure(dim, 10), grid_measure(dim, 10))
+    mu, nu = data.draw(draw_measure), data.draw(draw_measure)
+    solver = _Simplex(_cost_matrix(mu.positions, nu.positions),
+                      mu.masses.tolist(), nu.masses.tolist())
+    solver.solve()
+    m, n = solver.m, solver.n
+    assert solver.parent[0] == -1 and solver.depth[0] == 0
+    for node in range(1, m + n):
+        up = solver.parent[node]
+        assert solver.depth[node] == solver.depth[up] + 1
+        for _ in range(m + n):  # row 0 within m + n steps
+            if up == 0:
+                break
+            up = solver.parent[up]
+        assert up == 0
+    edges = {solver._cell(a, solver.parent[a]) for a in range(1, m + n)}
+    assert edges == set(solver.flow) and len(edges) == m + n - 1
+    oracle = _bfs_duals(solver.flow, m, n, solver.cost.tolist())
+    assert [d.hex() for d in solver.dual] == [d.hex() for d in oracle]
+
+
+def test_pivot_budget_error_names_its_work(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(9)
+    files = []
+    for name, count in (("mu", 6), ("nu", 7)):
+        path = tmp_path / f"{name}.json"
+        cloud = _planar_cloud(rng, [1.0 / count] * count)
+        path.write_text(json.dumps(measure_to_dict(cloud)), encoding="utf-8")
+        files.append(str(path))
+    # every pivot re-hangs one subtree; the start hangs the whole tree
+    hangs = []
+    hang = _Simplex._hang
+    monkeypatch.setattr(_Simplex, "_hang",
+                        lambda self, *a: hangs.append(a) or hang(self, *a))
+    assert main(["dist", *files]) == 0
+    capsys.readouterr()
+    pivots = len(hangs) - 1
+    assert pivots > 1
+    # a budget of exactly the pivots needed is enough, one fewer is not
+    for budget, code in ((pivots, 0), (pivots - 1, 3), (1, 3)):
+        monkeypatch.setattr(transport, "_pivot_budget", lambda m, n: budget)
+        assert main(["dist", *files]) == code
+        if code == 0:
+            capsys.readouterr()
+            continue
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "numerical"
+        assert err["message"] == (
+            f"transportation simplex on m x n = 6 x 7 cells: {budget} "
+            f"pivots done of a budget of {budget}, and the basis is still "
+            f"not optimal")
+
+
+def _pinned_masses(rng, count, grid):
+    raw = (rng.integers(1, 5, count).astype(float) if grid
+           else rng.uniform(0.2, 1.0, count))
+    return (raw / raw.sum()).tolist()
+
+
+def _pinned_cloud(rng, count, dim, grid=False, masses=None):
+    # grid clouds sit on multiples of 1/4 with masses in {1, 2, 3, 4}/total:
+    # coincident atoms merge, and costs and masses tie often
+    pos = (rng.integers(-4, 5, (count, dim)) * 0.25 if grid
+           else rng.uniform(-1.0, 1.0, (count, dim)))
+    masses = masses or _pinned_masses(rng, count, grid)
+    return make_measure(list(zip(map(tuple, pos.tolist()), masses)), dim=dim)
+
+
+def _pinned_plans():
+    rng = np.random.default_rng(1414)
+    plans = []
+    for dim in (1, 2, 3):
+        for m, n in ((2, 3), (5, 4), (9, 12), (17, 14), (1, 6), (7, 1)):
+            mu, nu = _pinned_cloud(rng, m, dim), _pinned_cloud(rng, n, dim)
+            plans.append(wasserstein(mu, nu, method="simplex").plan)
+        for m, n in ((6, 6), (12, 10), (20, 23), (1, 5), (8, 1)):
+            mu = _pinned_cloud(rng, m, dim, grid=True)
+            nu = _pinned_cloud(rng, n, dim, grid=True)
+            plans.append(wasserstein(mu, nu, method="simplex").plan)
+        for m in (4, 11, 25):
+            mu = _pinned_cloud(rng, m, dim, masses=[1.0 / m] * m)
+            nu = _pinned_cloud(rng, m, dim, masses=[1.0 / m] * m)
+            plans.append(wasserstein(mu, nu, method="simplex").plan)
+    for m, n in ((3, 5), (40, 33), (1, 9), (9, 1), (200, 150)):
+        plans.append(wasserstein(_pinned_cloud(rng, m, 1),
+                                 _pinned_cloud(rng, n, 1)).plan)
+        plans.append(wasserstein(_pinned_cloud(rng, m, 1, grid=True),
+                                 _pinned_cloud(rng, n, 1, grid=True)).plan)
+    for m in (5, 64):
+        mu = _pinned_cloud(rng, m, 1, masses=[1.0 / m] * m)
+        nu = _pinned_cloud(rng, m, 1, masses=[1.0 / m] * m)
+        plans.append(wasserstein(mu, nu).plan)
+    return plans
+
+
+def test_plans_are_pinned():
+    # 54 seeded plans: the forced simplex in 1D-3D on unequal, quarter-grid
+    # and equal masses, 1 x n and m x 1 shapes, and 1D monotone plans. The
+    # digest was taken once from the solvers before their rewrite to a
+    # kept basis tree and a flat sweep; any change to a pivot, an entry or
+    # a cost changes it.
+    plans = _pinned_plans()
+    assert len(plans) == 54
+    text = repr([(plan.entries, plan.cost) for plan in plans])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3244375fb0c28ed7ced6210395bbbce2710088b1fa145fd50300b653d2e09530")
