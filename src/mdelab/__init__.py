@@ -46,6 +46,7 @@ from .fiber_metric import (
     constrained_fiber_cost,
     fiber_convolution,
     induced_base_plan,
+    monotone_fiber_cost_1d,
     neutral_element,
     scalar_action,
     tangent_wasserstein,
@@ -102,7 +103,6 @@ from .analysis import (
     distributional_residual,
     gronwall_check,
     max_family_residual,
-    monotone_fiber_cost_1d,
     oracle,
     semigroup_check,
     step_displacement_check,

@@ -3,8 +3,8 @@
 Everything here measures, it never steers: weak-form residuals against
 smooth compactly supported bumps, closed-form reference solutions for
 the cataloged vector fields, convergence studies over a grid of lattice
-resolutions, semigroup and stability checks, and a monotone-coupling
-evaluator for one-dimensional fiber costs.
+resolutions, and semigroup and stability checks. The 1D monotone
+fiber-cost evaluator is in fiber_metric, beside the LP it bounds.
 
 Error accounting is explicit: oracles for absolutely continuous
 solutions are discretized with M atoms (default 200) and carry an
@@ -22,13 +22,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ValidationError
-from .fiber_metric import FiberCostKind
 from .las import Trajectory, ax_discretize, interpolate, las_solve
-from .measure import DiscreteMeasure, LiftedMeasure, _build, as_rows, dirac, \
-    make_measure, push_forward, support_radius, uniform_1d
-from .pvf import (PvfSpec, VelocityField, _horner, lift,
-                  sublinear_constant)
-from .transport import _northwest, wasserstein
+from .measure import DiscreteMeasure, _build, as_rows, dirac, make_measure, \
+    push_forward, support_radius, uniform_1d
+from .pvf import PvfSpec, VelocityField, _horner, lift, sublinear_constant
+from .transport import wasserstein
 
 ORACLE_ATOMS_DEFAULT = 200
 SAMPLE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -45,6 +43,12 @@ class TestFunction:
 
     center: tuple[float, ...]
     radius: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValidationError(
+                f"bump radius must be finite and > 0, got {self.radius!r}",
+                field="radius")
 
     def value(self, x) -> float:
         u = math.fsum((a - b) ** 2 for a, b in
@@ -142,23 +146,40 @@ def _mean(f: TestFunction, mu: DiscreteMeasure) -> float:
                      zip(mu.positions.tolist(), mu.masses.tolist()))
 
 
-def _residuals(flow, family, t: float) -> list[float]:
-    """Weak residual of each test function in the family; the field is
-    evaluated once per time node and shared across the family."""
+def _residuals(flow, family, t: float, a_coeffs=(1.0,)) -> list[float]:
+    """Residual of each test function f of the family against the
+    space-time test a(s) f(x) of distributional_residual, a the
+    polynomial a_coeffs. The field is evaluated once per time node and
+    shared across the family; int f dmu(s) is taken where a'(s) != 0."""
     if isinstance(flow, Trajectory):
         horizon = (len(flow.steps) - 1) / flow.config.n_param
         if t > horizon + 1e-12:
             raise ValidationError(
                 f"t={t!r} beyond trajectory horizon {horizon!r}", field="t")
-    nodes = _time_grid(flow, t)
-    lifteds = [_lifted_arrays(flow, _measure_at(flow, s)) for s in nodes]
     mu_start = _measure_at(flow, 0.0)
+    for f in family:
+        if len(f.center) != mu_start.dim:
+            raise ValidationError(
+                f"test function center {f.center!r} is not a point of "
+                f"the flow's {mu_start.dim}D space", field="center")
+    a_coeffs = tuple(float(c) for c in a_coeffs)
+    da = tuple(i * c for i, c in enumerate(a_coeffs))[1:] or (0.0,)
+    nodes = _time_grid(flow, t)
+    measures = [_measure_at(flow, s) for s in nodes]
+    lifteds = [_lifted_arrays(flow, mu) for mu in measures]
+    weights = [(_horner(da, s), _horner(a_coeffs, s)) for s in nodes]
     mu_end = _measure_at(flow, t)
     residuals = []
     for f in family:
-        fluxes = [_lifted_flux(*lifted, f) for lifted in lifteds]
-        rhs = _mean(f, mu_start) + _trapezoid(nodes, fluxes)
-        residuals.append(abs(_mean(f, mu_end) - rhs))
+        integrand = []
+        for (slope, a), mu, lifted in zip(weights, measures, lifteds):
+            flux = a * _lifted_flux(*lifted, f)
+            integrand.append(flux if slope == 0.0 else
+                             slope * _mean(f, mu) + flux)
+        lhs = _horner(a_coeffs, t) * _mean(f, mu_end)
+        rhs = (_horner(a_coeffs, 0.0) * _mean(f, mu_start)
+               + _trapezoid(nodes, integrand))
+        residuals.append(abs(lhs - rhs))
     return residuals
 
 
@@ -174,20 +195,7 @@ def distributional_residual(flow, f: TestFunction,
     """Residual for the separable space-time test g(s, x) = a(s) f(x)
     with a a polynomial: a(t) int f dmu(t) - a(0) int f dmu(0)
     - int_0^t [a'(s) int f dmu(s) + a(s) flux(s)] ds."""
-    a_coeffs = tuple(float(c) for c in a_coeffs)
-    da = tuple(i * c for i, c in enumerate(a_coeffs))[1:] or (0.0,)
-
-    nodes = _time_grid(flow, t)
-    integrand = []
-    for s in nodes:
-        mu_s = _measure_at(flow, s)
-        integrand.append(_horner(da, s) * _mean(f, mu_s) +
-                         _horner(a_coeffs, s) *
-                         _lifted_flux(*_lifted_arrays(flow, mu_s), f))
-    lhs = _horner(a_coeffs, t) * _mean(f, _measure_at(flow, t))
-    rhs = (_horner(a_coeffs, 0.0) * _mean(f, _measure_at(flow, 0.0)) +
-           _trapezoid(nodes, integrand))
-    return abs(lhs - rhs)
+    return _residuals(flow, [f], t, a_coeffs)[0]
 
 
 def max_family_residual(flow, t: float, reach: float | None = None) -> float:
@@ -398,32 +406,3 @@ def uniqueness_proxy(spec: PvfSpec, mu0: DiscreteMeasure, oracle_ref,
     for this initial datum at the stated tolerance."""
     report = convergence_study(spec, mu0, oracle_ref, horizon, [n, 2 * n])
     return all(err <= tol for _, err, _ in report.entries)
-
-
-# ---------------------------------------------------------------------------
-# monotone evaluator for 1D fiber costs
-
-def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
-                           kind: FiberCostKind = FiberCostKind.FIBER,
-                           ) -> float:
-    """Fiber cost under the quantile coupling that is monotone in
-    position, and within tied positions monotone in velocity. An upper
-    bound for the constrained LP optimum in general; equal to it when
-    the monotone plan is the unique optimal base plan."""
-    if v1.dim != 1 or v2.dim != 1:
-        raise ValidationError("monotone evaluator is one-dimensional only",
-                              field="dim")
-    if not isinstance(kind, FiberCostKind):
-        kind = FiberCostKind(kind)
-    # atoms are already sorted by (position, velocity)
-    i, j, frag = map(np.array, _northwest(v1.masses.tolist(),
-                                          v2.masses.tolist()))
-    x, y = v1.positions[i, 0], v2.positions[j, 0]
-    dv = v1.velocities[i, 0] - v2.velocities[j, 0]
-    if kind is FiberCostKind.FIBER:
-        cost = np.abs(dv)
-    elif kind is FiberCostKind.COMBINED:
-        cost = np.abs(x - y) + np.abs(dv)
-    else:
-        cost = np.where(x == y, 0.0, dv * np.copysign(1.0, x - y))
-    return math.fsum((frag * cost).tolist())

@@ -17,6 +17,8 @@ In nD stage 2 first solves the base W*, then relaxes base optimality to
 holds automatically, so the feasible region is the near-optimal-plan
 polytope.
 
+One array integrand (_integrand) prices the cells of both LPs and the
+moves of the 1D monotone plan that monotone_fiber_cost_1d evaluates.
 The one_sided integrand <v-w, x-y>/|x-y| is defined as 0 when x = y.
 The two-stage value need not satisfy the triangle inequality; that is a
 feature of the quantity, not a solver defect, and tests assert a
@@ -37,8 +39,8 @@ from scipy.optimize import linprog
 from .errors import NumericalError, ValidationError
 from .measure import (DiscreteMeasure, LiftedMeasure, _build, _group_sums,
                       as_rows, base_marginal, norms)
-from .transport import (TransportPlan, _check_coupling, _cost_matrix,
-                        _northwest, _plan_cost, wasserstein)
+from .transport import (TransportPlan, _check_coupling, _northwest,
+                        _plan_cost, wasserstein)
 
 BASE_OPT_REL_TOL = 1e-7      # nD stage-2 constraint slack: W* + 1e-7*(1+W*)
 MARGINAL_TOL = 1e-10
@@ -200,45 +202,25 @@ def _face_band(v1: LiftedMeasure, v2: LiftedMeasure,
     return lo, hi, degenerate
 
 
-def _one_sided_cost(v, w, x, y) -> float:
-    if x == y:
-        return 0.0
-    num = math.fsum((vc - wc) * (xc - yc)
-                    for vc, wc, xc, yc in zip(v, w, x, y))
-    return num / math.dist(x, y)
-
-
-def _objective_1d(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
-                  col_of: np.ndarray, kind: FiberCostKind,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(base distance, objective) on the given cells; in 1D these equal
-    math.dist and _one_sided_cost bit for bit."""
-    gap = v1.positions[row_of, 0] - v2.positions[col_of, 0]
-    dv = v1.velocities[row_of, 0] - v2.velocities[col_of, 0]
-    base_dist = np.abs(gap)
+def _integrand(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
+               col_of: np.ndarray, kind: FiberCostKind,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(base distance, integrand of the kind) on the cells (row_of[j],
+    col_of[j]). Distances are math.dist's, and <v - w, x - y> is one
+    math.fsum per cell in 2D and up."""
+    gap = v1.positions[row_of] - v2.positions[col_of]
+    dv = v1.velocities[row_of] - v2.velocities[col_of]
+    base_dist = norms(gap)
     if kind is FiberCostKind.FIBER:
-        return base_dist, np.abs(dv)
+        return base_dist, norms(dv)
     if kind is FiberCostKind.COMBINED:
-        return base_dist, base_dist + np.abs(dv)
-    objective = np.zeros(len(gap))
-    np.divide(dv * gap, base_dist, out=objective, where=base_dist > 0.0)
+        return base_dist, base_dist + norms(dv)
+    prod = dv * gap
+    dot = (prod[:, 0] if prod.shape[1] == 1 else
+           np.fromiter(map(math.fsum, prod.tolist()), float, len(prod)))
+    objective = np.zeros(len(dot))
+    np.divide(dot, base_dist, out=objective, where=base_dist > 0.0)
     return base_dist, objective
-
-
-def _objective_nd(v1: LiftedMeasure, v2: LiftedMeasure,
-                  kind: FiberCostKind) -> tuple[np.ndarray, np.ndarray]:
-    """(base distance, objective) on every pair, row-major."""
-    base_dist = _cost_matrix(v1.positions, v2.positions)
-    if kind is FiberCostKind.ONE_SIDED:
-        atoms2 = list(zip(v2.positions.tolist(), v2.velocities.tolist()))
-        objective = np.array([[_one_sided_cost(v, w, x, y) for y, w in atoms2]
-                              for x, v in zip(v1.positions.tolist(),
-                                              v1.velocities.tolist())])
-    else:
-        objective = _cost_matrix(v1.velocities, v2.velocities)
-        if kind is FiberCostKind.COMBINED:
-            objective = base_dist + objective
-    return base_dist.ravel(), objective.ravel()
 
 
 def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
@@ -278,13 +260,12 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
     row_of, col_of = _band_cells(lo, hi)
     options = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
+    base_dist, objective = _integrand(v1, v2, row_of, col_of, kind)
     if v1.dim == 1:
-        base_dist, objective = _objective_1d(v1, v2, row_of, col_of, kind)
         # presolve removes nothing from a transportation LP, and takes
         # about 40% of the solve at a few thousand variables
         lp_args = {"options": {**options, "presolve": False}}
     else:
-        base_dist, objective = _objective_nd(v1, v2, kind)
         w_star = wasserstein(base_marginal(v1), base_marginal(v2)).distance
         lp_args = {"A_ub": base_dist.reshape(1, -1),
                    "b_ub": [w_star + BASE_OPT_REL_TOL * (1.0 + w_star)],
@@ -315,6 +296,25 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
                       fiber_cost=fiber_cost, allowed_pairs=n_vars,
                       degenerate_base=degenerate)
     return math.fsum(weights * objective[keep]), plan
+
+
+def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
+                           kind: FiberCostKind = FiberCostKind.FIBER,
+                           ) -> float:
+    """Fiber cost under the quantile coupling that is monotone in
+    position, and within tied positions monotone in velocity. An upper
+    bound for the constrained LP optimum in general; equal to it when
+    the monotone plan is the unique optimal base plan."""
+    if v1.dim != 1 or v2.dim != 1:
+        raise ValidationError("monotone evaluator is one-dimensional only",
+                              field="dim")
+    if not isinstance(kind, FiberCostKind):
+        kind = FiberCostKind(kind)
+    # atoms are already sorted by (position, velocity)
+    rows, cols, deltas = map(np.array, _northwest(v1.masses.tolist(),
+                                                  v2.masses.tolist()))
+    _, cost = _integrand(v1, v2, rows, cols, kind)
+    return math.fsum((deltas * cost).tolist())
 
 
 def tangent_wasserstein(v1: LiftedMeasure, v2: LiftedMeasure) -> float:

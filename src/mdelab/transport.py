@@ -9,21 +9,23 @@ Distance is the transportation LP optimum with Euclidean ground cost
   problem: by Birkhoff-von Neumann an optimal permutation is an optimal
   vertex, so `scipy.optimize.linear_sum_assignment` on the cost matrix
   gives an exact plan with m entries;
-- everything else runs a transportation simplex from the northwest
-  corner start. It keeps the basis tree (rows and columns as nodes,
-  basic cells as edges) between pivots as parent pointers from row 0,
-  with depths and duals. The entering cell's cycle is the two paths up
-  to the common ancestor, and only the subtree that the leaving cell
-  cuts off hangs again and gets new duals. A dual is cost minus its
-  parent's, fixed by the unique path from row 0, so each is the float
-  a recompute of the whole tree gives. It enters the cell with the most
-  negative reduced cost (Dantzig's rule, first in lex order among
-  ties), except after a degenerate pivot (theta = 0), where it enters
-  the first negative cell in lex order (Bland's rule); the leaving cell
-  is always Bland's. A cycle of bases leaves the cost unchanged, so each of its
-  pivots is degenerate and follows a degenerate pivot: all of them run
-  under Bland's rule, which cannot cycle. Every pivot sequence
-  therefore terminates.
+- everything else runs a transportation simplex. It starts from the
+  1D sweep's moves, with a zero cell after each move where both masses
+  run out together and zero cells from the last move on to the last
+  cell: a basis of m + n - 1 cells. It keeps the basis tree (rows and
+  columns as nodes, basic cells as edges) between pivots as parent
+  pointers from row 0, with depths and duals. The entering cell's cycle
+  is the two paths up to the common ancestor, and only the subtree that
+  the leaving cell cuts off hangs again and gets new duals. A dual is
+  cost minus its parent's, fixed by the unique path from row 0, so each
+  is the float a recompute of the whole tree gives. It enters the cell
+  with the most negative reduced cost (Dantzig's rule, first in lex
+  order among ties), except after a degenerate pivot (theta = 0), where
+  it enters the first negative cell in lex order (Bland's rule); the
+  leaving cell is always Bland's. A cycle of bases leaves the cost
+  unchanged, so each of its pivots is degenerate and follows a
+  degenerate pivot: all of them run under Bland's rule, which cannot
+  cycle. Every pivot sequence therefore terminates.
 
 Every returned plan is a vertex of the transportation polytope (at most
 rows+cols-1 entries).
@@ -186,7 +188,15 @@ class _Simplex:
         self.tol = _PIVOT_TOL_SCALE * (1.0 + float(self.cost.max(initial=0.0)))
         self.flow: dict[tuple[int, int], float] = {}
         self.adj: list[set[int]] = [set() for _ in range(self.m + self.n)]
-        self._northwest(list(row_masses), list(col_masses))
+        rows, cols, deltas = _northwest(row_masses, col_masses)
+        for j, (i, k) in enumerate(zip(rows, cols)):
+            if j and (rows[j - 1], cols[j - 1]) == (i - 1, k - 1):
+                self._add(i, k - 1, 0.0)
+            self._add(i, k, deltas[j])
+        for r in range(i + 1, self.m):
+            self._add(r, k, 0.0)
+        for c in range(k + 1, self.n):
+            self._add(i, c, 0.0)
         self.parent = [-1] * (self.m + self.n)
         self.depth = [0] * (self.m + self.n)
         self.dual = [0.0] * (self.m + self.n)  # u = dual[:m], v = dual[m:]
@@ -205,27 +215,6 @@ class _Simplex:
     def _cell(self, a: int, b: int) -> tuple[int, int]:
         """The cell of the tree edge between nodes a and b."""
         return (a, b - self.m) if a < self.m else (b, a - self.m)
-
-    def _northwest(self, src: list[float], tgt: list[float]) -> None:
-        # exactly m+n-1 basic cells: every step advances one index
-        i = k = 0
-        while True:
-            delta = min(src[i], tgt[k])
-            self._add(i, k, delta)
-            src[i] -= delta
-            tgt[k] -= delta
-            if i == self.m - 1 and k == self.n - 1:
-                break
-            if i == self.m - 1:
-                k += 1
-            elif k == self.n - 1:
-                i += 1
-            elif src[i] == 0.0 and tgt[k] > 0.0:
-                i += 1
-            elif tgt[k] == 0.0 and src[i] > 0.0:
-                k += 1
-            else:
-                i += 1  # simultaneous exhaustion keeps a zero basic cell
 
     def _hang(self, top: int, parent: int) -> None:
         """Hang the subtree of node top from parent (-1: top is the

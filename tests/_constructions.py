@@ -7,11 +7,18 @@ translate by 1/(24 m^2), and on each the velocity x -> sin(2 pi x / Var)
 with Var the variance of that discrete measure. Under the monotone
 (shift) coupling the fiber integrand is |sin - sin(. + half period)| =
 2|sin|, whose mean is 4/pi.
+
+RUN_TABLE holds the lattice runs of acceptance criteria 1-4 as (PVF,
+initial measure, N grid, horizon); criteria 8-10 audit them again, and
+the residual pin of test_analysis.py runs each at its coarsest N.
 """
 
 import math
 
-from mdelab import DiscreteMeasure, LiftedMeasure, make_lifted, make_measure
+from mdelab import (DiscreteMeasure, LiftedMeasure, constant_pvf, dirac,
+                    make_lifted, make_measure, median_split_pvf, ode_lift_pvf,
+                    uniform_1d)
+from mdelab.pvf import linear_field
 
 
 def _variance(mu: DiscreteMeasure) -> float:
@@ -34,3 +41,19 @@ def variance_sin_pair(m: int, big_m: int):
     mu = make_measure([(p, w) for p in pos])
     nu = make_measure([(p + shift, w) for p in pos])
     return variance_sin_lift(mu), variance_sin_lift(nu), mu, nu
+
+
+MIXED_5 = make_measure([(-1.0, 0.2), (-0.25, 0.15), (0.3, 0.3),
+                        (0.8, 0.1), (1.5, 0.25)])
+
+RUN_TABLE = {
+    "median-delta": (median_split_pvf(), dirac(0.0), (10, 40, 160), 1.0),
+    "median-uniform": (median_split_pvf(), uniform_1d(0.0, 1.0, 200),
+                       (20, 40, 80, 160), 1.0),
+    "constant-pm1": (constant_pvf([(1.0, 0.5), (-1.0, 0.5)]),
+                     dirac(0.0), (25, 100, 400), 1.0),
+    "ode-decay": (ode_lift_pvf(linear_field(-1.0)), dirac(1.0),
+                  (20, 80), 1.0),
+    "ode-decay-mixed": (ode_lift_pvf(linear_field(-1.0)), MIXED_5,
+                        (20, 80), 1.0),
+}

@@ -50,23 +50,7 @@ from mdelab import (
 from mdelab.analysis import SAMPLE_FRACTIONS, StationaryFlow
 from mdelab.pvf import linear_field
 
-from _constructions import variance_sin_pair
-
-MIXED_5 = make_measure([(-1.0, 0.2), (-0.25, 0.15), (0.3, 0.3),
-                        (0.8, 0.1), (1.5, 0.25)])
-
-# lattice runs shared by criteria 1-4 and re-audited by criteria 8-10
-RUN_TABLE = {
-    "median-delta": (median_split_pvf(), dirac(0.0), (10, 40, 160), 1.0),
-    "median-uniform": (median_split_pvf(), uniform_1d(0.0, 1.0, 200),
-                       (20, 40, 80, 160), 1.0),
-    "constant-pm1": (constant_pvf([(1.0, 0.5), (-1.0, 0.5)]),
-                     dirac(0.0), (25, 100, 400), 1.0),
-    "ode-decay": (ode_lift_pvf(linear_field(-1.0)), dirac(1.0),
-                  (20, 80), 1.0),
-    "ode-decay-mixed": (ode_lift_pvf(linear_field(-1.0)), MIXED_5,
-                        (20, 80), 1.0),
-}
+from _constructions import MIXED_5, RUN_TABLE, variance_sin_pair
 
 _solved: dict[tuple[str, int], object] = {}
 

@@ -6,6 +6,7 @@ inequality fails by a full unit. Each value was re-derived by hand: the
 base optimum is unique in every pair, which pins the fiber pairing.
 """
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -36,8 +37,7 @@ from mdelab import (
     wasserstein,
     wt_bound_check,
 )
-from mdelab.fiber_metric import (_band_cells, _one_sided_cost,
-                                 _round_to_polytope)
+from mdelab.fiber_metric import _band_cells, _round_to_polytope
 
 
 def witness_triple():
@@ -122,12 +122,51 @@ def test_polytope_repair_refuses_a_deficit_outside_the_band():
         _round_to_polytope(flow, lo, hi, r, c)
 
 
+def _one_sided_cost(x, v, y, w) -> float:
+    if x == y:
+        return 0.0
+    num = math.fsum((vc - wc) * (xc - yc)
+                    for vc, wc, xc, yc in zip(v, w, x, y))
+    return num / math.dist(x, y)
+
+
+# the fiber integrands pair by pair, in scalar math: the reference for
+# the program's array integrand
 INTEGRANDS = {
     FiberCostKind.FIBER: lambda x, v, y, w: math.dist(v, w),
     FiberCostKind.COMBINED:
         lambda x, v, y, w: math.dist(x, y) + math.dist(v, w),
-    FiberCostKind.ONE_SIDED: lambda x, v, y, w: _one_sided_cost(v, w, x, y),
+    FiberCostKind.ONE_SIDED: _one_sided_cost,
 }
+
+
+def _seeded_lifted(rng, count, dim, base=None):
+    """count atoms with uniform velocities and masses; their positions
+    are uniform, or drawn from the rows of base, so that two measures
+    on one base share base points."""
+    pos = (rng.uniform(-1.0, 1.0, (count, dim)) if base is None
+           else base[rng.integers(0, len(base), count)])
+    vel = rng.uniform(-1.0, 1.0, (count, dim))
+    ms = rng.uniform(0.2, 1.0, count)
+    return make_lifted(list(zip(map(tuple, pos.tolist()),
+                                map(tuple, vel.tolist()),
+                                (ms / ms.sum()).tolist())))
+
+
+def _seeded_pairs(seed, dims):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for dim in dims:
+        for m, n in ((3, 4), (6, 5), (1, 4), (8, 8)):
+            pairs.append((_seeded_lifted(rng, m, dim),
+                          _seeded_lifted(rng, n, dim)))
+        # quarter-grid base points, shared: cells with x = y, and in 1D
+        # ties that make the optimal base plan degenerate
+        base = rng.integers(-2, 3, (4, dim)) * 0.25
+        for m, n in ((5, 6), (7, 7)):
+            pairs.append((_seeded_lifted(rng, m, dim, base),
+                          _seeded_lifted(rng, n, dim, base)))
+    return pairs
 
 
 @pytest.mark.parametrize("kind", list(FiberCostKind), ids=lambda k: k.value)
@@ -140,13 +179,33 @@ def test_value_is_the_cost_of_the_returned_plan(kind):
         return make_lifted([(x, math.sin(3.0 * x), m / ms.sum())
                             for x, m in zip(xs, ms)])
 
-    for _ in range(4):
-        v1, v2 = sine_lifted(), sine_lifted()
+    pairs = [(sine_lifted(), sine_lifted()) for _ in range(4)]
+    for v1, v2 in pairs + _seeded_pairs(41, (2, 3)):
         value, plan = constrained_fiber_cost(v1, v2, kind)
-        a1, a2 = v1.atoms(), v2.atoms()
+        a1, a2 = ([*zip(v.positions.tolist(), v.velocities.tolist())]
+                  for v in (v1, v2))
         assert value == math.fsum(
-            w * INTEGRANDS[kind](*a1[a][:2], *a2[b][:2])
+            w * INTEGRANDS[kind](*a1[a], *a2[b])
             for a, b, w in plan.entries)
+
+
+def test_costs_are_pinned():
+    # every kind on 18 seeded pairs, six in each of 1D, 2D and 3D, two
+    # of each six on shared base points. The digest was taken from the solver
+    # before its three integrand paths became one; any change to a
+    # value, an entry, a base or fiber cost, the allowed pairs or the
+    # degeneracy flag changes it.
+    results = []
+    for v1, v2 in _seeded_pairs(1515, (1, 2, 3)):
+        for kind in FiberCostKind:
+            value, plan = constrained_fiber_cost(v1, v2, kind)
+            results.append((value, plan.entries, plan.base_cost,
+                            plan.fiber_cost, plan.allowed_pairs,
+                            plan.degenerate_base))
+    assert len(results) == 54
+    text = repr(results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f628f280dea8886be31c351be114c321bdc027cad9c063f18aed4420f61c7ebb")
 
 
 def test_self_cost_is_zero():

@@ -5,8 +5,9 @@ coupling, against brute-force enumeration over permutation couplings,
 and against hand-derived instances frozen below. The assignment regime
 (m vs m atoms of one bit-equal mass) is cross-checked against the
 simplex and against an independent assignment on a numpy cost matrix.
-The simplex's kept basis tree is checked against a breadth-first
-recompute from row 0, and a digest pins 54 seeded plans of every solver.
+The simplex's starting basis is checked against the northwest loop it
+used to run, its kept basis tree against a breadth-first recompute from
+row 0, and a digest pins 54 seeded plans of every solver.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -300,6 +301,69 @@ def _bfs_duals(cells, m, n, cost):
                 dual[b] = cost[i][k] - dual[a]
                 queue.append(b)
     return dual
+
+
+def _northwest_basis(src, tgt):
+    """The simplex's starting basis as its own northwest loop built it
+    before it took the shared sweep: every step advances one index, so
+    there are exactly m + n - 1 cells, and when both masses run out
+    together a zero cell is kept. The oracle for the starting basis."""
+    src, tgt = list(src), list(tgt)
+    m, n = len(src), len(tgt)
+    flow = {}
+    i = k = 0
+    while True:
+        delta = min(src[i], tgt[k])
+        flow[(i, k)] = delta
+        src[i] -= delta
+        tgt[k] -= delta
+        if i == m - 1 and k == n - 1:
+            return flow
+        if i == m - 1:
+            k += 1
+        elif k == n - 1:
+            i += 1
+        elif src[i] == 0.0 and tgt[k] > 0.0:
+            i += 1
+        elif tgt[k] == 0.0 and src[i] > 0.0:
+            k += 1
+        else:
+            i += 1
+
+
+@st.composite
+def basis_masses(draw):
+    # 1 to 9 equal, quarter-grid or random masses, normalised; then the
+    # last mass moves a few ulps, so the two totals can differ slightly
+    k = draw(st.integers(1, 9))
+    raw = draw(st.one_of(
+        st.just([1.0] * k),
+        st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+                 min_size=k, max_size=k),
+        st.lists(weights, min_size=k, max_size=k)))
+    total = math.fsum(raw)
+    masses = [w / total for w in raw]
+    toward = draw(st.sampled_from([0.0, 1.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        masses[-1] = math.nextafter(masses[-1], toward)
+    return masses
+
+
+@given(basis_masses(), basis_masses())
+@settings(max_examples=200, deadline=None)
+# both masses run out together at (0, 0), (1, 1), and at (0, 1) and
+# (1, 3); the column total an ulp short, and an ulp over; the rows run
+# out at column 1 of 3, and the columns at row 1 of 3
+@example([0.5, 0.5], [0.5, 0.5])
+@example([0.5, 0.5], [0.25, 0.25, 0.25, 0.25])
+@example([0.5, 0.5], [0.5, math.nextafter(0.5, 0.0)])
+@example([0.25, 0.25, 0.5], [0.5, math.nextafter(0.5, 1.0)])
+@example([0.5, 0.5 - 2**-40], [0.5, 0.5 - 2**-40, 2**-40])
+@example([0.5, 0.5 - 2**-40, 2**-40], [0.5, 0.5 - 2**-40])
+def test_starting_basis_is_the_northwest_loop(src, tgt):
+    solver = _Simplex(np.zeros((len(src), len(tgt))), src, tgt)
+    assert solver.flow == _northwest_basis(src, tgt)
+    assert len(solver.flow) == len(src) + len(tgt) - 1
 
 
 @given(st.data())
