@@ -6,6 +6,10 @@ the cataloged vector fields, convergence studies over a grid of lattice
 resolutions, and semigroup and stability checks. The 1D monotone
 fiber-cost evaluator is in fiber_metric, beside the LP it bounds.
 
+A bump test function is a (center, radius) record. The residuals take
+a whole bump family per time node in one array pass: s = |x-c|^2/r^2
+over the (F, m, d) gaps, the kernels' cutoff of s for the means.
+
 Error accounting is explicit: oracles for absolutely continuous
 solutions are discretized with M atoms (default 200) and carry an
 oracle floor of order (support length)/M which callers add to their
@@ -23,8 +27,9 @@ from scipy.integrate import solve_ivp
 
 from .errors import ValidationError
 from .las import Trajectory, ax_discretize, interpolate, las_solve
+from .kernels import _bump
 from .measure import DiscreteMeasure, _build, as_rows, dirac, make_measure, \
-    push_forward, support_radius, uniform_1d
+    push_forward, squared_norms, support_radius, uniform_1d
 from .pvf import PvfSpec, VelocityField, _horner, lift, sublinear_constant
 from .transport import wasserstein
 
@@ -45,38 +50,17 @@ class TestFunction:
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValidationError(
-                f"bump radius must be finite and > 0, got {self.radius!r}",
-                field="radius")
-
-    def value(self, x) -> float:
-        u = math.fsum((a - b) ** 2 for a, b in
-                      zip(x, self.center)) / self.radius ** 2
-        if u >= 1.0:
-            return 0.0
-        return math.exp(1.0 - 1.0 / (1.0 - u))
-
-    def grad(self, x) -> tuple[float, ...]:
-        u = math.fsum((a - b) ** 2 for a, b in
-                      zip(x, self.center)) / self.radius ** 2
-        if u >= 1.0:
-            return (0.0,) * len(self.center)
-        f = math.exp(1.0 - 1.0 / (1.0 - u))
-        scale = -f / (1.0 - u) ** 2 * (2.0 / self.radius ** 2)
-        return tuple(scale * (a - b) for a, b in zip(x, self.center))
+        if not 1e-150 < self.radius < 1e150:  # r^2, 2/r^2 stay normal
+            raise ValidationError(f"bump radius must lie in (1e-150, 1e150), "
+                                  f"got {self.radius!r}", field="radius")
 
 
 def bump_family(dim: int, reach: float, count: int = 5) -> list[TestFunction]:
     """Bumps covering the ball B(0, reach): centers spread along the
     first axis, radius wide enough that the family sees every point."""
-    radius = 1.2 * reach
-    family = []
-    for k in range(count):
-        offset = (k - (count - 1) / 2) * 0.4 * reach
-        center = (offset,) + (0.0,) * (dim - 1)
-        family.append(TestFunction(center=center, radius=radius))
-    return family
+    return [TestFunction(center=((k - (count - 1) / 2) * 0.4 * reach,)
+                         + (0.0,) * (dim - 1), radius=1.2 * reach)
+            for k in range(count)]
 
 
 def trajectory_reach(traj: Trajectory) -> float:
@@ -112,75 +96,82 @@ def _time_grid(flow, t: float) -> list[float]:
     return nodes
 
 
-def _trapezoid(nodes: list[float], values: list[float]) -> float:
-    return math.fsum(0.5 * (values[i] + values[i + 1]) *
-                     (nodes[i + 1] - nodes[i])
-                     for i in range(len(nodes) - 1))
+def _bump_pass(centers, r2, positions) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps x - c (F, m, d) of the m atoms from the F centers, and
+    s = |x - c|^2 / r^2 (F, m); an s past the float range is inf."""
+    gaps = positions[None, :, :] - centers[:, None, :]
+    try:
+        sums = squared_norms(gaps.reshape(-1, positions.shape[1]))
+    except OverflowError:
+        raise ValidationError("|x - c|^2 overflows for a test function "
+                              "center", field="center") from None
+    with np.errstate(over="ignore"):
+        return gaps, sums.reshape(gaps.shape[:2]) / r2[:, None]
 
 
-def _lifted_arrays(flow, mu: DiscreteMeasure) -> tuple[np.ndarray, ...]:
-    """The flow's PVF at mu as position, velocity and mass arrays. A
-    trajectory's PVF is lifted with its own N, as las_step lifts it."""
+def _means(s, masses) -> np.ndarray:
+    """int f dmu of every bump, each one exact math.fsum."""
+    return np.array(list(map(math.fsum, (masses * _bump(s)).tolist())))
+
+
+def _fluxes(flow, mu, gaps, s, r2) -> np.ndarray:
+    """int grad(f).v dV[mu] of every bump, the atoms' gaps and s taken
+    by lift's source index; a trajectory lifts with its N, as las_step."""
     n_hint = None if isinstance(flow, StationaryFlow) else flow.config.n_param
-    index, velocities, masses = lift(flow.pvf, mu.positions, mu.masses,
-                                     n_hint)
-    return mu.positions[index], velocities, masses
-
-
-def _lifted_flux(pos, vel, w, f: TestFunction) -> float:
-    """Integral of grad(f)(x) . v against _lifted_arrays, vectorized."""
-    d = pos - np.asarray(f.center, dtype=float)
-    u = (d * d).sum(axis=1) / f.radius ** 2
+    index, velocities, weights = lift(flow.pvf, mu.positions, mu.masses,
+                                      n_hint)
+    u = s.take(index, axis=1)
     inside = u < 1.0
-    if not inside.any():
-        return 0.0
-    scale = np.zeros(len(u))
-    ui = u[inside]
-    scale[inside] = (-np.exp(1.0 - 1.0 / (1.0 - ui)) / (1.0 - ui) ** 2
-                     * (2.0 / f.radius ** 2))
-    return float(np.sum(w * scale * (d * vel).sum(axis=1)))
-
-
-def _mean(f: TestFunction, mu: DiscreteMeasure) -> float:
-    return math.fsum(m * f.value(p) for p, m in
-                     zip(mu.positions.tolist(), mu.masses.tolist()))
+    scale = np.zeros(u.shape)
+    rest = 1.0 - u[inside]
+    scale[inside] = -np.exp(1.0 - 1.0 / rest) / rest ** 2
+    scale *= (2.0 / r2)[:, None]
+    dots = (gaps.take(index, axis=1) * velocities).sum(axis=2)
+    return (weights * scale * dots).sum(axis=1)
 
 
 def _residuals(flow, family, t: float, a_coeffs=(1.0,)) -> list[float]:
     """Residual of each test function f of the family against the
     space-time test a(s) f(x) of distributional_residual, a the
-    polynomial a_coeffs. The field is evaluated once per time node and
-    shared across the family; int f dmu(s) is taken where a'(s) != 0."""
+    polynomial a_coeffs. One pass per time node evaluates the whole
+    family; int f dmu(s) is taken where a'(s) != 0."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValidationError(f"residual time must be finite and >= 0, "
+                              f"got {t!r}", field="t")
     if isinstance(flow, Trajectory):
         horizon = (len(flow.steps) - 1) / flow.config.n_param
         if t > horizon + 1e-12:
             raise ValidationError(
                 f"t={t!r} beyond trajectory horizon {horizon!r}", field="t")
-    mu_start = _measure_at(flow, 0.0)
+    mu_start, mu_end = _measure_at(flow, 0.0), _measure_at(flow, t)
     for f in family:
-        if len(f.center) != mu_start.dim:
+        if len(f.center) != mu_start.dim or not all(map(math.isfinite,
+                                                         f.center)):
             raise ValidationError(
-                f"test function center {f.center!r} is not a point of "
-                f"the flow's {mu_start.dim}D space", field="center")
+                f"test function center {f.center!r} is not a finite point "
+                f"of the flow's {mu_start.dim}D space", field="center")
+    centers = np.array([f.center for f in family], dtype=float)
+    r2 = np.square([f.radius for f in family])
     a_coeffs = tuple(float(c) for c in a_coeffs)
     da = tuple(i * c for i, c in enumerate(a_coeffs))[1:] or (0.0,)
     nodes = _time_grid(flow, t)
-    measures = [_measure_at(flow, s) for s in nodes]
-    lifteds = [_lifted_arrays(flow, mu) for mu in measures]
-    weights = [(_horner(da, s), _horner(a_coeffs, s)) for s in nodes]
-    mu_end = _measure_at(flow, t)
-    residuals = []
-    for f in family:
-        integrand = []
-        for (slope, a), mu, lifted in zip(weights, measures, lifteds):
-            flux = a * _lifted_flux(*lifted, f)
-            integrand.append(flux if slope == 0.0 else
-                             slope * _mean(f, mu) + flux)
-        lhs = _horner(a_coeffs, t) * _mean(f, mu_end)
-        rhs = (_horner(a_coeffs, 0.0) * _mean(f, mu_start)
-               + _trapezoid(nodes, integrand))
-        residuals.append(abs(lhs - rhs))
-    return residuals
+    integrand = []
+    for node in nodes:
+        mu = _measure_at(flow, node)
+        gaps, s = _bump_pass(centers, r2, mu.positions)
+        flux = _horner(a_coeffs, node) * _fluxes(flow, mu, gaps, s, r2)
+        slope = _horner(da, node)
+        integrand.append(flux if slope == 0.0 else
+                         slope * _means(s, mu.masses) + flux)
+    mean_start, mean_end = (
+        _means(_bump_pass(centers, r2, mu.positions)[1], mu.masses)
+        for mu in (mu_start, mu_end))
+    # the trapezoid rule on the nodes, one exact fsum per bump
+    v = np.array(integrand)
+    terms = (0.5 * (v[:-1] + v[1:]) * np.diff(nodes)[:, None]).T.tolist()
+    lhs = _horner(a_coeffs, t) * mean_end
+    rhs = _horner(a_coeffs, 0.0) * mean_start + list(map(math.fsum, terms))
+    return np.abs(lhs - rhs).tolist()
 
 
 def weak_residual(flow, f: TestFunction, t: float) -> float:
@@ -199,15 +190,11 @@ def distributional_residual(flow, f: TestFunction,
 
 
 def max_family_residual(flow, t: float, reach: float | None = None) -> float:
-    if isinstance(flow, StationaryFlow):
-        dim = flow.measure.dim
-        if reach is None:
-            reach = support_radius(flow.measure) + 1.0
-    else:
-        dim = flow.dim
-        if reach is None:
-            reach = trajectory_reach(flow)
-    return max(0.0, *_residuals(flow, bump_family(dim, reach), t))
+    mu0 = _measure_at(flow, 0.0)
+    if reach is None:
+        reach = (support_radius(mu0) + 1.0 if isinstance(flow, StationaryFlow)
+                 else trajectory_reach(flow))
+    return max(0.0, *_residuals(flow, bump_family(mu0.dim, reach), t))
 
 
 # ---------------------------------------------------------------------------

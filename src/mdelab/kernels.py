@@ -20,16 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .measure import squared_norms
 
-_KERNEL_NAMES = ("zero", "linear", "bounded_attraction", "bump_alignment")
+_KERNEL_PARAMS = {"zero": (), "linear": ("rate",),
+                  "bounded_attraction": (), "bump_alignment": ("range",)}
 
 
-def _bump(u: np.ndarray) -> np.ndarray:
-    # smooth cutoff exp(1 - 1/(1-u^2)) on |u| < 1, elementwise
-    out = np.zeros_like(u)
-    inside = ~(np.abs(u) >= 1.0)
-    arg = 1.0 - 1.0 / (1.0 - u[inside] * u[inside])
-    out[inside] = list(map(math.exp, arg.tolist()))
+def _bump(s: np.ndarray) -> np.ndarray:
+    """The smooth cutoff exp(1 - 1/(1-s)) of s = u^2 on s < 1, 0 on
+    s >= 1, elementwise in math.exp; NaN stays NaN. Bumps share it."""
+    out = np.zeros_like(s)
+    inside = ~(s >= 1.0)
+    arg = 1.0 - 1.0 / (1.0 - s[inside])
+    out[inside] = np.fromiter(map(math.exp, arg.tolist()), float, len(arg))
     return out
 
 
@@ -40,6 +43,12 @@ class KernelSpec:
     # optional override for the interaction PVF's sublinearity constant
     sublinear_c: float | None = field(default=None)
 
+    def __post_init__(self):
+        if self.name not in _KERNEL_PARAMS:
+            raise ValidationError(
+                f"unknown kernel {self.name!r}; expected one of "
+                f"{tuple(_KERNEL_PARAMS)}", field="name")
+
     def _p(self, key: str) -> float:
         for k, v in self.params:
             if k == key:
@@ -48,30 +57,26 @@ class KernelSpec:
                               field=key)
 
     def phi(self, z: tuple[float, ...]) -> tuple[float, ...]:
+        # phi_array of one z as a tuple: bench/tracing.py hooks it by name
         return tuple(self.phi_array(np.asarray(z, dtype=float)).tolist())
 
     def phi_array(self, z: np.ndarray) -> np.ndarray:
-        """phi over the last axis of an (..., d) float array. For d <= 2
-        |z|^2 is one IEEE add, rounded as fsum is (overflowing rows still
-        go to fsum, which raises); for d = 1 |z| is abs, as hypot is. Else
-        math, whose last bits numpy's may miss, gives fsum, hypot and exp."""
+        """phi over the last axis of an (..., d) float array, each pair
+        rounded as its per-pair formula in math is: |z|^2 is
+        measure.squared_norms, |z| is hypot (abs for d = 1, as hypot is)
+        and the bump is math's exp."""
         if self.name == "zero":
             return np.zeros_like(z)
         if self.name == "linear":
             return -self._p("rate") * z
         rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
         if self.name == "bounded_attraction":
-            # whole-column adds: a + b in 2D, far faster than .sum(axis=1)
-            with np.errstate(over="ignore"):  # fsum takes such rows below
-                sums = sum(np.square(rows).T, np.zeros(len(rows)))
-            slow = ~np.isfinite(sums) if z.shape[-1] <= 2 else slice(None)
-            sums[slow] = list(map(math.fsum, np.square(rows[slow]).tolist()))
+            sums = squared_norms(rows)
             return (-rows / (1.0 + sums)[:, None]).reshape(z.shape)
-        if self.name == "bump_alignment":
-            u = (np.abs(rows[:, 0]) if z.shape[-1] == 1 else np.array(
-                [math.hypot(*r) for r in rows.tolist()])) / self._p("range")
-            return (-rows * _bump(u)[:, None]).reshape(z.shape)
-        raise ValidationError(f"unknown kernel {self.name!r}", field="name")
+        u = (np.abs(rows[:, 0]) if z.shape[-1] == 1 else np.array(
+            [math.hypot(*r) for r in rows.tolist()])) / self._p("range")
+        s = np.square(np.minimum(u, 2.0))  # u >= 1 is outside: no overflow
+        return (-rows * _bump(s)[:, None]).reshape(z.shape)
 
     def bound_on(self, radius: float) -> float:
         """sup |phi(z)| over |z| <= 2*radius."""
@@ -81,11 +86,9 @@ class KernelSpec:
             return self._p("rate") * 2.0 * radius
         if self.name == "bounded_attraction":
             return 0.5
-        if self.name == "bump_alignment":
-            r = self._p("range")
-            s = min(2.0 * radius, r) * np.arange(401.0) / 400.0
-            return float(np.max(s * _bump(s / r)))
-        raise ValidationError(f"unknown kernel {self.name!r}", field="name")
+        r = self._p("range")  # bump_alignment
+        s = min(2.0 * radius, r) * np.arange(401.0) / 400.0
+        return float(np.max(s * _bump(np.square(s / r))))
 
     def lipschitz_on(self, radius: float) -> float:
         """Lipschitz constant of phi on |z| <= 2*radius (declared)."""
@@ -95,14 +98,13 @@ class KernelSpec:
             return self._p("rate")
         if self.name == "bounded_attraction":
             return 1.0
-        if self.name == "bump_alignment":
-            r = self._p("range")
-            # probe |d/ds (s*bump(s/r))| radially; x1.5 headroom covers
-            # the off-radial Jacobian directions
-            grid = r * np.arange(801.0) / 800.0
-            deriv = np.abs(np.diff(grid * _bump(grid / r))) / (r / 800.0)
-            return 1.5 * max(float(np.max(deriv)), 1.0)
-        raise ValidationError(f"unknown kernel {self.name!r}", field="name")
+        r = self._p("range")  # bump_alignment
+        # probe |d/ds (s*bump(s/r))| radially; x1.5 headroom covers
+        # the off-radial Jacobian directions
+        grid = r * np.arange(801.0) / 800.0
+        profile = grid * _bump(np.square(grid / r))
+        deriv = np.abs(np.diff(profile)) / (r / 800.0)
+        return 1.5 * max(float(np.max(deriv)), 1.0)
 
     def sublinear_default(self) -> float:
         """C with |sum_j m_j phi(x_j - x_i)| <= C(1 + max|x|) for any
@@ -115,20 +117,17 @@ class KernelSpec:
             return 2.0 * self._p("rate")
         if self.name == "bounded_attraction":
             return 0.5
-        if self.name == "bump_alignment":
-            # phi vanishes beyond |z| = range, so the global bound works
-            return self.bound_on(self._p("range"))
-        raise ValidationError(f"unknown kernel {self.name!r}", field="name")
+        # bump_alignment: phi vanishes past |z| = range; the global bound
+        return self.bound_on(self._p("range"))
 
 
 def make_kernel(name: str, sublinear_c: float | None = None,
                 **params: float) -> KernelSpec:
-    if name not in _KERNEL_NAMES:
+    if name not in _KERNEL_PARAMS:
         raise ValidationError(
-            f"unknown kernel {name!r}; expected one of {_KERNEL_NAMES}",
-            field="name")
-    needed = {"zero": (), "linear": ("rate",),
-              "bounded_attraction": (), "bump_alignment": ("range",)}[name]
+            f"unknown kernel {name!r}; expected one of "
+            f"{tuple(_KERNEL_PARAMS)}", field="name")
+    needed = _KERNEL_PARAMS[name]
     for key in needed:
         if key not in params:
             raise ValidationError(f"kernel {name} needs param {key!r}",

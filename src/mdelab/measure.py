@@ -261,6 +261,18 @@ def norms(rows: np.ndarray) -> np.ndarray:
             np.fromiter(map(math.hypot, *rows.T.tolist()), float, len(rows)))
 
 
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """math.fsum of the squares of each row: for d <= 2 a column add,
+    which rounds as fsum does; fsum itself for d >= 3 and for rows the
+    add overflows, where it raises on finite squares."""
+    with np.errstate(over="ignore"):
+        squares = np.square(rows)
+        sums = sum(squares.T, np.zeros(len(rows)))
+    slow = ~np.isfinite(sums) if rows.shape[1] <= 2 else slice(None)
+    sums[slow] = list(map(math.fsum, squares[slow].tolist()))
+    return sums
+
+
 def radius(rows: np.ndarray) -> float:
     """The largest row norm (norms)."""
     return float(norms(rows).max())

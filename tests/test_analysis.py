@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from _constructions import RUN_TABLE, variance_sin_pair
 
 import mdelab.analysis as analysis
+from mdelab.kernels import _bump
 from mdelab import (
     ConvergenceReport,
     FiberCostKind,
@@ -30,9 +32,12 @@ from mdelab import (
     convergence_study,
     dirac,
     distributional_residual,
+    evaluate,
     gronwall_check,
+    interaction_pvf,
     las_solve,
     linear_field,
+    make_kernel,
     make_lifted,
     make_measure,
     max_family_residual,
@@ -54,28 +59,87 @@ from mdelab import (
 )
 
 
+def _value(f, x):
+    """f(x) by the scalar bump formula, one point at a time: |x-c|^2 is
+    an fsum of squares taken by multiplication, which rounds correctly
+    (libm's pow(y, 2), which y ** 2 calls, misrounds about 1 argument
+    in 1,000)."""
+    assert len(x) == len(f.center)
+    u = (math.fsum((a - b) * (a - b) for a, b in zip(x, f.center))
+         / (f.radius * f.radius))
+    if u >= 1.0:
+        return 0.0
+    return math.exp(1.0 - 1.0 / (1.0 - u))
+
+
+def _grad(f, x):
+    """grad f(x) by the scalar formula, squared as _value squares."""
+    assert len(x) == len(f.center)
+    r2 = f.radius * f.radius
+    u = math.fsum((a - b) * (a - b) for a, b in zip(x, f.center)) / r2
+    if u >= 1.0:
+        return (0.0,) * len(f.center)
+    scale = -_value(f, x) / (1.0 - u) ** 2 * (2.0 / r2)
+    return tuple(scale * (a - b) for a, b in zip(x, f.center))
+
+
+def _family_means(family, positions, masses):
+    """int f dmu of every bump of the family by the residuals' pass."""
+    centers = np.array([f.center for f in family])
+    r2 = np.square([f.radius for f in family])
+    s = analysis._bump_pass(centers, r2, np.asarray(positions, float))[1]
+    return analysis._means(s, np.asarray(masses, float)).tolist()
+
+
+def _family_fluxes(flow, family):
+    """int grad(f).v dV[mu] of every bump by the residuals' pass."""
+    centers = np.array([f.center for f in family])
+    r2 = np.square([f.radius for f in family])
+    gaps, s = analysis._bump_pass(centers, r2, flow.measure.positions)
+    return analysis._fluxes(flow, flow.measure, gaps, s, r2).tolist()
+
+
 class TestBumps:
     def test_value_at_center_and_outside(self):
         f = TestFunction(center=(0.0,), radius=1.0)
-        assert f.value((0.0,)) == 1.0
-        assert f.value((1.0,)) == 0.0
-        assert f.value((2.0,)) == 0.0
-        assert 0.0 < f.value((0.5,)) < 1.0
+        assert _value(f, (0.0,)) == 1.0
+        assert _value(f, (1.0,)) == 0.0
+        assert _value(f, (2.0,)) == 0.0
+        assert 0.0 < _value(f, (0.5,)) < 1.0
+        # a mean against a Dirac mass is the value at its point
+        points = [(0.0,), (1.0,), (2.0,), (0.5,), (-0.25,)]
+        for x in points:
+            assert _family_means([f], [x], [1.0]) == [_value(f, x)]
 
     def test_gradient_matches_finite_differences(self):
         f = TestFunction(center=(0.25, -0.5), radius=1.5)
         h = 1e-6
         for x in [(0.0, 0.0), (0.5, -1.0), (-0.3, 0.2), (1.0, -0.4)]:
-            g = f.grad(x)
+            g = _grad(f, x)
             for c in range(2):
                 lo = list(x)
                 hi = list(x)
                 lo[c] -= h
                 hi[c] += h
-                fd = (f.value(tuple(hi)) - f.value(tuple(lo))) / (2 * h)
+                fd = (_value(f, tuple(hi)) - _value(f, tuple(lo))) / (2 * h)
                 assert g[c] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    def test_flux_of_a_unit_drift_is_the_gradient(self):
+        # a Dirac mass moving at unit speed along each axis in turn:
+        # the flux is that component of grad f
+        f = TestFunction(center=(0.25, -0.5), radius=1.5)
+        x = (0.5, -1.0)
+        for axis in range(2):
+            drift = tuple(float(c == axis) for c in range(2))
+            flow = StationaryFlow(make_measure([(x, 1.0)]),
+                                  constant_pvf([(drift, 1.0)]))
+            assert _family_fluxes(flow, [f])[0] == pytest.approx(
+                _grad(f, x)[axis], rel=1e-12, abs=1e-15)
+
+    # past (1e-150, 1e150), r^2 or 2/r^2 leaves the normal floats, and
+    # inf / inf or 0 / 0 would give NaN
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan,
+                                        1e150, 1e155, 1e-150, 1e-170])
     def test_radius_must_be_finite_and_positive(self, radius):
         with pytest.raises(ValidationError) as info:
             TestFunction(center=(0.0,), radius=radius)
@@ -83,13 +147,172 @@ class TestBumps:
 
     def test_gradient_vanishes_outside(self):
         f = TestFunction(center=(0.0,), radius=1.0)
-        assert f.grad((1.5,)) == (0.0,)
+        assert _grad(f, (1.5,)) == (0.0,)
+        flow = StationaryFlow(dirac(1.5), constant_pvf([(1.0, 1.0)]))
+        assert _family_fluxes(flow, [f]) == [0.0]
 
     def test_family_covers_the_reach_ball(self):
         fam = bump_family(1, 2.0)
         assert len(fam) == 5
         for probe in (-2.0, -1.0, 0.0, 1.5, 2.0):
-            assert any(f.value((probe,)) > 0.0 for f in fam)
+            assert any(_value(f, (probe,)) > 0.0 for f in fam)
+            assert max(_family_means(fam, [(probe,)], [1.0])) > 0.0
+
+
+def _old_bump(u):
+    """The kernels' cutoff as it took |z| / range before it took the
+    square: exp(1 - 1/(1 - u^2)) on |u| < 1, elementwise."""
+    out = np.zeros_like(u)
+    inside = ~(np.abs(u) >= 1.0)
+    arg = 1.0 - 1.0 / (1.0 - u[inside] * u[inside])
+    out[inside] = list(map(math.exp, arg.tolist()))
+    return out
+
+
+_EDGE_ARGUMENTS = [1.0, -1.0, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 0.0,
+                   -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   math.inf, -math.inf, math.nan]
+
+
+def test_squared_bump_argument_is_bit_identical_at_the_edges():
+    # |u| >= 1 <=> u*u >= 1 for every float, and NaN stays NaN, which
+    # the particle integrator's blow-up check needs
+    u = np.array(_EDGE_ARGUMENTS)
+    with np.errstate(over="ignore"):
+        got = _bump(u * u)
+    assert [v.hex() for v in got.tolist()] == [
+        v.hex() for v in _old_bump(u).tolist()]
+    assert got[0] == got[1] == 0.0 and math.isnan(got[-1])
+    assert got[4] == got[5] == got[6] == 1.0
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_squared_bump_argument_is_bit_identical(values):
+    u = np.array(values)
+    with np.errstate(over="ignore"):  # u*u = inf is outside, as |u| is
+        s = u * u
+    assert [v.hex() for v in _bump(s).tolist()] == [
+        v.hex() for v in _old_bump(u).tolist()]
+
+
+_unit = st.floats(-3.0, 3.0)
+_dyadic = st.sampled_from([0.0, 0.5, -0.75, 1.25, -2.0])
+
+
+@st.composite
+def _bump_scene(draw):
+    """A bump family and atoms in 1D-3D: free points, points exactly on
+    a sphere (dyadic center and radius, so u == 1), subnormal gaps from
+    a center at the origin, and centers far from every atom."""
+    dim = draw(st.integers(1, 3))
+    family, points = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["free", "sphere", "origin", "far"]))
+        if kind == "far":
+            center = tuple(draw(st.sampled_from([1e150, -1e150, 1e30]))
+                           for _ in range(dim))
+        elif kind == "free":
+            center = tuple(draw(_unit) for _ in range(dim))
+        elif kind == "origin":
+            center = (0.0,) * dim
+        else:
+            center = tuple(draw(_dyadic) for _ in range(dim))
+        radius = draw(st.sampled_from([0.5, 1.0, 2.25]) if kind == "sphere"
+                      else st.floats(0.1, 4.0))
+        family.append(TestFunction(center=center, radius=radius))
+        if kind == "sphere":
+            axis = draw(st.integers(0, dim - 1))
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            points.append(tuple(c + sign * radius * (k == axis)
+                                for k, c in enumerate(center)))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            points.append(tuple(draw(_unit) for _ in range(dim)))
+        else:
+            points.append(tuple(draw(st.floats(-1e-307, 1e-307))
+                                for _ in range(dim)))
+    points = points or [(0.0,) * dim]
+    masses = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(points),
+                           max_size=len(points)))
+    return family, points, masses
+
+
+@given(_bump_scene())
+@settings(max_examples=150, deadline=None)
+def test_family_means_are_the_scalar_sums_bit_for_bit(scene):
+    family, points, masses = scene
+    want = [math.fsum(m * _value(f, x) for x, m in zip(points, masses))
+            for f in family]
+    got = _family_means(family, points, masses)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_a_point_on_the_sphere_has_value_zero():
+    f = TestFunction(center=(0.5, -0.75), radius=2.25)
+    on_sphere = [(2.75, -0.75), (0.5, 1.5), (-1.75, -0.75)]
+    assert _family_means([f], on_sphere, [1.0, 1.0, 1.0]) == [0.0]
+
+
+@st.composite
+def _stationary_scene(draw):
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 6))
+    points = [tuple(draw(_unit) for _ in range(dim)) for _ in range(count)]
+    weights = draw(st.lists(st.floats(0.5, 1.5), min_size=count,
+                            max_size=count))
+    fiber = [tuple(draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+             for _ in range(draw(st.integers(1, 3)))]
+    mu = make_measure([(p, w / math.fsum(weights))
+                       for p, w in zip(points, weights)])
+    flow = StationaryFlow(mu, constant_pvf(
+        [(v, 1.0 / len(fiber)) for v in fiber]))
+    family = [TestFunction(center=tuple(draw(_unit) for _ in range(dim)),
+                           radius=draw(st.floats(0.5, 3.0)))
+              for _ in range(draw(st.integers(1, 4)))]
+    return flow, family
+
+
+@given(_stationary_scene())
+@settings(max_examples=60, deadline=None)
+def test_family_fluxes_match_the_scalar_gradient(scene):
+    flow, family = scene
+    lifted = evaluate(flow.pvf, flow.measure)
+    atoms = list(zip(lifted.positions.tolist(), lifted.velocities.tolist(),
+                     lifted.masses.tolist()))
+    want = [math.fsum(w * math.fsum(g * c for g, c in zip(_grad(f, x), v))
+                      for x, v, w in atoms) for f in family]
+    got = _family_fluxes(flow, family)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def decay_traj():
+    return las_solve(make_measure([(-0.5, 0.25), (0.3, 0.75)]),
+                     ode_lift_pvf(linear_field(-1.0)), 10, 1.0)
+
+
+_weights = st.sampled_from([(1.0,), (1.0, 2.0), (0.5, 1.0, -2.0)])
+
+
+@given(_stationary_scene(), st.floats(0.0, 1.0), _weights)
+@settings(max_examples=40, deadline=None)
+def test_a_family_member_residual_is_its_residual_alone(scene, t, a):
+    flow, family = scene
+    together = analysis._residuals(flow, family, t, a)
+    alone = [distributional_residual(flow, f, a, t) for f in family]
+    assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 3.0)),
+                min_size=1, max_size=4), st.floats(0.0, 1.0), _weights)
+@settings(max_examples=30, deadline=None)
+def test_a_family_member_residual_is_its_residual_alone_on_a_run(
+        decay_traj, bumps, t, a):
+    family = [TestFunction(center=(c,), radius=r) for c, r in bumps]
+    together = analysis._residuals(decay_traj, family, t, a)
+    alone = [distributional_residual(decay_traj, f, a, t) for f in family]
+    assert [v.hex() for v in together] == [v.hex() for v in alone]
 
 
 class TestOracles:
@@ -188,6 +411,49 @@ class TestWeakResidual:
                 residual()
             assert info.value.field == "t"
 
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        # a stationary flow used to give 0.0 here: max(0.0, nan) is 0.0
+        f = TestFunction(center=(0.0,), radius=1.5)
+        for flow in (las_solve(dirac(0.0), median_split_pvf(), 10, 1.0),
+                     StationaryFlow(dirac(0.0), median_split_pvf())):
+            for residual in (lambda: weak_residual(flow, f, t),
+                             lambda: distributional_residual(
+                                 flow, f, (1.0, 2.0), t),
+                             lambda: max_family_residual(flow, t)):
+                with pytest.raises(ValidationError) as info:
+                    residual()
+                assert info.value.field == "t"
+
+    @pytest.mark.parametrize("center", [(math.nan,), (math.inf,),
+                                        (-math.inf,)])
+    def test_center_must_be_finite(self, center):
+        traj = las_solve(dirac(0.0), median_split_pvf(), 10, 1.0)
+        f = TestFunction(center=center, radius=1.0)
+        for residual in (lambda: weak_residual(traj, f, 1.0),
+                         lambda: distributional_residual(traj, f, (1.0, 2.0),
+                                                         1.0)):
+            with pytest.raises(ValidationError) as info:
+                residual()
+            assert info.value.field == "center"
+
+    def test_a_far_center_sees_no_atom(self):
+        # |x - c|^2 = 1e400 overflows to inf >= 1: the bump vanishes on
+        # every atom, so the residual is exactly 0
+        traj = las_solve(dirac(0.0), median_split_pvf(), 10, 1.0)
+        f = TestFunction(center=(1e200,), radius=1.5)
+        assert weak_residual(traj, f, 1.0) == 0.0
+        assert distributional_residual(traj, f, (0.5, 1.0, -2.0), 1.0) == 0.0
+
+    def test_an_overflowing_sum_of_squares_is_a_typed_error(self):
+        # each square 1e308 is finite, their sum is not: fsum raises
+        flow = StationaryFlow(make_measure([((0.0, 0.0), 1.0)]),
+                              constant_pvf([((1.0, 0.0), 1.0)]))
+        f = TestFunction(center=(1e154, 1e154), radius=1.0)
+        with pytest.raises(ValidationError) as info:
+            weak_residual(flow, f, 1.0)
+        assert info.value.field == "center"
+
     def test_center_must_have_the_flow_dimension(self):
         # a 2D bump on a 1D flow: zipping the coordinates would drop the
         # 5.0 and give the residual of the 1D bump at 0.3
@@ -267,6 +533,43 @@ def test_residuals_are_pinned():
     assert len(values) == 210
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
         "266ab4d365899f755c151334a6125c2eee548649757459fe49e5e7ad8b94048a")
+
+
+def _planar_cloud(seed, count):
+    """count atoms uniform in [-0.9, 0.9]^2, masses uniform in [0.5, 1.5]
+    and then normalised."""
+    rng = random.Random(seed)
+    points = [(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+              for _ in range(count)]
+    masses = [rng.uniform(0.5, 1.5) for _ in range(count)]
+    total = math.fsum(masses)
+    return make_measure([(p, m / total) for p, m in zip(points, masses)])
+
+
+def test_planar_residuals_are_pinned():
+    # the three residuals on 2D flows at grid and off-grid times, with
+    # constant, linear and quadratic weights: a stationary constant PVF,
+    # an ode_lift run of v = -x and a bump_alignment interaction run.
+    # The digest was taken before the family pass evaluated every bump
+    # in one array pass per time node.
+    f = TestFunction(center=(0.1, -0.2), radius=1.5)
+    flows = [
+        StationaryFlow(_planar_cloud(3, 12), constant_pvf(
+            [((1.0, 0.5), 0.25), ((-0.5, 0.25), 0.75)])),
+        las_solve(_planar_cloud(5, 20), ode_lift_pvf(linear_field(-1.0)),
+                  20, 1.0),
+        las_solve(_planar_cloud(7, 6), interaction_pvf(
+            make_kernel("bump_alignment", range=1.0)), 10, 1.0),
+    ]
+    values = []
+    for flow in flows:
+        for t in (0.0, 0.3, 0.55, 1.0):
+            values += [max_family_residual(flow, t), weak_residual(flow, f, t)]
+            values += [distributional_residual(flow, f, a, t) for a in
+                       ((1.0,), (1.0, 2.0), (0.5, 1.0, -2.0))]
+    assert len(values) == 60
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "72fd72e075b71246f0b0845bc62a347c0f90a6f7f128b7aedfacd53682205013")
 
 
 class TestConvergence:

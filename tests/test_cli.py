@@ -272,6 +272,19 @@ class TestResidual:
         for line in lines[1:]:
             assert float(line.split(",")[1]) <= 10.0 / 20
 
+    @pytest.mark.parametrize("times", ["nan,-1", "-1", "inf"])
+    def test_bad_times_exit_2_with_the_json_error(self, capsys, median_files,
+                                                  times):
+        # without --horizon no config check sees the times; the residual
+        # itself must refuse them, not print a residual of 0
+        pvf, init = median_files
+        assert main(["residual", "--pvf", pvf, "--init", init,
+                     "--stationary", f"--times={times}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["type"], error["field"]) == ("validation", "t")
+
     def test_non_stationary_needs_n_and_horizon(self, capsys, median_files):
         pvf, init = median_files
         assert main(["residual", "--pvf", pvf, "--init", init]) == 2
