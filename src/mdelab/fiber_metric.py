@@ -9,16 +9,26 @@ and only if the mass crossing each point z moves in the direction of
 sign(F_mu - F_nu)(z) only, and not at all where F_mu = F_nu
 (Santambrogio, OT for Applied Mathematicians, 2.2 and 3.1). The optimal
 base plans are therefore exactly the couplings supported on the allowed
-pairs (see _face_band), and the LP has one variable per allowed pair,
-no budget row and no slack.
+pairs (see _face_band). Stage 2 has three regimes, chosen by the input
+alone:
 
-In nD stage 2 first solves the base W*, then relaxes base optimality to
-"base cost <= W* + 1e-7*(1+W*)" over all pairs; the reverse inequality
-holds automatically, so the feasible region is the near-optimal-plan
-polytope.
+- 1D, m atoms a side, every mass bit-equal: an assignment. The face is
+  then a bipartite transportation polytope whose vertices are
+  permutations (Birkhoff-von Neumann; the incidence matrix is totally
+  unimodular), so a cheapest permutation on the allowed pairs is an
+  optimal vertex. linear_sum_assignment (Jonker-Volgenant shortest
+  augmenting paths) finds one, with the pairs off the face priced at
+  inf, and its marginals are exact. The dense m x m cost matrix is held
+  to MAX_COUPLING_VARS cells.
+- 1D, any other pair: a HiGHS LP with one variable per allowed pair, no
+  budget row and no slack, repaired to exact marginals.
+- nD: stage 2 first solves the base W*, then relaxes base optimality to
+  "base cost <= W* + 1e-7*(1+W*)" over all pairs; the reverse
+  inequality holds automatically, so the feasible region is the
+  near-optimal-plan polytope.
 
-One array integrand (_integrand) prices the cells of both LPs and the
-moves of the 1D monotone plan that monotone_fiber_cost_1d evaluates.
+One array integrand (_integrand) prices the cells of every regime and
+the moves of the 1D monotone plan that monotone_fiber_cost_1d evaluates.
 The one_sided integrand <v-w, x-y>/|x-y| is defined as 0 when x = y.
 The two-stage value need not satisfy the triangle inequality; that is a
 feature of the quantity, not a solver defect, and tests assert a
@@ -34,13 +44,13 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import NumericalError, ValidationError
 from .measure import (DiscreteMeasure, LiftedMeasure, _build, _group_sums,
                       as_rows, base_marginal, norms)
-from .transport import (TransportPlan, _check_coupling, _northwest,
-                        _plan_cost, wasserstein)
+from .transport import (TransportPlan, _check_coupling, _equal_masses,
+                        _northwest, _plan_cost, wasserstein)
 
 BASE_OPT_REL_TOL = 1e-7      # nD stage-2 constraint slack: W* + 1e-7*(1+W*)
 MARGINAL_TOL = 1e-10
@@ -61,7 +71,7 @@ class LiftedPlan:
     indexes an (x, v) atom of the first measure and b a (y, w) atom of
     the second.
 
-    allowed_pairs counts the atom pairs the stage-2 LP could use: the
+    allowed_pairs counts the atom pairs stage 2 could use: the
     pairs on the optimal face in 1D, rows*cols in nD. degenerate_base
     (1D; None in nD) is true when the optimal base plan is not unique,
     that is when the allowed pairs of base points outnumber the
@@ -229,14 +239,17 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
     """LP optimum of the selected cost over lifted couplings whose base
     projection is an optimal base plan.
 
-    In 1D the LP runs on the exact optimal face: one variable per
-    allowed pair (_face_band), no budget row and no slack, so the plan's
-    base cost is W1 up to the marginal repair. In nD it runs over all
-    pairs with base optimality relaxed to base cost <= W* +
-    1e-7*(1+W*). Either way the LP may hold at most MAX_COUPLING_VARS
-    variables.
+    In 1D stage 2 runs on the exact optimal face, the allowed pairs of
+    _face_band, with no budget row and no slack. Two m-atom measures
+    whose masses are all bit-equal, with m*m <= MAX_COUPLING_VARS, give
+    an assignment problem: a cheapest permutation on the face, exact
+    marginals, base cost W1 up to rounding. Other 1D pairs solve a
+    HiGHS LP on the face, so the base cost is W1 up to the marginal
+    repair. In nD the LP runs over all pairs with base optimality
+    relaxed to base cost <= W* + 1e-7*(1+W*). Every regime may use at
+    most MAX_COUPLING_VARS pairs.
 
-    Returns (value, plan), value the selected cost of the repaired plan;
+    Returns (value, plan), value the selected cost of the plan;
     it is >= 0 for fiber and combined kinds, one_sided may be negative.
     """
     if v1.dim != v2.dim:
@@ -258,33 +271,12 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
             f"(limit {MAX_COUPLING_VARS}); reduce the atom counts",
             field="atoms")
     row_of, col_of = _band_cells(lo, hi)
-    options = {"primal_feasibility_tolerance": 1e-10,
-               "dual_feasibility_tolerance": 1e-10}
     base_dist, objective = _integrand(v1, v2, row_of, col_of, kind)
-    if v1.dim == 1:
-        # presolve removes nothing from a transportation LP, and takes
-        # about 40% of the solve at a few thousand variables
-        lp_args = {"options": {**options, "presolve": False}}
+    if (v1.dim == 1 and rows * cols <= MAX_COUPLING_VARS
+            and _equal_masses(v1, v2)):
+        flow = _assignment_flow(v1.masses, lo, hi, row_of, col_of, objective)
     else:
-        w_star = wasserstein(base_marginal(v1), base_marginal(v2)).distance
-        lp_args = {"A_ub": base_dist.reshape(1, -1),
-                   "b_ub": [w_star + BASE_OPT_REL_TOL * (1.0 + w_star)],
-                   "options": options}
-
-    # marginal equalities: one row per atom of each measure
-    a_eq = sp.csr_matrix(
-        (np.ones(2 * n_vars),
-         (np.concatenate([row_of, rows + col_of]),
-          np.tile(np.arange(n_vars), 2))),
-        shape=(rows + cols, n_vars))
-    res = linprog(c=objective, A_eq=a_eq,
-                  b_eq=np.concatenate([v1.masses, v2.masses]),
-                  bounds=(0, None), method="highs-ds", **lp_args)
-    if res.status != 0:
-        raise NumericalError(
-            f"constrained fiber LP failed (status {res.status}): {res.message}")
-
-    flow = _round_to_polytope(res.x, lo, hi, v1.masses, v2.masses)
+        flow = _lp_flow(v1, v2, lo, hi, row_of, col_of, base_dist, objective)
     keep = np.flatnonzero(flow > _ENTRY_FLOOR)
     weights = flow[keep].tolist()
     entries = tuple(zip(row_of[keep].tolist(), col_of[keep].tolist(),
@@ -296,6 +288,61 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
                       fiber_cost=fiber_cost, allowed_pairs=n_vars,
                       degenerate_base=degenerate)
     return math.fsum(weights * objective[keep]), plan
+
+
+def _assignment_flow(masses: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     row_of: np.ndarray, col_of: np.ndarray,
+                     objective: np.ndarray) -> np.ndarray:
+    """Stage 2 of an m vs m pair with one common mass: a cheapest
+    permutation on the band (lo, hi), each atom's mass on its matched
+    cell of the row-major band. Cells off the band cost inf, so the
+    match stays on the optimal face, and its marginals are exact."""
+    cost = np.full((len(lo), len(lo)), np.inf)
+    cost[row_of, col_of] = objective
+    try:
+        match = linear_sum_assignment(cost)[1]
+    except ValueError:
+        raise NumericalError(
+            f"no permutation of the {len(lo)} x {len(lo)} pair lies on "
+            f"its {len(row_of)} allowed pairs") from None
+    starts = np.cumsum(hi - lo) - (hi - lo)
+    flow = np.zeros(len(row_of))
+    flow[starts + match - lo] = masses
+    return flow
+
+
+def _lp_flow(v1: LiftedMeasure, v2: LiftedMeasure, lo: np.ndarray,
+             hi: np.ndarray, row_of: np.ndarray, col_of: np.ndarray,
+             base_dist: np.ndarray, objective: np.ndarray) -> np.ndarray:
+    """Stage 2 as a HiGHS LP over the band (lo, hi), one variable per
+    cell, repaired to exact marginals. In nD a budget row keeps the
+    base cost within BASE_OPT_REL_TOL of W*."""
+    options = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+    if v1.dim == 1:
+        # presolve removes nothing from a transportation LP, and takes
+        # about 40% of the solve at a few thousand variables
+        lp_args = {"options": {**options, "presolve": False}}
+    else:
+        w_star = wasserstein(base_marginal(v1), base_marginal(v2)).distance
+        lp_args = {"A_ub": base_dist.reshape(1, -1),
+                   "b_ub": [w_star + BASE_OPT_REL_TOL * (1.0 + w_star)],
+                   "options": options}
+
+    # marginal equalities: one row per atom of each measure
+    rows, n_vars = v1.atom_count, len(row_of)
+    a_eq = sp.csr_matrix(
+        (np.ones(2 * n_vars),
+         (np.concatenate([row_of, rows + col_of]),
+          np.tile(np.arange(n_vars), 2))),
+        shape=(rows + v2.atom_count, n_vars))
+    res = linprog(c=objective, A_eq=a_eq,
+                  b_eq=np.concatenate([v1.masses, v2.masses]),
+                  bounds=(0, None), method="highs-ds", **lp_args)
+    if res.status != 0:
+        raise NumericalError(
+            f"constrained fiber LP failed (status {res.status}): {res.message}")
+    return _round_to_polytope(res.x, lo, hi, v1.masses, v2.masses)
 
 
 def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
@@ -330,9 +377,10 @@ def wt_bound_check(v1: LiftedMeasure, v2: LiftedMeasure) -> bool:
 
     The plan's tangent cost is at most that sum, since
     sqrt(a^2 + b^2) <= a + b. In 1D stage 2 is exact and the plan's
-    base cost is W1 up to the marginal repair. In nD the base W* is not
-    the right side: the plan may spend the stage-2 slack 1e-7*(1+W*)
-    on its base cost to lower its fiber cost.
+    base cost is W1 up to rounding for an equal-mass assignment, and up
+    to the marginal repair for the LP on the face. In nD the base W* is
+    not the right side: the relaxed LP may spend the stage-2 slack
+    1e-7*(1+W*) on its base cost to lower its fiber cost.
     """
     w_tangent = tangent_wasserstein(v1, v2)
     fiber_val, plan = constrained_fiber_cost(v1, v2, FiberCostKind.FIBER)

@@ -394,6 +394,24 @@ class TestWeakResidual:
         flow = StationaryFlow(measure=dirac(0.0), pvf=median_split_pvf())
         assert max_family_residual(flow, 1.0) == 0.0
 
+    def test_a_stationary_flow_is_lifted_once(self, monkeypatch):
+        # 9 time nodes carry the one measure: one lift serves them all
+        calls, real_lift = [], analysis.lift
+
+        def counting_lift(*args):
+            calls.append(args)
+            return real_lift(*args)
+
+        monkeypatch.setattr(analysis, "lift", counting_lift)
+        flow = StationaryFlow(uniform_1d(0.0, 1.0, 200), median_split_pvf())
+        for a in ((1.0,), (0.5, 1.0, -2.0)):
+            calls.clear()
+            analysis._residuals(flow, bump_family(1, 2.0), 1.0, a)
+            assert len(calls) == 1
+        calls.clear()
+        max_family_residual(flow, 1.0)
+        assert len(calls) == 1
+
     def test_unit_drift_trajectory_residual(self):
         traj = las_solve(dirac(0.0), ode_lift_pvf(linear_field(0.0, 1.0)),
                          25, 1.0)

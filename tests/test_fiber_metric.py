@@ -11,11 +11,13 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from _constructions import variance_sin_pair
 
@@ -29,6 +31,7 @@ from mdelab import (
     induced_base_plan,
     make_lifted,
     make_measure,
+    monotone_fiber_cost_1d,
     neutral_element,
     plan_is_optimal,
     scalar_action,
@@ -37,7 +40,9 @@ from mdelab import (
     wasserstein,
     wt_bound_check,
 )
+from mdelab import fiber_metric
 from mdelab.fiber_metric import _band_cells, _round_to_polytope
+from mdelab.transport import _equal_masses
 
 
 def witness_triple():
@@ -348,6 +353,87 @@ def test_face_lp_matches_brute_force_over_optimal_matchings(pair):
         validate_lifted_plan(plan, va, vb)
 
 
+def _equal_mass_lifted(rng, count, base):
+    """count atoms of mass 1/count on positions drawn from base, with
+    uniform velocities."""
+    pos = base[rng.integers(0, len(base), count)]
+    vel = rng.uniform(-1.0, 1.0, count)
+    return make_lifted([((p,), (v,), 1.0 / count)
+                        for p, v in zip(pos.tolist(), vel.tolist())])
+
+
+def _equal_mass_pairs(seed):
+    """Seeded 1D pairs of 1-60 atoms a side, one common mass: free
+    positions, a few base points carrying several velocities each, and
+    quarter-grid bases, where the optimal base plan is degenerate."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for count in (1, 2, 3, 7, 20, 60):
+        for base in (rng.uniform(-1.0, 1.0, 2 * count),
+                     rng.uniform(-1.0, 1.0, 3),
+                     rng.integers(-2, 3, 5) * 0.25):
+            pairs.append((_equal_mass_lifted(rng, count, base),
+                          _equal_mass_lifted(rng, count, base)))
+    return pairs
+
+
+class _LinprogCalled(Exception):
+    pass
+
+
+def _no_linprog(*args, **kwargs):
+    raise _LinprogCalled
+
+
+def test_equal_mass_1d_pairs_solve_no_lp(monkeypatch):
+    monkeypatch.setattr(fiber_metric, "linprog", _no_linprog)
+    pairs = _equal_mass_pairs(1717)
+    degenerate = 0
+    for va, vb in pairs:
+        assert _equal_masses(va, vb)
+        w = wasserstein(base_marginal(va), base_marginal(vb)).distance
+        for kind in FiberCostKind:
+            value, plan = constrained_fiber_cost(va, vb, kind)
+            validate_lifted_plan(plan, va, vb, tol=0.0)
+            assert abs(plan.base_cost - w) <= 1e-12 * (1.0 + w)
+            # the monotone plan lies on the optimal face
+            assert value <= monotone_fiber_cost_1d(va, vb, kind) + 1e-12
+        degenerate += plan.degenerate_base
+    assert 0 < degenerate < len(pairs)
+
+
+def test_other_pairs_reach_the_lp(monkeypatch):
+    monkeypatch.setattr(fiber_metric, "linprog", _no_linprog)
+    rng = np.random.default_rng(1718)
+    base = rng.uniform(-1.0, 1.0, 6)
+    equal = _equal_mass_lifted(rng, 5, base)
+    pairs = [
+        # unequal masses, m = m'
+        (_seeded_lifted(rng, 5, 1), _seeded_lifted(rng, 5, 1)),
+        # one common mass on each side, m != m'
+        (_equal_mass_lifted(rng, 4, base), equal),
+        # equal masses, 2D
+        (make_lifted([((0.0, 0.0), (1.0, 0.0), 0.5),
+                      ((1.0, 0.0), (3.0, 0.0), 0.5)]),
+         make_lifted([((0.0, 1.0), (1.0, 0.0), 0.5),
+                      ((1.0, -1.0), (3.0, 0.0), 0.5)])),
+    ]
+    for va, vb in pairs:
+        for kind in FiberCostKind:
+            with pytest.raises(_LinprogCalled):
+                constrained_fiber_cost(va, vb, kind)
+
+
+def test_a_failed_assignment_is_a_typed_error(monkeypatch):
+    # a band on which every atom of v1 may only use atom 0 of v2: no
+    # permutation is finite
+    va = make_lifted([(float(i), 0.0, 1 / 3) for i in range(3)])
+    monkeypatch.setattr(fiber_metric, "_face_band", lambda v1, v2: (
+        np.zeros(3, np.int64), np.ones(3, np.int64), False))
+    with pytest.raises(NumericalError, match=r"3 x 3 .* 3 allowed pairs"):
+        constrained_fiber_cost(va, va, FiberCostKind.FIBER)
+
+
 def test_tangent_wasserstein_is_plain_transport_on_pairs():
     va = make_lifted([(0.0, 0.0, 1.0)])
     vb = make_lifted([(3.0, 4.0, 1.0)])
@@ -446,6 +532,63 @@ def test_combined_dominates_base_distance(va):
     combined, _ = constrained_fiber_cost(va, vb, FiberCostKind.COMBINED)
     base_w = wasserstein(base_marginal(va), base_marginal(vb)).distance
     assert combined >= base_w - 1e-9
+
+
+@st.composite
+def equal_mass_pairs(draw):
+    """Two 1D lifted measures of k atoms of mass 1/k: quarter-grid or
+    free positions, distinct velocities per measure. The velocities lie
+    on a grid of step 1/16, so two matchings that differ in value differ
+    by far more than the reference LP's feasibility tolerance; on free
+    floats HiGHS can stop at a vertex 1e-11 above the optimum."""
+    k = draw(st.integers(1, 7))
+    grid = draw(st.booleans())
+    position = (st.integers(-4, 4).map(lambda i: i * 0.25) if grid
+                else pos)
+    velocity = st.integers(-48, 48).map(lambda i: i / 16.0)
+
+    def side():
+        ps = draw(st.lists(position, min_size=k, max_size=k))
+        vs = draw(st.lists(velocity, min_size=k, max_size=k, unique=True))
+        return make_lifted([((p,), (v,), 1.0 / k) for p, v in zip(ps, vs)])
+
+    return side(), side()
+
+
+@given(equal_mass_pairs(), st.sampled_from(list(FiberCostKind)))
+@settings(max_examples=60, deadline=None)
+@example(pair=tuple(make_lifted([((x,), (v,), 0.2) for x, v in side])
+                    for side in FLOAT_TIE), kind=FiberCostKind.ONE_SIDED)
+def test_assignment_matches_an_lp_on_the_band(pair, kind):
+    va, vb = pair
+    k = va.atom_count
+    with mock.patch.object(fiber_metric, "linprog", _no_linprog):
+        value, plan = constrained_fiber_cost(va, vb, kind)
+    # the reference: scipy's LP on the same allowed pairs, priced by the
+    # scalar integrands
+    lo, hi, _ = fiber_metric._face_band(va, vb)
+    rows, cols = _band_cells(lo, hi)
+    a1, a2 = va.atoms(), vb.atoms()
+    objective = [INTEGRANDS[kind](*a1[a][:2], *a2[b][:2])
+                 for a, b in zip(rows.tolist(), cols.tolist())]
+    n = len(rows)
+    a_eq = np.zeros((2 * k, n))
+    a_eq[rows, np.arange(n)] = 1.0
+    a_eq[k + cols, np.arange(n)] = 1.0
+    res = linprog(objective, A_eq=a_eq, b_eq=np.full(2 * k, 1.0 / k),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    assert abs(value - res.fun) <= 1e-12 * (1.0 + abs(value))
+    # a permutation, every weight the common mass, so both marginals
+    # are exact
+    assert sorted(a for a, _, _ in plan.entries) == list(range(k))
+    assert sorted(b for _, b, _ in plan.entries) == list(range(k))
+    assert {w for _, _, w in plan.entries} == {va.masses[0]}
+    assert plan.allowed_pairs == n
+    w = wasserstein(base_marginal(va), base_marginal(vb)).distance
+    assert plan.base_cost <= w + 1e-12 * (1.0 + w)
 
 
 @st.composite
