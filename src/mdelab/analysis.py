@@ -118,8 +118,8 @@ def _fluxes(flow, mu, gaps, s, r2) -> np.ndarray:
     """int grad(f).v dV[mu] of every bump, the atoms' gaps and s taken
     by lift's source index; a trajectory lifts with its N, as las_step."""
     n_hint = None if isinstance(flow, StationaryFlow) else flow.config.n_param
-    index, velocities, weights = lift(flow.pvf, mu.positions, mu.masses,
-                                      n_hint)
+    index, velocities, weights, _ = lift(flow.pvf, mu.positions, mu.masses,
+                                         n_hint)
     u = s.take(index, axis=1)
     inside = u < 1.0
     scale = np.zeros(u.shape)

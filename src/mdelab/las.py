@@ -17,6 +17,26 @@ LatticeMeasure. Runs replay bit-for-bit, but they are not exact
 rational arithmetic: a float product can land just below an integer and
 floor one cell lower.
 
+A solve also carries one fact (unit) from each mass check to the next:
+the masses are positive and their math.fsum is exactly 1.0. The
+binning's check establishes it or not; a restart from a LatticeMeasure
+starts without it. Each skip below is one whose result the fact
+decides, so every trajectory is bit for bit the one of a solve that
+checks every lift and every step:
+- the one-to-one kinds (ode_lift, one_sided_ode, interaction) lift atom
+  i to one velocity with its own mass, so their (index, velocity) keys
+  are sorted and distinct: the lift's merge would be the identity and
+  does not run, for any masses. Under the fact the lift's renormalising
+  check would return the masses unchanged, so it does not run either
+  (pvf.lift);
+- a step merge that returns as many rows as it got permutes its masses,
+  and fsum, correctly rounded, does not depend on order; when the
+  lift's masses carry the fact, the step's check cannot fail and does
+  not run (measure._lattice_rows). A merge that joins rows is checked,
+  because its rounded group sums can move the total.
+Any check that runs sets the fact to its own finding; a renormalisation
+clears it. las_step starts each step without it.
+
 A run checks two a-priori bounds and fails loudly when either breaks:
 the box must satisfy exp(C*T)*(R+1) <= N before starting (refusing, not
 clipping), and every step's support radius must stay under
@@ -88,11 +108,14 @@ class Trajectory:
 def ax_discretize(mu: DiscreteMeasure, n_param: int) -> LatticeMeasure:
     """Bin atoms to the space lattice: componentwise floor to multiples
     of 1/N^2 (half-open cells, boundary to the lower cell)."""
-    return _lattice(n_param, mu.dim, *_binned(mu, n_param))
+    rows, masses, _ = _binned(mu, n_param)
+    return _lattice(n_param, mu.dim, rows, masses)
 
 
-def _binned(mu: DiscreteMeasure, n_param: int) -> tuple[np.ndarray, np.ndarray]:
-    """ax_discretize's int64 rows and float64 masses (_lattice_rows)."""
+def _binned(mu: DiscreteMeasure, n_param: int
+            ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """ax_discretize's int64 rows and float64 masses, and whether the
+    masses sum to exactly 1.0 (_lattice_rows)."""
     if n_param < 1:
         raise ValidationError("N must be >= 1", field="n_param")
     outside = (mu.positions < -n_param) | (mu.positions >= n_param)
@@ -122,15 +145,19 @@ def av_discretize(v: LiftedMeasure, n_param: int) -> LiftedMeasure:
 
 
 def _step(rows: np.ndarray, masses, positions: np.ndarray, n_param: int,
-          spec: PvfSpec) -> tuple[np.ndarray, np.ndarray]:
+          spec: PvfSpec, unit: bool = False
+          ) -> tuple[np.ndarray, np.ndarray, bool]:
     """One recursion step on arrays: lift the positions rows / N^2, bin
     the velocity array, shift each source row by its integer cells
-    (dt * v = k / N^2), merge once. Returns the checked int64 rows and
-    float64 masses of the next step (_lattice_rows)."""
-    index, velocities, masses = lift(spec, positions, masses, n_hint=n_param)
+    (dt * v = k / N^2), merge once. unit states that masses are known to
+    be positive with a math.fsum of exactly 1.0. Returns the checked
+    int64 rows and float64 masses of the next step, and the same fact
+    about them (_lattice_rows)."""
+    index, velocities, masses, unit = lift(spec, positions, masses,
+                                           n_hint=n_param, unit=unit)
     shifted = rows[index] + _bin_velocity(velocities, n_param)
     try:
-        return _lattice_rows(n_param, shifted, masses)
+        return _lattice_rows(n_param, shifted, masses, unit=unit)
     except ValidationError as exc:
         raise BoxOverflowError(
             f"step left the lattice box [-N, N]^n with N={n_param}: {exc}; "
@@ -141,8 +168,8 @@ def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
     """One recursion step of a lattice measure (the step las_solve runs)."""
     n = mu_ell.n_param
     rows = np.array(mu_ell.coords, dtype=np.int64)
-    return _lattice(n, mu_ell.dim, *_step(rows, mu_ell.masses, rows / n ** 2,
-                                          n, spec))
+    rows, masses, _ = _step(rows, mu_ell.masses, rows / n ** 2, n, spec)
+    return _lattice(n, mu_ell.dim, rows, masses)
 
 
 def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
@@ -162,8 +189,9 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
                 f"run wants N={n_param}", field="n_param")
         start = mu0
         rows, masses = np.array(mu0.coords, dtype=np.int64), mu0.masses
+        unit = False  # no check of this run has summed these masses
     else:
-        rows, masses = _binned(mu0, n_param)
+        rows, masses, unit = _binned(mu0, n_param)
         start = _lattice(n_param, mu0.dim, rows, masses)
     positions = rows / n_param ** 2
     # a fresh run bounds its support by the radius before binning
@@ -178,7 +206,8 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
             field="n_param")
     steps = [start]
     for ell in range(1, config.step_count + 1):
-        rows, masses = _step(rows, masses, positions, n_param, spec)
+        rows, masses, unit = _step(rows, masses, positions, n_param, spec,
+                                   unit)
         positions = rows / n_param ** 2
         bound = math.exp(c_sub * ell * config.dt) * (radius0 + 1.0)
         reach = radius(positions)
@@ -206,7 +235,7 @@ def interpolate(traj: Trajectory, t: float) -> DiscreteMeasure:
     if s <= 0.0 or ell == last:
         return base.to_measure()
     positions = base.position_rows()
-    index, velocities, masses = lift(traj.pvf, positions, base.masses,
-                                     n_hint=n)
+    index, velocities, masses, _ = lift(traj.pvf, positions, base.masses,
+                                        n_hint=n)
     moved = positions[index] + s * (_bin_velocity(velocities, n) / n)
     return _build(as_rows(moved, traj.dim), masses)

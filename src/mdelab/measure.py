@@ -11,9 +11,15 @@ rounded as Python's c / N**2 is for N <= 208,063 (N^3 <= 2^53). A step
 shifts coordinates by whole cells, so lattice runs replay bit-for-bit.
 The lattice solver carries its rows and masses as arrays and makes the
 tuple fields once per step (_lattice, the only place rows become
-tuples). They stay tuples because the benchmark's self-test perturbs a
-lattice row as (c[0] + k,) + c[1:], which on an array row broadcasts to
-an empty row and would hide the perturbation.
+tuples), by one tolist per column and one zip. They stay tuples because
+the benchmark's self-test perturbs a lattice row as (c[0] + k,) + c[1:],
+which on an array row broadcasts to an empty row and would hide the
+perturbation. A merge whose sorted rows are all distinct (the common
+case of a lattice step, where no atoms collide) returns the permuted
+arrays without group sums, and the lattice builder skips the mass check
+of such a merge when the caller knows its masses sum to exactly 1.0
+(see las.py). LatticeMeasure.to_measure merges too: near the largest N
+distinct coordinates can round to one float.
 """
 
 from __future__ import annotations
@@ -51,8 +57,10 @@ def as_rows(values: Sequence, dim: int | None = None,
 
 
 def _tuples(rows: np.ndarray) -> tuple:
-    """Array rows as the tuples of Python numbers the lattice fields hold."""
-    return tuple(map(tuple, rows.tolist()))
+    """Array rows as the tuples of Python numbers the lattice fields hold:
+    one tolist per column and one zip, the same numbers as a tolist per
+    row at about half the cost."""
+    return tuple(zip(*rows.T.tolist()))
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -61,20 +69,17 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def neumaier_prefix(values: Sequence[float]) -> list[float]:
-    """Compensated running sums; error per entry stays at one ulp."""
-    prefix = []
-    s = 0.0
-    comp = 0.0
-    for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-        prefix.append(s + comp)
-    return prefix
+def neumaier_prefix(values: Sequence[float]) -> np.ndarray:
+    """Compensated running sums; error per entry stays at one ulp.
+    Neumaier's loop as two sequential cumsums (add.accumulate adds left
+    to right): the running sums s, then the running sum of each add's
+    rounding error, taken against the larger operand."""
+    v = np.asarray(values, dtype=float)
+    s = np.cumsum(v)
+    prev = np.concatenate(([0.0], s[:-1]))
+    errors = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v,
+                      (v - s) + prev)
+    return s + np.cumsum(errors)
 
 
 def _group_sums(masses: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -112,17 +117,29 @@ def _merge(keys: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
     """Sum masses over exactly-equal key rows (_group_sums); return the
     distinct rows in lexicographic order and their masses, as new arrays.
     Rows already sorted and distinct (_increasing) skip the lexsort: that
-    is the lexsort's own result, every group a single row."""
+    is the lexsort's own result, every group a single row. Sorted rows
+    that are all distinct skip the group sums: a group of one keeps its
+    mass. Either way a merge that returns as many rows as it got returns
+    a permutation of its masses."""
     if _increasing(keys):
         return keys.copy(), np.array(masses, dtype=float)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     masses = np.asarray(masses, dtype=float)[order]
     new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    if new.all():
+        return keys, masses
     return keys[new], _group_sums(masses, new)
 
 
-def _check_masses(masses: np.ndarray, renormalize: bool) -> np.ndarray:
+def _check_masses(masses: np.ndarray, renormalize: bool
+                  ) -> tuple[np.ndarray, bool]:
+    """Check that masses are positive and finite and that their
+    math.fsum is within MASS_SUM_TOL of 1; renormalize them if asked and
+    that sum is not exactly 1.0. Returns the masses and whether they are
+    known to be positive with a math.fsum of exactly 1.0 (unit): true
+    when the returned masses are the ones checked and summed to 1.0,
+    false after a renormalisation, whose sum may still miss 1.0."""
     out = masses.tolist()
     total = math.fsum(out) if min(out) > 0.0 else math.nan
     if not math.isfinite(total):
@@ -133,10 +150,10 @@ def _check_masses(masses: np.ndarray, renormalize: bool) -> np.ndarray:
             f"masses sum to {total!r}, more than {MASS_SUM_TOL} from 1",
             field="mass")
     if not renormalize or total == 1.0:
-        return masses
+        return masses, total == 1.0
     if all(m == out[0] for m in out):
         # keep equal masses bit-equal; a rebuild takes this branch again
-        return np.full(len(out), 1.0 / len(out))
+        return np.full(len(out), 1.0 / len(out)), False
     out = [m / total for m in out]
     # The divided masses can still sum an ulp off 1, and a measure
     # rebuilt from its own atoms would then divide again and drift.
@@ -150,7 +167,7 @@ def _check_masses(masses: np.ndarray, renormalize: bool) -> np.ndarray:
         if nudged == out[j] or not nudged > 0.0:
             break
         out[j] = nudged
-    return np.array(out)
+    return np.array(out), False
 
 
 class _ArrayFields:
@@ -181,8 +198,7 @@ class DiscreteMeasure(_ArrayFields):
         return list(zip(self.positions, self.masses))
 
     def mass_at(self, position) -> float:
-        """The math.fsum of the masses of every row at position (rows can
-        repeat in LatticeMeasure.to_measure near the largest N)."""
+        """The math.fsum of the masses of every row at position."""
         hit = (self.positions == as_rows([position], self.dim)).all(axis=1)
         return math.fsum(self.masses[hit].tolist())
 
@@ -207,7 +223,7 @@ def _build(positions: np.ndarray, masses, velocities: np.ndarray | None = None,
     else:
         masses = np.array(masses, dtype=float)
     if check:
-        masses = _check_masses(masses, renormalize=True)
+        masses, _ = _check_masses(masses, renormalize=True)
     _readonly(keys)
     if velocities is None:
         return DiscreteMeasure(dim=dim, positions=keys,
@@ -300,8 +316,12 @@ class LatticeMeasure:
         return np.array(self.coords, dtype=np.int64) / self.n_param ** 2
 
     def to_measure(self) -> DiscreteMeasure:
-        return _build(self.position_rows(), self.masses, check=False,
-                      merge=False)
+        """The atoms at their float positions coords / N^2. Near the
+        largest N distinct coordinates can round to one float, so the
+        rows go through the merge: such rows become one atom with the
+        math.fsum of their masses, and sorted distinct rows (every
+        smaller N) pass through bit for bit."""
+        return _build(self.position_rows(), self.masses, check=False)
 
     def support_radius(self) -> float:
         return radius(self.position_rows())
@@ -314,14 +334,21 @@ def make_lattice_measure(n_param: int, dim: int,
         raise ValidationError("lattice measure needs at least one atom",
                               field="atoms")
     coords, masses = zip(*cells)
-    return _lattice(n_param, dim, *_lattice_rows(n_param, coords, masses))
+    rows, masses, _ = _lattice_rows(n_param, coords, masses)
+    return _lattice(n_param, dim, rows, masses)
 
 
-def _lattice_rows(n_param: int, coords, masses) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_rows(n_param: int, coords, masses, *, unit: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The lattice builder on integer coordinate rows (an int64 array or
     anything that converts to one): check N and the box [-N^3, N^3]^dim,
     merge coincident rows, check the masses. Returns the int64 rows and
-    float64 masses, new arrays, that _lattice turns into a measure."""
+    float64 masses, new arrays, that _lattice turns into a measure, and
+    whether those masses are known to be positive with a math.fsum of
+    exactly 1.0 (_check_masses). unit states that the caller knows this
+    of masses: a merge that joins no rows then permutes them, and fsum,
+    correctly rounded, does not depend on order, so the check is
+    skipped."""
     if n_param > MAX_LATTICE_N:
         raise ValidationError(f"N={n_param} above {MAX_LATTICE_N}: "
                               "coordinates up to N^3 must be exact floats",
@@ -336,8 +363,10 @@ def _lattice_rows(n_param: int, coords, masses) -> tuple[np.ndarray, np.ndarray]
         raise ValidationError(
             f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
             field="coords")
-    keys, masses = _merge(rows, masses)
-    return keys, _check_masses(masses, renormalize=False)
+    keys, merged = _merge(rows, masses)
+    if not (unit and len(keys) == len(rows)):
+        merged, unit = _check_masses(merged, renormalize=False)
+    return keys, merged, unit
 
 
 def _lattice(n_param: int, dim: int, rows: np.ndarray,

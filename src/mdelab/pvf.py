@@ -41,6 +41,9 @@ PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
 MEDIAN_TIE_TOL = 1e-12   # cumulative masses this close to 1/2 count as 1/2
 DEFAULT_SUB_ATOMS = 16   # phi_diffusion fallback outside a lattice run
 _H1_SLACK = 1e-12
+# kinds that lift atom i to one velocity with its own mass: their raw
+# atoms have index arange(m) and the input masses, already merged
+_ONE_TO_ONE = ("ode_lift", "one_sided_ode", "interaction")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,7 @@ def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
                               field="dim")
     if spec.kind == "median_split":
         # -1 before the atom where F passes 1/2, +1 after; it splits at 1/2
-        prefix = np.array(neumaier_prefix(masses.tolist()))
+        prefix = neumaier_prefix(masses)
         split = int(np.argmax(prefix > 0.5 + MEDIAN_TIE_TOL))
         f_before = prefix[split - 1] if split > 0 else 0.0
         if abs(f_before - 0.5) <= MEDIAN_TIE_TOL:
@@ -327,7 +330,7 @@ def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
     if spec.kind == "phi_diffusion":
         # k sub-atoms of mass/k per atom, at the midpoints of its ranks
         k = spec.sub_atoms or n_hint or DEFAULT_SUB_ATOMS
-        f_lo = np.append(0.0, neumaier_prefix(masses.tolist())[:-1])
+        f_lo = np.append(0.0, neumaier_prefix(masses)[:-1])
         ranks = f_lo[:, None] + (np.arange(1, k + 1) - 0.5) * masses[:, None] / k
         return (np.repeat(index, k), spec.phi.rows(ranks.reshape(-1, 1)),
                 np.repeat(masses / k, k))
@@ -336,34 +339,44 @@ def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
     raise ValidationError(f"unknown PVF kind {spec.kind!r}", field="kind")
 
 
-def lift(spec: PvfSpec, positions, masses, n_hint: int | None = None
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lift(spec: PvfSpec, positions, masses, n_hint: int | None = None, *,
+         unit: bool = False
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Apply the PVF to atoms given as (m, n) float positions and m masses:
     the merged lifted atoms as arrays of source index, velocity rows and
     masses in (index, velocity) order, masses renormalised as make_lifted
-    does. n_hint feeds phi_diffusion's default sub-atom count (the
-    lattice solver passes its N). Raises SublinearityError when C fails."""
+    does, and whether the lifted masses are known to be positive with a
+    math.fsum of exactly 1.0 (measure._check_masses). n_hint feeds
+    phi_diffusion's default sub-atom count (the lattice solver passes its
+    N). unit states that the caller knows this of masses: a one-to-one
+    kind then passes them on unchecked, as the check would return them
+    unchanged. Raises SublinearityError when C fails."""
     dim = positions.shape[1]
     index, velocities, sub = _raw_atoms(
         spec, positions, np.asarray(masses, dtype=float), n_hint)
     velocities = as_rows(velocities, dim, what="velocity")
-    keys, sub = _merge(np.column_stack([index, velocities]), sub)
-    sub = _check_masses(sub, renormalize=True)
+    if spec.kind not in _ONE_TO_ONE:
+        keys, sub = _merge(np.column_stack([index, velocities]), sub)
+        index, velocities = keys[:, 0].astype(np.int64), keys[:, 1:]
+        unit = False
+    if not unit:
+        sub, unit = _check_masses(sub, renormalize=True)
     c = sublinear_constant(spec, dim)
     max_x = radius(positions)
-    max_v = radius(keys[:, 1:])
+    max_v = radius(velocities)
     if max_v > c * (1.0 + max_x) * (1.0 + _H1_SLACK) + _H1_SLACK:
         raise SublinearityError(
             f"{spec.kind} PVF: max speed {max_v!r} exceeds "
             f"C(1+max|x|) = {c * (1.0 + max_x)!r} with declared C={c!r}")
-    return keys[:, 0].astype(np.int64), keys[:, 1:], sub
+    return index, velocities, sub, unit
 
 
 def evaluate(spec: PvfSpec, mu: DiscreteMeasure,
              n_hint: int | None = None) -> LiftedMeasure:
     """lift with each atom's source position attached. mu's positions
     are sorted and distinct, so this is the canonical LiftedMeasure."""
-    index, velocities, masses = lift(spec, mu.positions, mu.masses, n_hint)
+    index, velocities, masses, _ = lift(spec, mu.positions, mu.masses,
+                                        n_hint)
     return _build(mu.positions[index], masses, velocities, check=False,
                   merge=False)
 

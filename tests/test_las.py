@@ -10,13 +10,16 @@ closed forms.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdelab import measure, pvf
 from mdelab import (
     BoxOverflowError,
     LatticeConfig,
+    LatticeMeasure,
     SupportBoundError,
     ValidationError,
     ax_discretize,
@@ -40,7 +43,8 @@ from mdelab import (
     uniform_1d,
     wasserstein,
 )
-from mdelab.measure import MAX_LATTICE_N
+from mdelab.measure import MAX_LATTICE_N, _check_masses, _merge, as_rows
+from mdelab.pvf import _raw_atoms
 
 
 class TestConfig:
@@ -243,6 +247,128 @@ def test_solve_is_the_chain_of_public_steps(mu0, spec, n):
     second = las_solve(first.steps[-1], spec, n, 0.5)
     assert _bits(first.steps + second.steps[1:]) == _bits(whole.steps)
     assert second.initial_radius == first.steps[-1].support_radius()
+
+
+def reference_solve(mu0, spec, n, horizon):
+    """las_solve as the loop that checks the masses at every lift and at
+    every step: each lift merges its (index, velocity) keys and
+    renormalises, each step merges and checks. Returns the _bits of its
+    steps."""
+    if isinstance(mu0, LatticeMeasure):
+        rows = np.array(mu0.coords, dtype=np.int64)
+        masses = np.array(mu0.masses)
+    else:
+        rows, masses = _merge(
+            np.floor(mu0.positions * n ** 2).astype(np.int64), mu0.masses)
+        masses, _ = _check_masses(masses, renormalize=False)
+    steps = [(rows, masses)]
+    for _ in range(LatticeConfig(n, horizon).step_count):
+        index, velocities, sub = _raw_atoms(spec, rows / n ** 2, masses, n)
+        keys, sub = _merge(np.column_stack(
+            [index, as_rows(velocities, rows.shape[1], "velocity")]), sub)
+        sub, _ = _check_masses(sub, renormalize=True)
+        cells = np.floor(keys[:, 1:] * n).astype(np.int64)
+        rows, masses = _merge(rows[keys[:, 0].astype(np.int64)] + cells, sub)
+        masses, _ = _check_masses(masses, renormalize=False)
+        steps.append((rows, masses))
+    return [(n, rows.shape[1], tuple(map(tuple, rows.tolist())),
+             [m.hex() for m in masses.tolist()]) for rows, masses in steps]
+
+
+# one spec per kind (two for constant: one whose lift has to merge), each
+# with a C that keeps exp(C)(R + 1) <= N for R <= 0.9 sqrt(2) and N >= 7
+SOLVE_SPECS = {
+    "constant": constant_pvf([(-1.0, 0.5), (1.0, 0.5)]),
+    "constant_merging": constant_pvf([(0.5, 0.25), (-0.25, 0.25),
+                                      (0.5, 0.5)]),
+    "median_split": median_split_pvf(),
+    "phi_diffusion": phi_diffusion_pvf(linear_field(1.0, -0.5)),
+    "ode_lift": ode_lift_pvf(linear_field(-1.0)),
+    "one_sided_ode": one_sided_ode_pvf(),
+    "interaction": interaction_pvf(make_kernel("bounded_attraction")),
+    "bump_alignment": interaction_pvf(make_kernel("bump_alignment",
+                                                  range=0.5)),
+}
+ONE_D_ONLY = ("constant", "constant_merging", "median_split",
+              "phi_diffusion")
+
+
+@st.composite
+def solve_cases(draw):
+    name = draw(st.sampled_from(sorted(SOLVE_SPECS)))
+    dim = 1 if name in ONE_D_ONLY else draw(st.integers(1, 2))
+    point = st.tuples(*[st.floats(-0.9, 0.9, allow_nan=False)] * dim)
+    pos = draw(st.lists(point, min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pos),
+                            max_size=len(pos)))
+    total = math.fsum(weights)
+    mu0 = make_measure([(p, w / total) for p, w in zip(pos, weights)],
+                       dim=dim)
+    return SOLVE_SPECS[name], mu0, draw(st.integers(7, 16))
+
+
+@given(solve_cases(), st.sampled_from([0.0, 2.0 ** -40, -(2.0 ** -45)]))
+@settings(max_examples=120, deadline=None)
+def test_solve_matches_the_loop_that_checks_every_mass(case, drift):
+    spec, mu0, n = case
+    whole = las_solve(mu0, spec, n, 1.0)
+    assert _bits(whole.steps) == reference_solve(mu0, spec, n, 1.0)
+    # a restart from a LatticeMeasure, its masses off 1 by the drift
+    mid = whole.steps[n // 2]
+    restart = make_lattice_measure(n, mid.dim, [
+        (c, m * (1.0 + drift)) for c, m in zip(mid.coords, mid.masses)])
+    again = las_solve(restart, spec, n, 0.5)
+    assert _bits(again.steps) == reference_solve(restart, spec, n, 0.5)
+
+
+@pytest.mark.parametrize("name, seed, n", [("ode_lift", 19, 9),
+                                           ("one_sided_ode", 0, 7),
+                                           ("bump_alignment", 42, 7)])
+def test_a_join_that_moves_the_sum_is_checked_and_renormalised(name, seed,
+                                                               n):
+    # a step joins atoms into masses whose fsum misses 1.0, so that step
+    # must be checked and the next lift must renormalise
+    mu0 = _cloud(seed, 8, 1)
+    traj = las_solve(mu0, SOLVE_SPECS[name], n, 1.0)
+    assert any(b.atom_count < a.atom_count and math.fsum(b.masses) != 1.0
+               for a, b in zip(traj.steps, traj.steps[1:-1]))
+    assert _bits(traj.steps) == reference_solve(mu0, SOLVE_SPECS[name], n,
+                                                1.0)
+
+
+def test_a_start_off_one_is_renormalised_by_its_first_lift():
+    n = 10
+    start = make_lattice_measure(n, 1, [((-50,), 0.25), ((20,), 0.25),
+                                        ((70,), 0.5 - 2.0 ** -40)])
+    assert math.fsum(start.masses) == 1.0 - 2.0 ** -40
+    spec = ode_lift_pvf(linear_field(-1.0))
+    traj = las_solve(start, spec, n, 1.0)
+    assert _bits(traj.steps) == reference_solve(start, spec, n, 1.0)
+    assert all(mu.atom_count == 3 for mu in traj.steps)
+    assert traj.steps[1].masses != start.masses
+    assert math.fsum(traj.steps[1].masses) == 1.0
+
+
+def test_a_solve_without_collisions_checks_no_mass_after_its_first_step(
+        monkeypatch):
+    mu0 = make_measure([(-0.8, 0.1), (-0.3, 0.2), (0.2, 0.3), (0.7, 0.4)])
+    spec = ode_lift_pvf(linear_field(-1.0))
+    checks = []
+
+    def counted(masses, renormalize):
+        checks.append(renormalize)
+        return _check_masses(masses, renormalize)
+
+    monkeypatch.setattr(measure, "_check_masses", counted)
+    monkeypatch.setattr(pvf, "_check_masses", counted)
+    traj = las_solve(mu0, spec, 20, 1.0)
+    assert all(mu.atom_count == 4 for mu in traj.steps)  # no collision
+    assert math.fsum(traj.steps[0].masses) == 1.0
+    assert checks == [False]  # the binning's, before the first step
+    # a restart knows nothing of its masses: its first lift checks them
+    checks.clear()
+    las_solve(traj.steps[-1], spec, 20, 1.0)
+    assert checks == [True]
 
 
 class TestSolve:

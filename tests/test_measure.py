@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdelab.measure import (MAX_LATTICE_N, _build, _increasing, _merge,
-                            as_rows, radius)
+from mdelab.measure import (MAX_LATTICE_N, _build, _check_masses,
+                            _increasing, _merge, as_rows, radius)
 from mdelab import (
     DiscreteMeasure,
     ValidationError,
@@ -119,27 +119,31 @@ class TestLattice:
         got = lat.position_rows().tolist()
         assert [[v.hex() for v in row] for row in got] == [
             [v.hex() for v in row] for row in want]
-        assert lat.to_measure().positions.tolist() == list(map(list, want))
+        # to_measure merges and sorts the float rows; these are distinct
+        assert lat.to_measure().positions.tolist() == sorted(map(list, want))
         # at the int64 limit N = 2,097,151 this division rounds differently
         old_n, c = 2_097_151, 5_575_819_387_313_679_072
         assert (np.array([c]) / old_n ** 2)[0] != c / old_n ** 2
 
-    def test_mass_at_sums_the_rows_that_repeat_near_the_cap(self):
-        # distinct coordinates N^3 - d round to 318 distinct positions
+    def test_to_measure_merges_the_rows_that_round_together_at_the_cap(self):
+        # distinct coordinates N^3 - d round to 318 distinct positions;
+        # each becomes one atom with the math.fsum of its group's masses
         n = MAX_LATTICE_N
         weights = [1 + d % 3 for d in range(400)]
         total = sum(weights)
         lat = make_lattice_measure(n, 1, [((n ** 3 - d,), w / total)
                                           for d, w in enumerate(weights)])
+        groups = {}
+        for (c,), m in zip(lat.coords, lat.masses):
+            groups.setdefault(c / n ** 2, []).append(m)
         mu = lat.to_measure()
-        distinct = np.unique(mu.positions)
-        assert (mu.atom_count, len(distinct)) == (400, 318)
-        for x in distinct.tolist():
-            rows = [m for (p,), m in zip(mu.positions.tolist(),
-                                         mu.masses.tolist()) if p == x]
+        assert (lat.atom_count, mu.atom_count, len(groups)) == (400, 318, 318)
+        assert mu.positions[:, 0].tolist() == sorted(groups)
+        assert [m.hex() for m in mu.masses.tolist()] == [
+            math.fsum(groups[x]).hex() for x in sorted(groups)]
+        for x, rows in groups.items():
             assert mu.mass_at(x) == math.fsum(rows)
-        assert math.fsum(mu.mass_at(x) for x in distinct.tolist()) == (
-            pytest.approx(1.0, abs=1e-12))
+        assert math.fsum(mu.masses.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_coordinates_beyond_int64_are_a_box_error(self):
         with pytest.raises(ValidationError) as err:
@@ -262,6 +266,23 @@ def test_pair_groups_sum_to_the_fsum_of_each_group():
 def test_coincident_masses_fail_as_fsum_does(masses, error):
     with pytest.raises(error):
         make_measure([((0.5,), m) for m in masses])
+
+
+@pytest.mark.parametrize("masses, renormalize, unit", [
+    ([0.25, 0.75], False, True),
+    ([0.25, 0.75], True, True),
+    ([0.5, 0.5 - 2.0 ** -40], False, False),
+    ([0.5, 0.5 - 2.0 ** -40], True, False),   # divided and nudged
+    ([1 / 237] * 237, True, False),           # equal masses stay equal
+])
+def test_mass_check_knows_a_unit_sum_only_of_the_masses_it_summed(
+        masses, renormalize, unit):
+    # unit: the returned masses are positive and their fsum is exactly 1.0
+    masses = np.array(masses)
+    out, got = _check_masses(masses, renormalize)
+    assert got is unit
+    assert (out is masses) == (unit or not renormalize)
+    assert not unit or math.fsum(out.tolist()) == 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

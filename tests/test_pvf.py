@@ -345,6 +345,38 @@ def reference_field(f, x):
     return tuple(out)
 
 
+def reference_neumaier_prefix(values):
+    """Neumaier's compensated running sums, one add at a time."""
+    prefix = []
+    s = comp = 0.0
+    for v in values:
+        t = s + v
+        if abs(s) >= abs(v):
+            comp += (s - t) + v
+        else:
+            comp += (v - t) + s
+        s = t
+        prefix.append(s + comp)
+    return prefix
+
+
+# signed values over 600 decades, signed zeros and subnormals; 60 terms
+# of at most 1e300 cannot overflow
+spread = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
+                   st.integers(-300, 300))
+summands = st.floats(-1e300, 1e300) | spread | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+
+
+@given(st.lists(summands, min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_neumaier_prefix_is_the_scalar_loop_bit_for_bit(values):
+    prefix = neumaier_prefix(values)
+    assert prefix.dtype == np.float64
+    assert [v.hex() for v in prefix.tolist()] == [
+        v.hex() for v in reference_neumaier_prefix(values)]
+
+
 def reference_raw_atoms(spec, mu, n_hint):
     """(source index, velocity tuple, mass) per lifted atom, one atom at
     a time."""
@@ -354,7 +386,7 @@ def reference_raw_atoms(spec, mu, n_hint):
     if spec.kind == "constant":
         return [(i, vel, mass * p) for i, mass in enumerate(mu.masses)
                 for vel, p in spec.fiber]
-    prefix = neumaier_prefix(mu.masses)
+    prefix = reference_neumaier_prefix(mu.masses.tolist())
     out = []
     if spec.kind == "median_split":
         split = next(i for i, f in enumerate(prefix)
@@ -449,11 +481,21 @@ def test_array_lift_matches_the_per_atom_formulas(kind, dim, data):
     index, velocities, masses = zip(*reference_raw_atoms(spec, mu, n_hint))
     keys, want = _merge(np.column_stack(
         [index, as_rows(velocities, dim, what="velocity")]), masses)
-    want = _check_masses(want, renormalize=True)
-    index, velocities, masses = lift(spec, mu.positions, mu.masses, n_hint)
+    want, want_unit = _check_masses(want, renormalize=True)
+    index, velocities, masses, unit = lift(spec, mu.positions, mu.masses,
+                                           n_hint)
     assert index.tolist() == keys[:, 0].astype(int).tolist()
     assert hexes(velocities.tolist()) == hexes(keys[:, 1:].tolist())
     assert hexes([masses.tolist()]) == hexes([want])
+    assert unit == want_unit
+    assert not unit or math.fsum(masses.tolist()) == 1.0
+    # a caller that knows its masses sum to exactly 1.0 gets the same lift
+    if math.fsum(mu.masses.tolist()) == 1.0:
+        again = lift(spec, mu.positions, mu.masses, n_hint, unit=True)
+        assert again[0].tolist() == index.tolist()
+        assert hexes(again[1].tolist()) == hexes(velocities.tolist())
+        assert hexes([again[2].tolist()]) == hexes([masses.tolist()])
+        assert again[3] == unit
 
 
 def test_phi_diffusion_ranks_keep_their_operation_order():
@@ -466,7 +508,7 @@ def test_phi_diffusion_ranks_keep_their_operation_order():
     mu = make_measure([(float(i), m / total) for i, m in enumerate(masses)])
     spec = phi_diffusion_pvf(linear_field(1.0), sub_atoms=7)
     want = [vel for _, vel, _ in reference_raw_atoms(spec, mu, None)]
-    _, velocities, _ = lift(spec, mu.positions, mu.masses)
+    _, velocities, _, _ = lift(spec, mu.positions, mu.masses)
     assert hexes(velocities.tolist()) == hexes(want)
 
 
