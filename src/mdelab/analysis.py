@@ -28,8 +28,8 @@ from scipy.integrate import solve_ivp
 from .errors import ValidationError
 from .las import Trajectory, ax_discretize, interpolate, las_solve
 from .kernels import _bump
-from .measure import DiscreteMeasure, _build, as_rows, dirac, make_measure, \
-    push_forward, squared_norms, support_radius, uniform_1d
+from .measure import DiscreteMeasure, _build, as_rows, dirac, exact_row_sums, \
+    make_measure, push_forward, squared_norms, support_radius, uniform_1d
 from .pvf import PvfSpec, VelocityField, _horner, lift, sublinear_constant
 from .transport import wasserstein
 
@@ -111,7 +111,7 @@ def _bump_pass(centers, r2, positions) -> tuple[np.ndarray, np.ndarray]:
 
 def _means(s, masses) -> np.ndarray:
     """int f dmu of every bump, each one exact math.fsum."""
-    return np.array(list(map(math.fsum, (masses * _bump(s)).tolist())))
+    return exact_row_sums(masses * _bump(s))
 
 
 def _fluxes(flow, mu, gaps, s, r2) -> np.ndarray:
@@ -263,7 +263,7 @@ def oracle(name: str, params: dict, t: float) -> DiscreteMeasure:
         mu0, fiber = params["mu0"], params["fiber"]
         weighted = (np.array([p for _, p in fiber], dtype=float)[:, None]
                     * as_rows([vel for vel, _ in fiber], mu0.dim, "velocity"))
-        vbar = np.array([math.fsum(col) for col in weighted.T.tolist()])
+        vbar = exact_row_sums(weighted.T)
         images = as_rows(mu0.positions + t * vbar, mu0.dim, "image")
         return _build(images, mu0.masses, check=False)
     if name == "ode_flow":

@@ -48,7 +48,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import NumericalError, ValidationError
 from .measure import (DiscreteMeasure, LiftedMeasure, _build, _group_sums,
-                      as_rows, base_marginal, norms)
+                      as_rows, base_marginal, exact_row_sums, norms)
 from .transport import (TransportPlan, _check_coupling, _equal_masses,
                         _northwest, _plan_cost, wasserstein)
 
@@ -226,8 +226,7 @@ def _integrand(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
     if kind is FiberCostKind.COMBINED:
         return base_dist, base_dist + norms(dv)
     prod = dv * gap
-    dot = (prod[:, 0] if prod.shape[1] == 1 else
-           np.fromiter(map(math.fsum, prod.tolist()), float, len(prod)))
+    dot = prod[:, 0] if prod.shape[1] == 1 else exact_row_sums(prod)
     objective = np.zeros(len(dot))
     np.divide(dot, base_dist, out=objective, where=base_dist > 0.0)
     return base_dist, objective

@@ -1,8 +1,13 @@
 """Interaction kernels phi: R^n -> R^n and interaction_field, the map
 x_i -> sum_j w_j phi(x_j - x_i) that both the particle integrator and the
 interaction-type probability vector field call. Each of its components
-is one exact math.fsum, so relabelling the points permutes it bit for bit.
-Pair values take IEEE shortcuts only where these equal math's (phi_array).
+is the math.fsum of its m terms, bit for bit (measure.exact_row_sums),
+so relabelling the points permutes it bit for bit. Pair values take IEEE
+shortcuts only where these equal math's (phi_array). Every kernel is
+odd, and x_i - x_j is exactly -(x_j - x_i), so phi of one is the exact
+negation of phi of the other, save the sign of a zero, which no sum
+sees: the bump kernel evaluates phi once per unordered pair and mirrors
+it.
 
 Each kernel ships declared envelopes: a bound valid for arguments
 |z| <= 2R (differences of points in a ball of radius R), a Lipschitz
@@ -14,13 +19,15 @@ may overestimate but never undercut the true envelope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .measure import squared_norms
+from .measure import (TREE_FIXED, TREE_PER_LEVEL, _readonly, exact_row_sums,
+                      norms, squared_norms)
 
 _KERNEL_PARAMS = {"zero": (), "linear": ("rate",),
                   "bounded_attraction": (), "bump_alignment": ("range",)}
@@ -63,8 +70,8 @@ class KernelSpec:
     def phi_array(self, z: np.ndarray) -> np.ndarray:
         """phi over the last axis of an (..., d) float array, each pair
         rounded as its per-pair formula in math is: |z|^2 is
-        measure.squared_norms, |z| is hypot (abs for d = 1, as hypot is)
-        and the bump is math's exp."""
+        measure.squared_norms, |z| is measure.norms (math.hypot, abs for
+        d = 1, as hypot is) and the bump is math's exp."""
         if self.name == "zero":
             return np.zeros_like(z)
         if self.name == "linear":
@@ -73,8 +80,7 @@ class KernelSpec:
         if self.name == "bounded_attraction":
             sums = squared_norms(rows)
             return (-rows / (1.0 + sums)[:, None]).reshape(z.shape)
-        u = (np.abs(rows[:, 0]) if z.shape[-1] == 1 else np.array(
-            [math.hypot(*r) for r in rows.tolist()])) / self._p("range")
+        u = norms(rows) / self._p("range")
         s = np.square(np.minimum(u, 2.0))  # u >= 1 is outside: no overflow
         return (-rows * _bump(s)[:, None]).reshape(z.shape)
 
@@ -168,6 +174,8 @@ def kernel_selfcheck(kernel: KernelSpec, radius: float,
     """
     bound = kernel.bound_on(radius) * (1.0 + 1e-9) + 1e-12
     lip = kernel.lipschitz_on(radius) * (1.0 + 1e-9) + 1e-12
+    if not probes:
+        return
     values = kernel.phi_array(np.array(probes, dtype=float)).tolist()
     for z, val in zip(probes, values):
         if math.hypot(*val) > bound:
@@ -186,12 +194,47 @@ def kernel_selfcheck(kernel: KernelSpec, radius: float,
                     f"exceeds declared {lip!r}")
 
 
+@functools.lru_cache(maxsize=4)
+def _pairs(m: int) -> tuple[np.ndarray, ...]:
+    """The pairs i <= j of m points, as read-only index arrays: i, j and
+    the flat positions i m + j and j m + i in an (m, m) array. Cached:
+    building them costs about 50 of the 400 us of an m = 91 field, and a
+    lattice solve keeps its m from step to step while no atoms merge."""
+    lo, hi = np.triu_indices(m)
+    return tuple(map(_readonly, (lo, hi, lo * m + hi, hi * m + lo)))
+
+
 def interaction_field(kernel: KernelSpec, positions, weights) -> np.ndarray:
     """Row i is sum_j w_j phi(x_j - x_i) for the (m, d) positions and m
-    weights, each component summed exactly by math.fsum."""
+    weights, each component the math.fsum of its m terms
+    (measure.exact_row_sums). A shape other than (m, d) positions and m
+    weights raises ValidationError."""
     x = np.asarray(positions, dtype=float)
     w = np.asarray(weights, dtype=float)
-    terms = w[:, None] * kernel.phi_array(x[None, :, :] - x[:, None, :])
-    columns = terms.transpose(0, 2, 1).reshape(-1, len(x))
-    sums = map(math.fsum, columns.tolist())
-    return np.fromiter(sums, float, count=x.size).reshape(x.shape)
+    if x.ndim != 2 or not x.shape[1]:
+        raise ValidationError(f"positions need shape (m, d), got {x.shape}",
+                              field="positions")
+    if w.shape != x.shape[:1]:
+        raise ValidationError(f"{len(x)} positions need {len(x)} weights, "
+                              f"got shape {w.shape}", field="weights")
+    # terms[j, i] = w_j phi(x_j - x_i): the sum over j runs along the
+    # first axis, which exact_row_sums reads without a transpose copy
+    m, d = x.shape
+    if kernel.name != "bump_alignment":
+        terms = w[:, None, None] * kernel.phi_array(x[:, None] - x)
+    else:
+        # the one kernel whose phi calls math per pair (exp, and hypot
+        # for d >= 2) runs once per pair i <= j; for the others the
+        # mirror's scatter costs more than the half of phi it saves
+        lo, hi, upper, lower = _pairs(m)
+        phi = kernel.phi_array(np.take(x, hi, 0) - np.take(x, lo, 0))
+        terms = np.empty((m, m, d))
+        flat = terms.reshape(m * m, d)
+        flat[upper] = -(np.take(w, lo)[:, None] * phi)
+        flat[lower] = np.take(w, hi)[:, None] * phi
+    if m * x.size < TREE_FIXED + TREE_PER_LEVEL * (m - 1).bit_length():
+        # exact_row_sums' own fsum path, inline: the RK4 steps of small
+        # systems make most calls, and the call into it cost 0.3 us each
+        rows = terms.transpose(1, 2, 0).reshape(-1, m).tolist()
+        return np.fromiter(map(math.fsum, rows), float, x.size).reshape(m, d)
+    return exact_row_sums(terms.transpose(1, 2, 0))

@@ -35,6 +35,9 @@ from .errors import ValidationError
 
 MASS_SUM_TOL = 1e-9       # construction-time renormalization window
 MAX_LATTICE_N = 208_063  # largest N with N^3 <= 2^53 (exact in float64)
+# exact_row_sums: the TwoSum tree of L levels costs about as much as
+# math.fsum on TREE_FIXED + TREE_PER_LEVEL * L entries (measured)
+TREE_FIXED, TREE_PER_LEVEL = 512, 128
 
 
 def as_rows(values: Sequence, dim: int | None = None,
@@ -80,6 +83,77 @@ def neumaier_prefix(values: Sequence[float]) -> np.ndarray:
     errors = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v,
                       (v - s) + prev)
     return s + np.cumsum(errors)
+
+
+def _two_sum_tree(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum an (n, ...) array over its first axis by a pairwise tree of
+    error-free TwoSums (Knuth, TAOCP vol. 2, 4.2.2): each level adds the
+    first half of its slabs to the last half, an odd middle slab waiting
+    a level. Returns the root s and the plain sum err of the adds'
+    rounding errors, which each slot of a buffer of the first level's
+    width accumulates before one final sum; the exact sum is s plus the
+    exact sum of those errors. Every sum the tree or err forms is of a
+    subset of the entries or of the errors."""
+    s, err = cols, None
+    while len(s) > 1:
+        n, half = len(s), len(s) // 2
+        x, y = s[:half], s[n - half:]
+        t = x + y
+        z = t - x
+        e = (x - (t - z)) + (y - z)
+        if err is None:
+            err = e
+        else:
+            err[:half] += e
+        s = np.concatenate((t, s[half:n - half])) if n % 2 else t
+    return s[0], (np.zeros(cols.shape[1:]) if err is None else err.sum(0))
+
+
+def exact_row_sums(a: np.ndarray) -> np.ndarray:
+    """The math.fsum of every row a[..., :] of a float array, bit for bit:
+    [math.fsum(r) for r in a] for a 2D a, as an array of shape a.shape[:-1].
+
+    For one row of n entries, let u = 2^-53, L = ceil(log2 n) levels and
+    A = fl(sum |a|). Arrays under TREE_FIXED + TREE_PER_LEVEL L entries
+    take fsum itself. Larger ones move the rows' entries to the first
+    axis (a copy unless a is the transposed view of an array laid out
+    that way) and take the TwoSum tree (_two_sum_tree):
+
+    1. Each of the tree's adds errs by at most u times its operands'
+       magnitudes, and a level's magnitudes grow by at most 1 + u, so the
+       errors e sum in magnitude to at most u L (1 + u)^L sum|a|, and A
+       (at most n adds) is within gamma_n of sum|a|: sum|e| <= u (L + 1) A.
+    2. err, summed with at most n adds, is within gamma_n sum|e| of the
+       exact error sum E. With u |err| more for the rounding of err -+ b,
+       b = (n + 2)(L + 2) u^2 A covers both, plus 2^-1074 for the
+       product's underflow when A > 0 (a row of zeros has E = 0), so
+       fl(err - b) <= E <= fl(err + b). Rounding is monotone: when
+       fl(s + fl(err - b)) == fl(s + fl(err + b)), that is the correctly
+       rounded sum fsum returns.
+    3. + 0.0, since fsum never returns -0.0.
+    4. Every other row goes to fsum: rows left undecided (a sum at or
+       within b of a tie between two floats), rows that are not finite,
+       and rows whose A reaches 2^1000. Below that no partial sum of
+       fsum's can overflow; above it the tree, adding in another order,
+       could return a finite sum where fsum raises OverflowError."""
+    shape, n = a.shape[:-1], a.shape[-1]
+    if a.size < TREE_FIXED + TREE_PER_LEVEL * (n - 1).bit_length():
+        rows = a.reshape(-1, n).tolist() if n else [[]] * math.prod(shape)
+        sums = np.fromiter(map(math.fsum, rows), float, len(rows))
+        return sums.reshape(shape)
+    cols = np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)))
+    cols = cols.reshape(n, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.abs(cols).sum(0)
+        s, err = _two_sum_tree(cols)
+        levels = (n - 1).bit_length()
+        b = (n + 2) * (levels + 2) * 2.0 ** -106 * total
+        b[total > 0.0] += 2.0 ** -1074
+        sums = s + (err - b) + 0.0
+        undecided = (sums != s + (err + b)) | ~(total < 2.0 ** 1000)
+    for k in np.flatnonzero(undecided).tolist():
+        sums[k] = math.fsum(cols[:, k].tolist())
+    return sums.reshape(shape)
 
 
 def _group_sums(masses: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -204,7 +278,7 @@ class DiscreteMeasure(_ArrayFields):
 
     def mean(self) -> tuple[float, ...]:
         weighted = self.masses[:, None] * self.positions
-        return tuple(map(math.fsum, weighted.T.tolist()))
+        return tuple(exact_row_sums(weighted.T).tolist())
 
 
 def _build(positions: np.ndarray, masses, velocities: np.ndarray | None = None,
@@ -278,14 +352,20 @@ def norms(rows: np.ndarray) -> np.ndarray:
 
 
 def squared_norms(rows: np.ndarray) -> np.ndarray:
-    """math.fsum of the squares of each row: for d <= 2 a column add,
-    which rounds as fsum does; fsum itself for d >= 3 and for rows the
-    add overflows, where it raises on finite squares."""
+    """math.fsum of the squares of each row: the square itself for d = 1,
+    for d = 2 one add, which rounds as fsum does, and fsum for rows the
+    add overflows, where it raises on finite squares; exact_row_sums for
+    d >= 3."""
     with np.errstate(over="ignore"):
+        if rows.shape[1] == 1:
+            return np.square(rows[:, 0])
         squares = np.square(rows)
-        sums = sum(squares.T, np.zeros(len(rows)))
-    slow = ~np.isfinite(sums) if rows.shape[1] <= 2 else slice(None)
-    sums[slow] = list(map(math.fsum, squares[slow].tolist()))
+        if rows.shape[1] > 2:
+            return exact_row_sums(squares)
+        sums = squares[:, 0] + squares[:, 1]
+    slow = ~np.isfinite(sums)
+    if slow.any():
+        sums[slow] = list(map(math.fsum, squares[slow].tolist()))
     return sums
 
 

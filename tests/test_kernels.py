@@ -1,7 +1,9 @@
 """Interaction kernel catalog: values, declared envelopes, selfcheck."""
 
+import hashlib
 import importlib
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -9,13 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdelab.kernels as kernels
+import mdelab.measure as measure
 from mdelab import (
     ValidationError,
     interaction_field,
+    interaction_pvf,
     kernel_from_dict,
     kernel_selfcheck,
     kernel_to_dict,
+    las_solve,
     make_kernel,
+    make_measure,
 )
 
 
@@ -179,6 +186,21 @@ def test_interaction_field_matches_pairwise_reference(kernel, dim, unit):
                 == _hex_rows(_pairwise_field(kernel, positions, weights)))
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("dim, m", [(1, 1), (1, 120), (2, 70), (3, 50)])
+def test_interaction_field_matches_pairwise_reference_past_the_crossovers(
+        kernel, dim, m):
+    # m = 1 sums by fsum, the rest on exact_row_sums' tree (m^2 d from
+    # 1152 on); the bump pairs at every m. Points repeat: x_j - x_i = 0
+    rng = np.random.default_rng(7 * m + dim)
+    positions = rng.uniform(-1.0, 1.0, (m, dim))
+    positions[m // 2:m // 2 + 3] = positions[0]
+    weights = rng.random(m)
+    got = interaction_field(kernel, positions, weights)
+    assert (_hex_rows(got.tolist()) == _hex_rows(
+        _pairwise_field(kernel, positions.tolist(), weights.tolist())))
+
+
 # coordinates from 1e-150 to 1e150 in size: no squared difference
 # overflows, so every d <= 2 pair takes the IEEE add and d = 1 takes abs
 wide = st.one_of(st.just(0.0), st.floats(1e-150, 1e150),
@@ -208,6 +230,50 @@ def test_bounded_attraction_overflow_still_raises_in_2d():
         k.phi_array(np.array([1e154, 1e154]))
     with pytest.raises(OverflowError):
         interaction_field(k, [(0.0, 0.0), (1e154, -1e154)], [0.5, 0.5])
+    # and inside a cloud past the crossovers
+    cloud = np.random.default_rng(60).uniform(-1.0, 1.0, (60, 2))
+    cloud[37] = (1e154, -1e154)
+    with pytest.raises(OverflowError):
+        interaction_field(k, cloud, np.full(60, 1.0 / 60))
+
+
+@pytest.mark.parametrize("positions, weights, field", [
+    ([(0.0,), (1.0,), (2.0,)], [0.5], "weights"),          # broadcast
+    ([(0.0,), (1.0,), (2.0,)], [0.5, 0.5], "weights"),
+    ([(0.0,), (1.0,), (2.0,)], [[0.2, 0.3, 0.5]], "weights"),
+    ([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], "positions"),       # flat 1D list
+    ([[(0.0,)]], [1.0], "positions"),
+])
+def test_interaction_field_checks_its_shapes(positions, weights, field):
+    with pytest.raises(ValidationError) as info:
+        interaction_field(make_kernel("bounded_attraction"), positions,
+                          weights)
+    assert info.value.field == field
+
+
+def _pinned_clouds():
+    """Seeded normal clouds in 1D, 2D and 3D, the last point on the
+    first, each with drawn and with unit weights; the sizes run from one
+    point past every crossover of interaction_field."""
+    rng = np.random.default_rng(19)
+    for dim, sizes in ((1, (1, 2, 24, 60, 130, 160)), (2, (2, 24, 50, 100)),
+                       (3, (2, 24, 50, 100))):
+        for m in sizes:
+            x = rng.normal(0.0, 1.0, (m, dim))
+            x[-1] = x[0]
+            yield x, rng.random(m)
+            yield x, np.ones(m)
+
+
+def test_interaction_fields_are_pinned():
+    # every kernel on every pinned cloud, by float.hex; the digest was
+    # taken when each component was one math.fsum over all m points
+    values = [c.hex() for kernel in KERNELS
+              for x, w in _pinned_clouds()
+              for c in interaction_field(kernel, x, w).ravel().tolist()]
+    assert len(values) == 4 * 2 * (377 + 2 * 176 + 3 * 176)
+    assert hashlib.sha256(" ".join(values).encode()).hexdigest() == (
+        "117356a7c984670b6a5b3e76de733df14d5089e6ec0bc243aa68b32f2b45e570")
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -222,14 +288,15 @@ def test_interaction_field_permutes_with_its_inputs(kernel):
 
 
 class _CountingMath:
-    """The math module as a module sees it, counting fsum and hypot calls."""
+    """The math module as a module sees it, counting fsum, hypot and exp
+    calls."""
 
     def __init__(self):
         self.calls = Counter()
 
     def __getattr__(self, name):
         fn = getattr(math, name)
-        if name not in ("fsum", "hypot"):
+        if name not in ("fsum", "hypot", "exp"):
             return fn
 
         def counted(*args):
@@ -250,3 +317,50 @@ def test_1d_interaction_field_makes_no_per_pair_math_call(kernel,
     # the m * d row sums are fsum calls; no pair may make one
     assert counting.calls["fsum"] <= m * 1
     assert counting.calls["hypot"] == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_2d_interaction_field_calls_math_once_per_unordered_pair(kernel,
+                                                                 monkeypatch):
+    counting = _CountingMath()
+    for module in ("mdelab.kernels", "mdelab.measure"):
+        monkeypatch.setattr(importlib.import_module(module), "math", counting)
+    m = 40
+    positions = np.random.default_rng(40).uniform(-1.0, 1.0, (m, 2))
+    interaction_field(kernel, positions, np.full(m, 1.0 / m))
+    # the row sums take the tree, which sends back to fsum only a row
+    # whose sum is at a tie between two floats (one of these 80), never
+    # a pair; the bump's |z| and exp run once per pair i <= j
+    assert counting.calls["fsum"] <= 1
+    per_pair = m * (m + 1) // 2 if kernel.name == "bump_alignment" else 0
+    assert counting.calls["hypot"] == per_pair
+    assert counting.calls["exp"] <= per_pair
+
+
+def test_seeded_interaction_solve_sends_few_rows_back_to_fsum(monkeypatch):
+    # an interaction solve as the lattice_evolution benchmark runs one:
+    # 100 atoms uniform on [-1, 1], masses from U[0.2, 1], a bump kernel
+    # with range from U[0.8, 1.2], N = 20. The tree decides every row but
+    # the sums within a bump-tail term (1.7e-101) of a tie between two
+    # floats: 2 of the 1,900 rows, which fsum decides
+    rng = random.Random(7)
+    reach = rng.uniform(0.8, 1.2)
+    xs = [rng.uniform(-1.0, 1.0) for _ in range(100)]
+    ws = [rng.uniform(0.2, 1.0) for _ in range(100)]
+    mu = make_measure([((x,), w / math.fsum(ws)) for x, w in zip(xs, ws)])
+    counting = _CountingMath()
+    monkeypatch.setattr(measure, "math", counting)
+    seen = Counter()
+
+    def counted(a):
+        before = counting.calls["fsum"]
+        sums = measure.exact_row_sums(a)
+        seen["rows"] += sums.size
+        seen["fsum"] += counting.calls["fsum"] - before
+        return sums
+
+    monkeypatch.setattr(kernels, "exact_row_sums", counted)
+    las_solve(mu, interaction_pvf(make_kernel("bump_alignment", range=reach)),
+              20, 1.0)
+    assert seen["rows"] >= 20 * 90
+    assert seen["fsum"] <= seen["rows"] // 500

@@ -1,14 +1,18 @@
+import contextlib
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mdelab.measure as measure
 from mdelab.measure import (MAX_LATTICE_N, _build, _check_masses,
-                            _increasing, _merge, as_rows, radius)
+                            _increasing, _merge, as_rows, exact_row_sums,
+                            radius)
 from mdelab import (
     DiscreteMeasure,
     ValidationError,
@@ -366,3 +370,85 @@ def test_atom_order_never_affects_the_measure(mu: DiscreteMeasure):
 @settings(max_examples=50, deadline=None)
 def test_total_mass_is_one(mu):
     assert abs(math.fsum(mu.masses) - 1.0) <= 1e-9
+
+
+def _fsum_rows(rows):
+    """[math.fsum(r) for r in rows] as hex strings, or the exception type
+    the first raising row raises."""
+    try:
+        return [math.fsum(r).hex() for r in rows]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _tree_always():
+    """Patch exact_row_sums onto its tree path, whatever the size."""
+    return mock.patch.multiple(measure, TREE_FIXED=0, TREE_PER_LEVEL=0)
+
+
+def _tree_rows(rows):
+    """exact_row_sums on the tree path, as _fsum_rows reports."""
+    with _tree_always():
+        try:
+            return [v.hex() for v in exact_row_sums(np.array(rows)).tolist()]
+        except (OverflowError, ValueError) as exc:
+            return type(exc)
+
+
+# entries over 2^+-600 and every special float: subnormals, signed zeros,
+# the largest finite floats (whose partial sums overflow), +-inf and NaN
+_wide = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-600, 600))
+_special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022,
+                            1.5, 1e308, -1e308, math.inf, -math.inf,
+                            math.nan])
+_entry = st.one_of(_wide, _special, st.floats())
+
+
+def _nearly_cancelling(half):
+    """A row of half and its negation, each negated entry nudged by at
+    most one ulp toward zero or away from it, or not at all."""
+    return half + [-math.nextafter(x, s * math.inf)
+                   if math.isfinite(x) and s else -x
+                   for x, s in zip(half, [0, 1, -1] * len(half))]
+
+
+_row_sets = st.integers(1, 3).flatmap(lambda r: st.integers(1, 32).flatmap(
+    lambda n: st.lists(st.one_of(
+        st.lists(_entry, min_size=n, max_size=n),
+        st.lists(_wide, min_size=(n + 1) // 2, max_size=(n + 1) // 2).map(
+            lambda h: _nearly_cancelling(h)[:n])),
+        min_size=r, max_size=r)))
+
+
+@given(_row_sets)
+@settings(max_examples=60, deadline=None)
+# the error sum err = fl(1 + 2^-53 + 2^-53) = 1 misses 2^-52, which
+# decides the tie 2^53 + 1: a bound b below half an ulp of 1 keeps it
+@example([[2.0 ** 53, 1.0, 2.0 ** -53, 2.0 ** -53]])
+# fsum overflows on 1e308 + 1e308; the tree adds 1e308 - 1e308 first
+@example([[1e308, 1e308, -1e308, -1e308]])
+# a tie in one binade, which no bound decides: fsum does
+@example([[1.0 + 2.0 ** -51, 1.5, 1.5]])
+# rows of zeros have b = 0, so the tree decides them: fsum gives 0.0
+@example([[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
+def test_exact_row_sums_is_fsum_bit_for_bit(rows):
+    want = _fsum_rows(rows)
+    assert _tree_rows(rows) == want
+    try:
+        got = [v.hex() for v in exact_row_sums(np.array(rows)).tolist()]
+    except (OverflowError, ValueError) as exc:
+        got = type(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_exact_row_sums_keeps_the_shape_of_the_rows(tree):
+    a = np.arange(24.0).reshape(2, 3, 4)
+    with _tree_always() if tree else contextlib.nullcontext():
+        assert exact_row_sums(a).tolist() == [
+            [math.fsum(r) for r in plane] for plane in a.tolist()]
+        assert exact_row_sums(a.transpose(2, 0, 1)).tolist() == [
+            [math.fsum(a[i, :, k].tolist()) for i in range(2)]
+            for k in range(4)]
+    # rows of no entry are under every tree size: fsum([]) is 0.0
+    assert exact_row_sums(np.zeros((3, 0))).tolist() == [0.0] * 3
