@@ -108,7 +108,6 @@ from .analysis import (
     step_displacement_check,
     support_bound_check,
     time_lipschitz_check,
-    trajectory_reach,
     uniqueness_proxy,
     weak_residual,
 )

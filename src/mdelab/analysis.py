@@ -30,7 +30,7 @@ from .las import Trajectory, ax_discretize, interpolate, las_solve
 from .kernels import _bump
 from .measure import DiscreteMeasure, _build, as_rows, dirac, exact_row_sums, \
     make_measure, push_forward, squared_norms, support_radius, uniform_1d
-from .pvf import PvfSpec, VelocityField, _horner, lift, sublinear_constant
+from .pvf import PvfSpec, VelocityField, _horner, lift
 from .transport import wasserstein
 
 ORACLE_ATOMS_DEFAULT = 200
@@ -63,11 +63,6 @@ def bump_family(dim: int, reach: float, count: int = 5) -> list[TestFunction]:
             for k in range(count)]
 
 
-def trajectory_reach(traj: Trajectory) -> float:
-    c = sublinear_constant(traj.pvf, traj.dim)
-    return math.exp(c * traj.config.horizon) * (traj.initial_radius + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # weak-form residuals
 
@@ -88,9 +83,7 @@ def _measure_at(flow, t: float) -> DiscreteMeasure:
 def _time_grid(flow, t: float) -> list[float]:
     if isinstance(flow, StationaryFlow):
         return [t * k / 8.0 for k in range(9)] if t > 0 else [0.0]
-    n = flow.config.n_param
-    last_step = min(int(math.floor(t * n + 1e-12)), len(flow.steps) - 1)
-    nodes = [ell / n for ell in range(last_step + 1)]
+    nodes = list(flow.times[:flow.step_at(t) + 1])
     if t > nodes[-1] + 1e-15:
         nodes.append(t)
     return nodes
@@ -140,10 +133,9 @@ def _residuals(flow, family, t: float, a_coeffs=(1.0,)) -> list[float]:
         raise ValidationError(f"residual time must be finite and >= 0, "
                               f"got {t!r}", field="t")
     if isinstance(flow, Trajectory):
-        horizon = (len(flow.steps) - 1) / flow.config.n_param
-        if t > horizon + 1e-12:
-            raise ValidationError(
-                f"t={t!r} beyond trajectory horizon {horizon!r}", field="t")
+        if t > flow.end_time + 1e-12:
+            raise ValidationError(f"t={t!r} beyond trajectory horizon "
+                                  f"{flow.end_time!r}", field="t")
     mu_start, mu_end = _measure_at(flow, 0.0), _measure_at(flow, t)
     for f in family:
         if len(f.center) != mu_start.dim or not all(map(math.isfinite,
@@ -180,9 +172,9 @@ def _residuals(flow, family, t: float, a_coeffs=(1.0,)) -> list[float]:
         integrand.append(flux if slope == 0.0 else slope * means + flux)
     # the trapezoid rule on the nodes, one exact fsum per bump
     v = np.array(integrand)
-    terms = (0.5 * (v[:-1] + v[1:]) * np.diff(nodes)[:, None]).T.tolist()
+    terms = 0.5 * (v[:-1] + v[1:]) * np.diff(nodes)[:, None]
     lhs = _horner(a_coeffs, t) * mean_end
-    rhs = _horner(a_coeffs, 0.0) * mean_start + list(map(math.fsum, terms))
+    rhs = _horner(a_coeffs, 0.0) * mean_start + exact_row_sums(terms.T)
     return np.abs(lhs - rhs).tolist()
 
 
@@ -205,7 +197,7 @@ def max_family_residual(flow, t: float, reach: float | None = None) -> float:
     mu0 = _measure_at(flow, 0.0)
     if reach is None:
         reach = (support_radius(mu0) + 1.0 if isinstance(flow, StationaryFlow)
-                 else trajectory_reach(flow))
+                 else flow.reach())
     return max(0.0, *_residuals(flow, bump_family(mu0.dim, reach), t))
 
 
@@ -364,20 +356,14 @@ def gronwall_check(spec: PvfSpec, mu0: DiscreteMeasure,
 
 
 def support_bound_check(traj: Trajectory) -> bool:
-    """Re-verify every step's radius against exp(C l dt)(R+1)."""
-    c = sublinear_constant(traj.pvf, traj.dim)
-    r0 = traj.initial_radius
-    dt = traj.config.dt
-    return all(
-        step.support_radius() <= math.exp(c * ell * dt) * (r0 + 1.0)
-        * (1.0 + 1e-12)
-        for ell, step in enumerate(traj.steps))
+    """Re-verify every step's radius against its envelope (las)."""
+    return all(step.support_radius() <= traj.reach(ell) * (1.0 + 1e-12)
+               for ell, step in enumerate(traj.steps))
 
 
 def time_lipschitz_check(traj: Trajectory, times) -> bool:
-    """W(mu(t), mu(s)) <= C exp(CT)(R+1)|t-s| over all sampled pairs."""
-    c = sublinear_constant(traj.pvf, traj.dim)
-    rate = c * math.exp(c * traj.config.horizon) * (traj.initial_radius + 1.0)
+    """W(mu(t), mu(s)) <= traj.time_lipschitz |t-s| on sampled pairs."""
+    rate = traj.time_lipschitz
     times = [float(t) for t in times]
     measures = [interpolate(traj, t) for t in times]
     for i in range(len(times)):
@@ -389,10 +375,8 @@ def time_lipschitz_check(traj: Trajectory, times) -> bool:
 
 
 def step_displacement_check(traj: Trajectory) -> bool:
-    """Consecutive steps move at most C exp(CT)(R+1) dt apart."""
-    c = sublinear_constant(traj.pvf, traj.dim)
-    limit = (c * math.exp(c * traj.config.horizon)
-             * (traj.initial_radius + 1.0) * traj.config.dt)
+    """Consecutive steps move at most traj.time_lipschitz dt apart."""
+    limit = traj.time_lipschitz * traj.config.dt
     return all(
         wasserstein(a.to_measure(), b.to_measure()).distance
         <= limit * (1.0 + 1e-9) + 1e-15

@@ -13,15 +13,16 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 
 from . import analysis, particles, selfcheck
 from .errors import MdeLabError, NumericalError, ValidationError
 from .fiber_metric import FiberCostKind, constrained_fiber_cost
 from .las import las_solve
-from .measure import lifted_from_dict, load_json, measure_from_dict
+from .measure import _number, lifted_from_dict, load_json, measure_from_dict
 from .kernels import kernel_from_dict
-from .pvf import field_from_dict, pvf_from_dict
+from .pvf import _fiber_rows, field_from_dict, pvf_from_dict
 from .transport import wasserstein
 
 _KIND_BY_FLAG = {
@@ -69,6 +70,9 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise ValidationError("format must be csv or json",
                                   field="format")
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)  # recipes are checked by them
 
 
 def f17(x: float) -> str:
@@ -166,8 +170,7 @@ def _oracle_params_from_dict(doc: dict) -> dict:
         elif key in ("field", "phi"):
             params[key] = field_from_dict(value)
         elif key == "fiber":
-            params[key] = [(tuple(float(c) for c in row[:-1]),
-                            float(row[-1])) for row in value]
+            params[key] = _fiber_rows(value)
         else:
             params[key] = value
     return params
@@ -245,19 +248,40 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+def _option(key: str, value, kind: type):
+    """A recipe option's value, checked against the type RunConfig
+    declares: a JSON number for int and float (_number), true or false
+    for bool, a string for str, and a list of these for a tuple."""
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"recipe option {key!r} must be a list, "
+                                  f"got {value!r}", field=key)
+        return tuple(_option(key, v, typing.get_args(kind)[0]) for v in value)
+    kind = next(k for k in typing.get_args(kind) or (kind,)
+                if k is not type(None))
+    if kind in (int, float):
+        return _number(value, key, integer=kind is int)
+    if not isinstance(value, kind):
+        raise ValidationError(f"recipe option {key!r} must be a "
+                              f"{kind.__name__}, got {value!r}", field=key)
+    return value
+
+
 def recipe_to_config(doc: dict) -> RunConfig:
     """Build a RunConfig from a recipe document ({"subcommand", "options"})."""
-    if "subcommand" not in doc:
+    if not isinstance(doc, dict) or "subcommand" not in doc:
         raise ValidationError("recipe needs a 'subcommand'",
                               field="subcommand")
-    options = dict(doc.get("options", {}))
+    options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise ValidationError("recipe options must be a JSON object",
+                              field="options")
     for key in options:
-        if key == "subcommand" or key not in RunConfig.__dataclass_fields__:
+        if key == "subcommand" or key not in _FIELD_TYPES:
             raise ValidationError(f"unknown recipe option {key!r}", field=key)
-    for key in ("inputs", "n_grid", "times"):
-        if key in options:
-            options[key] = tuple(options[key])
-    return RunConfig(subcommand=doc["subcommand"], **options)
+    return RunConfig(**{key: _option(key, value, _FIELD_TYPES[key])
+                        for key, value in [("subcommand", doc["subcommand"]),
+                                           *options.items()]})
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ class BoxOverflowError(NumericalError):
 
 
 class SupportBoundError(NumericalError):
-    """Per-step support radius exceeded exp(C*l*dt)*(R+1); C was misdeclared."""
+    """A step left its a-priori support envelope: C was misdeclared."""
 
 
 class SublinearityError(NumericalError):

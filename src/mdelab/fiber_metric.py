@@ -216,8 +216,8 @@ def _integrand(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
                col_of: np.ndarray, kind: FiberCostKind,
                ) -> tuple[np.ndarray, np.ndarray]:
     """(base distance, integrand of the kind) on the cells (row_of[j],
-    col_of[j]). Distances are math.dist's, and <v - w, x - y> is one
-    math.fsum per cell in 2D and up."""
+    col_of[j]). Distances are math.dist's, and <v - w, x - y> is the
+    math.fsum of each cell's products (measure.exact_row_sums)."""
     gap = v1.positions[row_of] - v2.positions[col_of]
     dv = v1.velocities[row_of] - v2.velocities[col_of]
     base_dist = norms(gap)
@@ -225,8 +225,7 @@ def _integrand(v1: LiftedMeasure, v2: LiftedMeasure, row_of: np.ndarray,
         return base_dist, norms(dv)
     if kind is FiberCostKind.COMBINED:
         return base_dist, base_dist + norms(dv)
-    prod = dv * gap
-    dot = prod[:, 0] if prod.shape[1] == 1 else exact_row_sums(prod)
+    dot = exact_row_sums(dv * gap)
     objective = np.zeros(len(dot))
     np.divide(dot, base_dist, out=objective, where=base_dist > 0.0)
     return base_dist, objective

@@ -1,13 +1,12 @@
 """Interaction kernels phi: R^n -> R^n and interaction_field, the map
 x_i -> sum_j w_j phi(x_j - x_i) that both the particle integrator and the
 interaction-type probability vector field call. Each of its components
-is the math.fsum of its m terms, bit for bit (measure.exact_row_sums),
-so relabelling the points permutes it bit for bit. Pair values take IEEE
-shortcuts only where these equal math's (phi_array). Every kernel is
-odd, and x_i - x_j is exactly -(x_j - x_i), so phi of one is the exact
-negation of phi of the other, save the sign of a zero, which no sum
-sees: the bump kernel evaluates phi once per unordered pair and mirrors
-it.
+is the math.fsum of its m terms, and |z|^2 the fsum of its squares, as
+measure.py sums them, so relabelling the points permutes the field bit
+for bit. Every kernel is odd, and x_i - x_j is exactly -(x_j - x_i), so
+phi of one is the exact negation of phi of the other, save the sign of
+a zero, which no sum sees: the bump kernel evaluates phi once per
+unordered pair and mirrors it.
 
 Each kernel ships declared envelopes: a bound valid for arguments
 |z| <= 2R (differences of points in a ball of radius R), a Lipschitz
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .measure import (TREE_FIXED, TREE_PER_LEVEL, _readonly, exact_row_sums,
+from .measure import (_check_schema, _number, _readonly, exact_row_sums,
                       norms, squared_norms)
 
 _KERNEL_PARAMS = {"zero": (), "linear": ("rate",),
@@ -143,18 +142,19 @@ def make_kernel(name: str, sublinear_c: float | None = None,
         raise ValidationError(
             f"kernel {name} got unknown params {sorted(extra)}",
             field=sorted(extra)[0])
-    items = tuple(sorted((k, float(v)) for k, v in params.items()))
+    items = tuple(sorted((k, _number(v, k)) for k, v in params.items()))
     return KernelSpec(name=name, params=items, sublinear_c=sublinear_c)
 
 
 def kernel_from_dict(doc: dict) -> KernelSpec:
     if not isinstance(doc, dict) or "name" not in doc:
         raise ValidationError("kernel document needs a 'name'", field="name")
+    _check_schema(doc, "kernel")
     params = {k: v for k, v in doc.items()
               if k not in ("name", "schema", "sublinear_c")}
     c = doc.get("sublinear_c")
-    return make_kernel(doc["name"], sublinear_c=None if c is None else float(c),
-                       **params)
+    c = None if c is None else _number(c, "sublinear_c")
+    return make_kernel(doc["name"], sublinear_c=c, **params)
 
 
 def kernel_to_dict(kernel: KernelSpec) -> dict:
@@ -232,9 +232,4 @@ def interaction_field(kernel: KernelSpec, positions, weights) -> np.ndarray:
         flat = terms.reshape(m * m, d)
         flat[upper] = -(np.take(w, lo)[:, None] * phi)
         flat[lower] = np.take(w, hi)[:, None] * phi
-    if m * x.size < TREE_FIXED + TREE_PER_LEVEL * (m - 1).bit_length():
-        # exact_row_sums' own fsum path, inline: the RK4 steps of small
-        # systems make most calls, and the call into it cost 0.3 us each
-        rows = terms.transpose(1, 2, 0).reshape(-1, m).tolist()
-        return np.fromiter(map(math.fsum, rows), float, x.size).reshape(m, d)
     return exact_row_sums(terms.transpose(1, 2, 0))

@@ -4,43 +4,31 @@ One parameter N sets every resolution: time step 1/N, velocity step 1/N,
 space step 1/N^2 (their product, the space a velocity cell covers in
 one time step). Measures live on the grid Z^n / N^2 inside the box
 [-N, N]^n, stored as int64 coordinates (N <= 208,063). A solve carries
-three arrays from step to step: the int64 coordinate rows, the float64
-masses and the positions rows / N^2. That one numpy division per step
-serves both the step's support-radius check and the next step's lift.
-A step lifts the positions into (source index, velocity, mass) arrays,
-floors the velocities to cells k = floor(v * N) in floats
-(_bin_velocity, the only floor), shifts rows[index] + k and merges
-coincident atoms in the one array merge of every measure builder. Each
-step's LatticeMeasure, whose fields are tuples (see measure.py), is
-built from the merged arrays once; las_step runs the same step on one
-LatticeMeasure. Runs replay bit-for-bit, but they are not exact
-rational arithmetic: a float product can land just below an integer and
-floor one cell lower.
+the int64 coordinate rows, the float64 masses and the positions
+rows / N^2 from step to step. A step lifts the positions into (source
+index, velocity, mass) arrays, floors the velocities to cells
+k = floor(v * N) in floats (_bin_velocity, the only floor), shifts
+rows[index] + k and merges coincident atoms (measure._merge); each
+step's LatticeMeasure is built once from the merged arrays. Runs replay
+bit-for-bit, but they are not exact rational arithmetic: a float
+product can land just below an integer and floor one cell lower.
 
 A solve also carries one fact (unit) from each mass check to the next:
-the masses are positive and their math.fsum is exactly 1.0. The
-binning's check establishes it or not; a restart from a LatticeMeasure
-starts without it. Each skip below is one whose result the fact
-decides, so every trajectory is bit for bit the one of a solve that
-checks every lift and every step:
-- the one-to-one kinds (ode_lift, one_sided_ode, interaction) lift atom
-  i to one velocity with its own mass, so their (index, velocity) keys
-  are sorted and distinct: the lift's merge would be the identity and
-  does not run, for any masses. Under the fact the lift's renormalising
-  check would return the masses unchanged, so it does not run either
-  (pvf.lift);
-- a step merge that returns as many rows as it got permutes its masses,
-  and fsum, correctly rounded, does not depend on order; when the
-  lift's masses carry the fact, the step's check cannot fail and does
-  not run (measure._lattice_rows). A merge that joins rows is checked,
-  because its rounded group sums can move the total.
-Any check that runs sets the fact to its own finding; a renormalisation
-clears it. las_step starts each step without it.
+the masses are positive and their math.fsum is exactly 1.0. It skips
+only the checks whose result the fact decides, the lift of a one-to-one
+kind (pvf.lift) and a step merge that joins no rows
+(measure._lattice_rows), so every trajectory is bit for bit the one of
+a solve that checks every lift and every step. The binning's check
+sets the fact; a restart from a LatticeMeasure, las_step and any
+renormalisation start without it.
 
-A run checks two a-priori bounds and fails loudly when either breaks:
-the box must satisfy exp(C*T)*(R+1) <= N before starting (refusing, not
-clipping), and every step's support radius must stay under
-exp(C*l*dt)*(R+1), which catches misdeclared sublinearity constants.
+This module is the one home of the paper's a-priori estimates and of
+the lattice clock: support_envelope, exp(C t)(R + 1), and
+Trajectory.time_lipschitz, C exp(C T)(R + 1); Trajectory.step_at, the
+step of a time, and end_time, the time of the last step. A run refuses
+to start when the envelope at T exceeds N, and stops when a step's
+support radius passes it, which catches misdeclared sublinearity
+constants.
 """
 
 from __future__ import annotations
@@ -95,6 +83,7 @@ class Trajectory:
     steps: tuple[LatticeMeasure, ...]
     pvf: PvfSpec
     initial_radius: float  # radius of the pre-binning initial measure
+    sublinear_c: float  # C of the a-priori bounds (pvf.sublinear_constant)
 
     @property
     def dim(self) -> int:
@@ -103,6 +92,37 @@ class Trajectory:
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(i / self.config.n_param for i in range(len(self.steps)))
+
+    @property
+    def end_time(self) -> float:
+        return (len(self.steps) - 1) / self.config.n_param
+
+    def step_at(self, t: float) -> int:
+        """The step at or before time t: floor(t N), snapped across 1e-12
+        and capped at the last step."""
+        return min(int(math.floor(t * self.config.n_param + 1e-12)),
+                   len(self.steps) - 1)
+
+    def reach(self, ell: int | None = None) -> float:
+        """support_envelope at step ell, or at the horizon T."""
+        c, r0, config = self.sublinear_c, self.initial_radius, self.config
+        if ell is None:
+            return support_envelope(c, r0, config.horizon)
+        return support_envelope(c, r0, ell, config.dt)
+
+    @property
+    def time_lipschitz(self) -> float:
+        """C exp(C T)(R + 1): W(mu(t), mu(s)) <= it |t - s| up to T."""
+        c, r0 = self.sublinear_c, self.initial_radius
+        return c * math.exp(c * self.config.horizon) * (r0 + 1.0)
+
+
+def support_envelope(c: float, radius0: float, t: float, dt: float = 1.0
+                     ) -> float:
+    """The a-priori support radius exp(C t)(R + 1) at the time t dt: a
+    step index and the step, as C ell dt (not C (ell dt), which rounds
+    otherwise), or a time and 1.0."""
+    return math.exp(c * t * dt) * (radius0 + 1.0)
 
 
 def ax_discretize(mu: DiscreteMeasure, n_param: int) -> LatticeMeasure:
@@ -178,8 +198,8 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
 
     Accepts a LatticeMeasure to continue a previous run exactly (the
     concatenation identity then holds bit-for-bit). Refuses up front
-    when exp(C*T)*(R+1) > N, and aborts if any step's support radius
-    exceeds exp(C*l*dt)*(R+1).
+    when the support envelope at T exceeds N, and aborts if any step's
+    support radius exceeds its envelope.
     """
     config = LatticeConfig(n_param=n_param, horizon=horizon)
     if isinstance(mu0, LatticeMeasure):
@@ -197,7 +217,7 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
     # a fresh run bounds its support by the radius before binning
     radius0 = radius(positions) if start is mu0 else support_radius(mu0)
     c_sub = sublinear_constant(spec, start.dim)
-    envelope = math.exp(c_sub * horizon) * (radius0 + 1.0)
+    envelope = support_envelope(c_sub, radius0, horizon)
     if envelope > n_param:
         raise ValidationError(
             f"N={n_param} too small: the support envelope "
@@ -209,7 +229,7 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
         rows, masses, unit = _step(rows, masses, positions, n_param, spec,
                                    unit)
         positions = rows / n_param ** 2
-        bound = math.exp(c_sub * ell * config.dt) * (radius0 + 1.0)
+        bound = support_envelope(c_sub, radius0, ell, config.dt)
         reach = radius(positions)
         if reach > bound * (1.0 + 1e-12):
             raise SupportBoundError(
@@ -218,21 +238,20 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
                 f"constant C={c_sub!r} is too small for this field")
         steps.append(_lattice(n_param, start.dim, rows, masses))
     return Trajectory(config=config, steps=tuple(steps), pvf=spec,
-                      initial_radius=radius0)
+                      initial_radius=radius0, sublinear_c=c_sub)
 
 
 def interpolate(traj: Trajectory, t: float) -> DiscreteMeasure:
     """Measure at any time: between steps, atoms move along their binned
     velocities, x_i + s * v_j for the within-step offset s."""
     n = traj.config.n_param
-    last = len(traj.steps) - 1
-    if not (0.0 <= t <= last / n + 1e-12):
+    if not (0.0 <= t <= traj.end_time + 1e-12):
         raise ValidationError(
-            f"t={t!r} outside [0, {last / n!r}]", field="t")
-    ell = min(int(math.floor(t * n + 1e-12)), last)
+            f"t={t!r} outside [0, {traj.end_time!r}]", field="t")
+    ell = traj.step_at(t)
     s = t - ell / n
     base = traj.steps[ell]
-    if s <= 0.0 or ell == last:
+    if s <= 0.0 or ell == len(traj.steps) - 1:
         return base.to_measure()
     positions = base.position_rows()
     index, velocities, masses, _ = lift(traj.pvf, positions, base.masses,

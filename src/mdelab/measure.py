@@ -19,13 +19,15 @@ case of a lattice step, where no atoms collide) returns the permuted
 arrays without group sums, and the lattice builder skips the mass check
 of such a merge when the caller knows its masses sum to exactly 1.0
 (see las.py). LatticeMeasure.to_measure merges too: near the largest N
-distinct coordinates can round to one float.
+distinct coordinates can round to one float. This module alone decides
+where numpy may stand in for math.fsum (exact_row_sums, _pair_sums).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -86,10 +88,10 @@ def neumaier_prefix(values: Sequence[float]) -> np.ndarray:
 
 
 def _two_sum_tree(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum an (n, ...) array over its first axis by a pairwise tree of
-    error-free TwoSums (Knuth, TAOCP vol. 2, 4.2.2): each level adds the
-    first half of its slabs to the last half, an odd middle slab waiting
-    a level. Returns the root s and the plain sum err of the adds'
+    """Sum an (n, ...) array, n >= 2, over its first axis by a pairwise
+    tree of error-free TwoSums (Knuth, TAOCP vol. 2, 4.2.2): each level
+    adds the first half of its slabs to the last half, an odd middle slab
+    waiting a level. Returns the root s and the plain sum err of the adds'
     rounding errors, which each slot of a buffer of the first level's
     width accumulates before one final sum; the exact sum is s plus the
     exact sum of those errors. Every sum the tree or err forms is of a
@@ -106,7 +108,7 @@ def _two_sum_tree(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             err[:half] += e
         s = np.concatenate((t, s[half:n - half])) if n % 2 else t
-    return s[0], (np.zeros(cols.shape[1:]) if err is None else err.sum(0))
+    return s[0], err.sum(0)
 
 
 def exact_row_sums(a: np.ndarray) -> np.ndarray:
@@ -137,8 +139,10 @@ def exact_row_sums(a: np.ndarray) -> np.ndarray:
        fsum's can overflow; above it the tree, adding in another order,
        could return a finite sum where fsum raises OverflowError."""
     shape, n = a.shape[:-1], a.shape[-1]
+    if n < 2:  # fsum of [x] is x + 0.0 for every float x, of [] 0.0
+        return a.sum(-1) + 0.0
     if a.size < TREE_FIXED + TREE_PER_LEVEL * (n - 1).bit_length():
-        rows = a.reshape(-1, n).tolist() if n else [[]] * math.prod(shape)
+        rows = a.reshape(-1, n).tolist()
         sums = np.fromiter(map(math.fsum, rows), float, len(rows))
         return sums.reshape(shape)
     cols = np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)))
@@ -156,20 +160,29 @@ def exact_row_sums(a: np.ndarray) -> np.ndarray:
     return sums.reshape(shape)
 
 
+def _pair_sums(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The math.fsum of every pair (x[k], y[k]), under the caller's
+    np.errstate: one IEEE add, rounded as fsum rounds, + 0.0 as fsum
+    never returns -0.0; fsum itself where the add is not finite."""
+    sums = x + y + 0.0
+    if not np.isfinite(sums).all():
+        for k in np.flatnonzero(~np.isfinite(sums)).tolist():
+            sums[k] = math.fsum((x[k], y[k]))
+    return sums
+
+
 def _group_sums(masses: np.ndarray, new: np.ndarray) -> np.ndarray:
     """The sum of each run of masses, a run starting wherever new is
     True. A run of one keeps its mass, a longer one gets the math.fsum
-    of its members: exactly rounded, so independent of their order. A
-    pair's one IEEE add is that same sum, so all pairs take one
-    vectorised add; fsum keeps the rest."""
+    of its members: exactly rounded, so independent of their order.
+    Pairs take _pair_sums, longer runs fsum."""
     starts = np.flatnonzero(new)
     ends = np.append(starts[1:], len(masses))
     merged = masses[starts]
     pairs = ends - starts == 2
-    with np.errstate(over="ignore", invalid="ignore"):  # fsum raises there
-        merged[pairs] += masses[starts[pairs] + 1]
-    exact = np.isfinite(merged) & (merged != 0.0)  # fsum: -0.0 + -0.0 is 0.0
-    for g in np.flatnonzero((ends - starts > 2) | pairs & ~exact).tolist():
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged[pairs] = _pair_sums(merged[pairs], masses[starts[pairs] + 1])
+    for g in np.flatnonzero(ends - starts > 2).tolist():
         merged[g] = math.fsum(masses[starts[g]:ends[g]].tolist())
     return merged
 
@@ -352,21 +365,13 @@ def norms(rows: np.ndarray) -> np.ndarray:
 
 
 def squared_norms(rows: np.ndarray) -> np.ndarray:
-    """math.fsum of the squares of each row: the square itself for d = 1,
-    for d = 2 one add, which rounds as fsum does, and fsum for rows the
-    add overflows, where it raises on finite squares; exact_row_sums for
-    d >= 3."""
-    with np.errstate(over="ignore"):
-        if rows.shape[1] == 1:
-            return np.square(rows[:, 0])
+    """math.fsum of the squares of each row: the square itself for d = 1
+    (never -0.0), _pair_sums for d = 2, exact_row_sums from d = 3."""
+    with np.errstate(over="ignore", invalid="ignore"):
         squares = np.square(rows)
-        if rows.shape[1] > 2:
-            return exact_row_sums(squares)
-        sums = squares[:, 0] + squares[:, 1]
-    slow = ~np.isfinite(sums)
-    if slow.any():
-        sums[slow] = list(map(math.fsum, squares[slow].tolist()))
-    return sums
+        if rows.shape[1] == 2:
+            return _pair_sums(squares[:, 0], squares[:, 1])
+    return squares[:, 0] if rows.shape[1] == 1 else exact_row_sums(squares)
 
 
 def radius(rows: np.ndarray) -> float:
@@ -499,6 +504,18 @@ def _check_schema(doc: dict, what: str) -> None:
                               field="schema")
 
 
+def _number(value, field: str, integer: bool = False) -> float | int:
+    """A document's number as a float, or as an int if integer. A string,
+    a bool, null, NaN, inf, or a fraction where an integer is due raises
+    ValidationError naming field."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and not (integer and value % 1)):
+        return int(value) if integer else float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise ValidationError(f"{field} must be {kind}, got {value!r}",
+                          field=field)
+
+
 def measure_from_dict(doc: dict) -> DiscreteMeasure:
     if not isinstance(doc, dict):
         raise ValidationError("measure document must be a JSON object")
@@ -507,14 +524,18 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
         return dirac(doc["dirac"])
     if "uniform" in doc:
         gen = doc["uniform"]
+        if not isinstance(gen, dict):
+            raise ValidationError("uniform generator must be a JSON object",
+                                  field="uniform")
         try:
-            return uniform_1d(float(gen["a"]), float(gen["b"]),
-                              int(gen["atoms"]))
+            return uniform_1d(_number(gen["a"], "uniform.a"),
+                              _number(gen["b"], "uniform.b"),
+                              _number(gen["atoms"], "uniform.atoms", True))
         except KeyError as exc:
             raise ValidationError(f"uniform generator missing {exc.args[0]!r}",
                                   field=f"uniform.{exc.args[0]}") from exc
     try:
-        dim = int(doc["dim"])
+        dim = _number(doc["dim"], "dim", integer=True)
         rows = doc["atoms"]
     except KeyError as exc:
         raise ValidationError(f"measure document missing {exc.args[0]!r}",
@@ -533,7 +554,7 @@ def lifted_from_dict(doc: dict) -> LiftedMeasure:
         raise ValidationError("lifted measure document must be a JSON object")
     _check_schema(doc, "lifted measure")
     try:
-        dim = int(doc["dim"])
+        dim = _number(doc["dim"], "dim", integer=True)
         rows = doc["atoms"]
     except KeyError as exc:
         raise ValidationError(f"lifted document missing {exc.args[0]!r}",

@@ -27,8 +27,8 @@ from .analysis import SAMPLE_FRACTIONS
 from .errors import NumericalError, ValidationError
 from .kernels import KernelSpec, interaction_field
 from .las import interpolate, las_solve
-from .measure import (DiscreteMeasure, _ArrayFields, _build, _readonly,
-                      as_rows, radius)
+from .measure import (DiscreteMeasure, _ArrayFields, _build, _check_schema,
+                      _number, _readonly, as_rows, radius)
 from .pvf import interaction_pvf
 from .transport import wasserstein
 
@@ -68,8 +68,9 @@ def state_from_dict(doc: dict) -> ParticleState:
     if not isinstance(doc, dict) or "positions" not in doc:
         raise ValidationError("particle document needs 'positions'",
                               field="positions")
+    _check_schema(doc, "particle")
     state = make_state(doc["positions"])
-    if "dim" in doc and int(doc["dim"]) != state.dim:
+    if "dim" in doc and _number(doc["dim"], "dim", True) != state.dim:
         raise ValidationError(
             f"declared dim {doc['dim']} != positions dim {state.dim}",
             field="dim")

@@ -33,7 +33,8 @@ from .errors import SublinearityError, ValidationError
 from .kernels import (KernelSpec, interaction_field, kernel_from_dict,
                       kernel_to_dict)
 from .measure import (DiscreteMeasure, LiftedMeasure, _build, _check_masses,
-                      _merge, as_rows, neumaier_prefix, radius)
+                      _check_schema, _merge, _number, as_rows,
+                      neumaier_prefix, radius)
 
 PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
              "interaction", "one_sided_ode")
@@ -127,10 +128,15 @@ class VelocityField:
         raise ValidationError(f"unknown field {self.name!r}", field="name")
 
 
+def _numbers(values, field: str) -> tuple[float, ...]:
+    """A number or a list of numbers as a tuple of floats (_number)."""
+    if isinstance(values, (list, tuple, np.ndarray)):
+        return tuple(_number(v, field) for v in values)
+    return (_number(values, field),)
+
+
 def linear_field(a: float, b=0.0) -> VelocityField:
-    bt = (float(b),) if isinstance(b, (int, float)) else tuple(
-        float(c) for c in b)
-    return VelocityField(name="linear", a=float(a), b=bt)
+    return VelocityField(name="linear", a=_number(a, "a"), b=_numbers(b, "b"))
 
 
 def sgn_sqrt_field() -> VelocityField:
@@ -139,16 +145,18 @@ def sgn_sqrt_field() -> VelocityField:
 
 def sinusoidal_field(amplitude: float, frequency: float,
                      phase: float = 0.0) -> VelocityField:
-    return VelocityField(name="sinusoidal", amplitude=float(amplitude),
-                         frequency=float(frequency), phase=float(phase))
+    return VelocityField(name="sinusoidal",
+                         amplitude=_number(amplitude, "amplitude"),
+                         frequency=_number(frequency, "frequency"),
+                         phase=_number(phase, "phase"))
 
 
 def poly_field(coeffs) -> VelocityField:
-    if coeffs and isinstance(coeffs[0], (int, float)):
+    if not isinstance(coeffs, (list, tuple)) or (
+            coeffs and not isinstance(coeffs[0], (list, tuple))):
         coeffs = [coeffs]
-    return VelocityField(
-        name="poly",
-        coeffs=tuple(tuple(float(c) for c in comp) for comp in coeffs))
+    return VelocityField(name="poly", coeffs=tuple(_numbers(comp, "coeffs")
+                                                   for comp in coeffs))
 
 
 def add_fields(f1: VelocityField, f2: VelocityField) -> VelocityField:
@@ -184,6 +192,10 @@ def _as_poly(f: VelocityField) -> VelocityField:
 
 
 def field_from_dict(doc: dict) -> VelocityField:
+    if not isinstance(doc, dict):
+        raise ValidationError("field document must be a JSON object",
+                              field="field")
+    _check_schema(doc, "field")
     name = doc.get("name")
     if name == "linear":
         return linear_field(doc.get("a", 0.0), doc.get("b", 0.0))
@@ -234,12 +246,11 @@ def constant_pvf(fiber, sublinear_c: float | None = None) -> PvfSpec:
     """fiber: iterable of (velocity, probability); probabilities sum to 1."""
     rows = []
     for vel, p in fiber:
-        vt = (float(vel),) if isinstance(vel, (int, float)) else tuple(
-            float(c) for c in vel)
+        p = _number(p, "fiber")
         if not p > 0:
             raise ValidationError("fiber probabilities must be positive",
                                   field="fiber")
-        rows.append((vt, float(p)))
+        rows.append((_numbers(vel, "fiber"), p))
     if not rows:
         raise ValidationError("constant PVF needs a nonempty fiber",
                               field="fiber")
@@ -393,13 +404,28 @@ def check_h1(spec: PvfSpec, mu: DiscreteMeasure) -> bool:
 # ---------------------------------------------------------------------------
 # JSON round trip: {"kind": ..., "params": {...}}
 
+def _fiber_rows(rows) -> list[tuple[tuple[float, ...], float]]:
+    """A document's fiber, rows [velocity..., probability], as (velocity,
+    probability) pairs of floats; anything else raises ValidationError."""
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) > 1 for row in rows)):
+        raise ValidationError("fiber rows must be [velocity..., "
+                              "probability] lists", field="fiber")
+    return [(_numbers(row[:-1], "fiber"), _number(row[-1], "fiber"))
+            for row in rows]
+
+
 def pvf_from_dict(doc: dict) -> PvfSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError("PVF document needs a 'kind'", field="kind")
+    _check_schema(doc, "PVF")
     kind = doc["kind"]
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValidationError("PVF params must be a JSON object",
+                              field="params")
     c = params.get("sublinear_c")
-    c = None if c is None else float(c)
+    c = None if c is None else _number(c, "sublinear_c")
     if kind == "ode_lift":
         if "field" not in params:
             raise ValidationError("ode_lift needs params.field",
@@ -409,8 +435,7 @@ def pvf_from_dict(doc: dict) -> PvfSpec:
         if "fiber" not in params:
             raise ValidationError("constant needs params.fiber",
                                   field="fiber")
-        return constant_pvf([(row[:-1] if len(row) > 2 else row[0], row[-1])
-                             for row in params["fiber"]], sublinear_c=c)
+        return constant_pvf(_fiber_rows(params["fiber"]), sublinear_c=c)
     if kind == "median_split":
         return median_split_pvf()
     if kind == "phi_diffusion":
@@ -419,7 +444,8 @@ def pvf_from_dict(doc: dict) -> PvfSpec:
                                   field="phi")
         sub = params.get("sub_atoms")
         return phi_diffusion_pvf(field_from_dict(params["phi"]),
-                                 sub_atoms=None if sub is None else int(sub),
+                                 sub_atoms=None if sub is None
+                                 else _number(sub, "sub_atoms", True),
                                  sublinear_c=c)
     if kind == "interaction":
         if "kernel" not in params:

@@ -164,6 +164,52 @@ class TestErrorChannel:
         assert err["error"]["field"] == "atoms"
         assert err["error"]["message"]
 
+    # one bad value in an otherwise good document of each loader: every
+    # one must end in exit 2 and a JSON error naming the field
+    @pytest.mark.parametrize("role, doc, field", [
+        ("kernel", {"name": "linear", "rate": "abc"}, "rate"),
+        ("kernel", {"name": "linear", "rate": math.nan}, "rate"),
+        ("kernel", {"name": "zero", "sublinear_c": "x"}, "sublinear_c"),
+        ("kernel", {"schema": 2, "name": "zero"}, "schema"),
+        ("pvf", {"kind": "ode_lift",
+                 "params": {"field": {"name": "linear", "a": "x"}}}, "a"),
+        ("pvf", {"kind": "ode_lift", "params": {"field": [1]}}, "field"),
+        ("pvf", {"kind": "phi_diffusion",
+                 "params": {"phi": {"name": "linear", "a": -1.0},
+                            "sub_atoms": "x"}}, "sub_atoms"),
+        ("pvf", {"kind": "median_split", "params": [1]}, "params"),
+        ("pvf", {"kind": "median_split", "params": {"sublinear_c": "x"}},
+         "sublinear_c"),
+        ("pvf", {"schema": 2, "kind": "median_split"}, "schema"),
+        ("pvf", {"kind": "constant", "params": {"fiber": [5]}}, "fiber"),
+        ("oracle", {"name": "constant_drift", "params": {"fiber": [5]}},
+         "fiber"),
+        ("oracle", {"name": "constant_drift",
+                    "params": {"fiber": [[1.0, "x"]]}}, "fiber"),
+        ("measure", {"uniform": {"a": 0.0, "b": 1.0, "atoms": "x"}},
+         "uniform.atoms"),
+        ("state", {"positions": [[0.0], [1.0]], "dim": "x"}, "dim"),
+        ("state", {"schema": 2, "positions": [[0.0], [1.0]]}, "schema"),
+    ])
+    def test_a_bad_document_exits_2_naming_its_field(self, tmp_path, capsys,
+                                                     role, doc, field):
+        docs = {"kernel": {"name": "zero"}, "state": {"positions": [[0.0]]},
+                "pvf": {"kind": "median_split"}, "measure": {"dirac": 0.0},
+                "oracle": {"name": "median_split_delta",
+                           "params": {"x0": 0.0}}}
+        docs[role] = doc
+        path = {key: write_json(tmp_path / f"{key}.json", value)
+                for key, value in docs.items()}
+        particles = ["particles", "--kernel", path["kernel"],
+                     "--init", path["state"], "--n", "5"]
+        solve = ["solve", "--pvf", path["pvf"], "--init", path["measure"]]
+        argv = {"kernel": particles, "state": particles,
+                "oracle": ["converge", *solve[1:], "--oracle", path["oracle"],
+                           "--n-grid", "5"]}.get(role, [*solve, "--n", "5"])
+        assert main(argv + ["--horizon", "1.0"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["field"]) == ("validation", field)
+
     def test_unreadable_path_exits_2(self, capsys, median_files):
         pvf, _ = median_files
         code = main(["solve", "--pvf", pvf, "--init", "no-such-file.json",
@@ -347,6 +393,26 @@ class TestConfigPlumbing:
                 recipe_to_config({"subcommand": "solve",
                                   "options": {key: 1.0}})
             assert info.value.field == key
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "10"), ("n", 2.5), ("horizon", "1"), ("horizon", math.inf),
+        ("n_grid", [10, "x"]), ("n_grid", 10), ("times", "0.5"),
+        ("inputs", "ab"), ("inputs", [1]), ("plan", 1), ("pvf", 3),
+    ])
+    def test_recipe_options_are_typed(self, key, value):
+        with pytest.raises(ValidationError) as info:
+            recipe_to_config({"subcommand": "solve",
+                              "options": {key: value}})
+        assert info.value.field == key
+
+    def test_recipe_numbers_take_their_option_types(self):
+        config = recipe_to_config({
+            "subcommand": "residual",
+            "options": {"n": 10.0, "horizon": 1, "times": [0, 1]}})
+        assert (config.n, config.horizon, config.times) == (10, 1.0,
+                                                            (0.0, 1.0))
+        assert [type(v) for v in (config.n, config.horizon, *config.times)
+                ] == [int, float, float, float]
 
     def test_recipe_needs_subcommand(self):
         with pytest.raises(ValidationError):

@@ -94,3 +94,39 @@ def test_definition_scan_flags_a_dead_name():
     others = ["from a import g\nprint(g(2))\n"]
     assert unreferenced_definitions(package, others) == ["a.py: TOL",
                                                          "a.py: f"]
+
+
+def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
+    """Where a module other than measure.py imports or reads the size
+    constants of measure.exact_row_sums, or maps math.fsum over rows:
+    measure.py alone decides when numpy may stand in for fsum."""
+    found = []
+    for module, source in package.items():
+        if module == "measure.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            found += [(module, node.lineno, name) for name in names
+                      if name in ("TREE_FIXED", "TREE_PER_LEVEL")]
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "map" and node.args
+                    and ast.unparse(node.args[0]) in ("math.fsum", "fsum")):
+                found.append((module, node.lineno, "map(fsum)"))
+    return [f"{module}: line {line}: {what}"
+            for module, line, what in sorted(found)]
+
+
+def test_exact_sums_have_one_home():
+    sample = {"measure.py": "TREE_FIXED = 1\nsums = map(math.fsum, rows)\n",
+              "a.py": "from .measure import TREE_FIXED\n"
+                      "sums = list(map(math.fsum, rows))\n"
+                      "size = measure.TREE_PER_LEVEL\n"}
+    assert exact_sums_outside_measure(sample) == [
+        "a.py: line 1: TREE_FIXED", "a.py: line 2: map(fsum)",
+        "a.py: line 3: TREE_PER_LEVEL"]
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE}
+    assert exact_sums_outside_measure(package) == []

@@ -412,12 +412,41 @@ def _nearly_cancelling(half):
                    for x, s in zip(half, [0, 1, -1] * len(half))]
 
 
-_row_sets = st.integers(1, 3).flatmap(lambda r: st.integers(1, 32).flatmap(
-    lambda n: st.lists(st.one_of(
-        st.lists(_entry, min_size=n, max_size=n),
-        st.lists(_wide, min_size=(n + 1) // 2, max_size=(n + 1) // 2).map(
-            lambda h: _nearly_cancelling(h)[:n])),
-        min_size=r, max_size=r)))
+def _near_tie(n):
+    """Rows of n >= 3 entries whose exact sum lies within b of a tie
+    between two floats: a root s = m 2^e (ulp 2^e), half an ulp toward
+    the tie, pairs +-c of multiples of 2^e, and terms d of at most one
+    ulp of that half. Every add of s, the half and the c is exact but
+    the one at the tie, whose error is the half; a big entry absorbs the
+    d it meets as its error. So the error sum adds the d one by one to
+    the half, and its plain adds can round across the tie though the
+    exact sum does not: only b tells the two apart. Shuffled, so the
+    tree pairs the entries in every order. A seeded Random draws them:
+    Hypothesis's own draws favour zeros, which cross no tie."""
+    pairs = (n - 3) // 4
+
+    def row(rnd):
+        e, m = rnd.randint(-60, 60), rnd.randrange(2 ** 52, 2 ** 53 - 2 ** 50)
+        cs = [rnd.randrange(-2 ** 45, 2 ** 45) for _ in range(pairs)]
+        entries = ([math.ldexp(rnd.choice([1, -1]) * m, e),
+                    math.ldexp(rnd.choice([1, -1]), e - 1)]
+                   + [math.ldexp(c, e) for c in cs + [-c for c in cs]]
+                   + [math.ldexp(rnd.randint(-2 ** 11, 2 ** 11), e - 64)
+                      for _ in range(n - 2 - 2 * pairs)])  # |d| <= 2^(e-53)
+        rnd.shuffle(entries)
+        return entries
+    return st.randoms(use_true_random=False).map(row)
+
+
+_row_sets = st.one_of(
+    st.integers(1, 3).flatmap(lambda r: st.integers(1, 32).flatmap(
+        lambda n: st.lists(st.one_of(
+            st.lists(_entry, min_size=n, max_size=n),
+            st.lists(_wide, min_size=(n + 1) // 2, max_size=(n + 1) // 2).map(
+                lambda h: _nearly_cancelling(h)[:n])),
+            min_size=r, max_size=r))),
+    st.integers(3, 32).flatmap(
+        lambda n: st.lists(_near_tie(n), min_size=1, max_size=3)))
 
 
 @given(_row_sets)
