@@ -202,7 +202,7 @@ def _cmd_residual(config: RunConfig) -> None:
     else:
         _require(config, "n", "horizon")
         flow = las_solve(mu0, spec, config.n, config.horizon)
-        horizon = (len(flow.steps) - 1) * flow.config.dt
+        horizon = flow.end_time
     times = config.times or tuple(fr * horizon
                                   for fr in analysis.SAMPLE_FRACTIONS)
     rows = [[t, analysis.max_family_residual(flow, t)]

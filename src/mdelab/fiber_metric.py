@@ -276,16 +276,15 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
     else:
         flow = _lp_flow(v1, v2, lo, hi, row_of, col_of, base_dist, objective)
     keep = np.flatnonzero(flow > _ENTRY_FLOOR)
-    weights = flow[keep].tolist()
+    kept = flow[keep]
     entries = tuple(zip(row_of[keep].tolist(), col_of[keep].tolist(),
-                        weights))
+                        kept.tolist()))
     moved = v1.velocities[row_of[keep]] - v2.velocities[col_of[keep]]
-    fiber_cost = math.fsum((flow[keep] * norms(moved)).tolist())
     plan = LiftedPlan(rows=rows, cols=cols, entries=entries,
-                      base_cost=math.fsum(weights * base_dist[keep]),
-                      fiber_cost=fiber_cost, allowed_pairs=n_vars,
-                      degenerate_base=degenerate)
-    return math.fsum(weights * objective[keep]), plan
+                      base_cost=float(exact_row_sums(kept * base_dist[keep])),
+                      fiber_cost=float(exact_row_sums(kept * norms(moved))),
+                      allowed_pairs=n_vars, degenerate_base=degenerate)
+    return float(exact_row_sums(kept * objective[keep])), plan
 
 
 def _assignment_flow(masses: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -359,7 +358,7 @@ def monotone_fiber_cost_1d(v1: LiftedMeasure, v2: LiftedMeasure,
     rows, cols, deltas = map(np.array, _northwest(v1.masses.tolist(),
                                                   v2.masses.tolist()))
     _, cost = _integrand(v1, v2, rows, cols, kind)
-    return math.fsum((deltas * cost).tolist())
+    return float(exact_row_sums(deltas * cost))
 
 
 def tangent_wasserstein(v1: LiftedMeasure, v2: LiftedMeasure) -> float:

@@ -126,11 +126,10 @@ def meanfield_compare(state0: ParticleState, kernel: KernelSpec,
     dt_ode = traj.config.dt / REFERENCE_SUBSTEPS
     states = integrate(state0, kernel, horizon, dt_ode)
     h = horizon / (len(states) - 1)
-    horizon_cap = (len(traj.steps) - 1) * traj.config.dt
     gaps = []
     for fr in sample_fractions:
         idx = min(round(fr * horizon / h), len(states) - 1)
-        t = min(states[idx].time, horizon_cap)
+        t = min(states[idx].time, traj.end_time)
         gap = wasserstein(empirical(states[idx]),
                           interpolate(traj, t)).distance
         gaps.append((states[idx].time, gap))

@@ -4,7 +4,9 @@ Distance is the transportation LP optimum with Euclidean ground cost
 |x - y|. The solver is chosen by a property of the input:
 
 - one-dimensional instances take the monotone (sorted quantile)
-  coupling;
+  coupling: a northwest-corner sweep with one inner loop per source,
+  the source's remainder in a local, priced by one exact_row_sums of
+  the moves times the gaps;
 - m vs m atoms whose masses are all bit-equal are an assignment
   problem: by Birkhoff-von Neumann an optimal permutation is an optimal
   vertex, so `scipy.optimize.linear_sum_assignment` on the cost matrix
@@ -27,6 +29,14 @@ Distance is the transportation LP optimum with Euclidean ground cost
   degenerate pivot: all of them run under Bland's rule, which cannot
   cycle. Every pivot sequence therefore terminates.
 
+  A pivot prices every cell into one reused buffer as (cost - u) - v,
+  and the entering rule's own reduction (argmin for Dantzig, argmax of
+  the negative mask for Bland) also decides optimality: the basis is
+  optimal when the cell it picks is not negative. The cycle is walked
+  as the two tree paths, whose cells alternate giving and taking mass
+  from either end: each changes by one subtraction or addition of
+  theta.
+
 Every returned plan is a vertex of the transportation polytope (at most
 rows+cols-1 entries).
 """
@@ -41,7 +51,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
-from .measure import DiscreteMeasure, _merge, norms
+from .measure import DiscreteMeasure, _merge, exact_row_sums, norms
 
 PLAN_TOL = 1e-10          # marginal and cost-consistency tolerance
 OPT_REL_TOL = 1e-7        # plan_is_optimal: cost <= W + 1e-7*(1+W)
@@ -110,39 +120,46 @@ def _northwest(src: Sequence[float], tgt: Sequence[float],
     With band = (lo, hi), both nondecreasing, source i may only move to
     targets in [lo[i], hi[i]): the sweep skips targets below lo[i] and
     leaves source i at hi[i], and mass no such move can carry stays.
+
+    One inner loop per source, which holds that source's remainder s: a
+    move carries t, what target k still takes, while s > t, then s.
     """
-    src = list(src)
     tgt = list(tgt)
-    m, n = len(src), len(tgt)
-    lo, hi = band if band is not None else ([0] * m, [n] * m)
+    n = len(tgt)
+    lo, hi = band if band is not None else (None, None)
     rows, cols, deltas = [], [], []
-    i, k, top = 0, lo[0], hi[0]  # top: hi of the current source
-    while True:
-        if k < top:
-            s, t = src[i], tgt[k]
-            rows.append(i)
-            cols.append(k)
+    row, col, move = rows.append, cols.append, deltas.append
+    k, top = 0, n  # top: hi of the current source
+    for i, s in enumerate(src):
+        if lo is not None:
+            k, top = max(k, lo[i]), hi[i]
+        while k < top:
+            t = tgt[k]
+            row(i)
+            col(k)
             if s > t:
-                deltas.append(t)
-                src[i] = s - t
+                move(t)
+                s = s - t
                 k += 1
                 continue
-            deltas.append(s)
+            move(s)
             if s == t:
                 k += 1
             else:
                 tgt[k] = t - s
-        i += 1
-        if i == m or k == n:
-            return rows, cols, deltas
-        k, top = max(k, lo[i]), hi[i]
+            break
+        if k == n:
+            break
+    return rows, cols, deltas
 
 
 def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     # positions are already sorted lexicographically = numerically in 1D
     rows, cols, deltas = _northwest(mu.masses.tolist(), nu.masses.tolist())
-    gaps = np.abs(mu.positions[rows, 0] - nu.positions[cols, 0])
-    cost = math.fsum((np.array(deltas) * gaps).tolist())
+    size = len(rows)  # fromiter with a count fills the arrays in one pass
+    gaps = np.abs(mu.positions[np.fromiter(rows, np.intp, size), 0]
+                  - nu.positions[np.fromiter(cols, np.intp, size), 0])
+    cost = float(exact_row_sums(np.fromiter(deltas, float, size) * gaps))
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
                          entries=tuple(zip(rows, cols, deltas)), cost=cost)
 
@@ -222,9 +239,8 @@ class _Simplex:
         m, c, adj = self.m, self.c, self.adj
         up, depth, dual = self.parent, self.depth, self.dual
         up[top] = parent
-        stack = [top]
-        while stack:
-            a = stack.pop()
+        reached = [top]
+        for a in reached:  # breadth first: the loop reads what it appends
             p = up[a]
             if p >= 0:
                 depth[a] = depth[p] + 1
@@ -232,55 +248,64 @@ class _Simplex:
             for b in adj[a]:
                 if b != p:
                     up[b] = a
-                    stack.append(b)
-
-    def _cycle(self, i: int, k: int) -> tuple[list[tuple[int, int]], int]:
-        """The entering cell (i, k), then the tree path from row i to
-        column k; and how many of its cells lie on row i's side of the
-        two endpoints' common ancestor."""
-        a, b = i, self.m + k
-        up_a, up_b = [], []
-        while a != b:
-            if self.depth[a] >= self.depth[b]:
-                up_a.append(self._cell(a, self.parent[a]))
-                a = self.parent[a]
-            else:
-                up_b.append(self._cell(b, self.parent[b]))
-                b = self.parent[b]
-        return [(i, k)] + up_a + up_b[::-1], len(up_a)
+                    reached.append(b)
 
     def solve(self) -> None:
-        budget = _pivot_budget(self.m, self.n)
+        m, n, cost, tol = self.m, self.n, self.cost, self.tol
+        flow, up, depth = self.flow, self.parent, self.depth
+        budget = _pivot_budget(m, n)
+        # pricing buffers: the duals as an array, u and v as views of
+        # it, and the reduced costs (cost - u) - v, written in place
+        dual = np.empty(m + n)
+        u, v = dual[:m, None], dual[None, m:]
+        reduced = np.empty_like(cost)
         bland = False  # Bland's entering rule right after a degenerate pivot
         for done in range(budget + 1):
-            dual = np.array(self.dual)
-            reduced = self.cost - dual[:self.m, None] - dual[None, self.m:]
-            negative = reduced < -self.tol
-            if not negative.any():
+            dual[:] = self.dual
+            np.subtract(cost, u, out=reduced)
+            np.subtract(reduced, v, out=reduced)
+            # Bland: first negative cell in lex order; Dantzig: most
+            # negative cell, first in lex order among ties. If the rule's
+            # cell is not negative, no cell is: the basis is optimal.
+            flat = int((reduced < -tol).argmax() if bland
+                       else reduced.argmin())
+            if not reduced.item(flat) < -tol:
                 return
             if done == budget:
                 raise NumericalError(
-                    f"transportation simplex on m x n = {self.m} x {self.n} "
+                    f"transportation simplex on m x n = {m} x {n} "
                     f"cells: {done} pivots done of a budget of {budget}, "
                     f"and the basis is still not optimal")
-            # Bland: first negative cell in lex order; Dantzig: most
-            # negative cell, first in lex order among ties
-            flat = np.argmax(negative) if bland else np.argmin(reduced)
-            enter_i, enter_k = divmod(int(flat), self.n)
-            cycle, row_side = self._cycle(enter_i, enter_k)
-            donors = cycle[1::2]
-            theta = min(self.flow[c] for c in donors)
+            enter_i, enter_k = divmod(flat, n)
+            # the tree paths from row enter_i and from column enter_k up
+            # to their common ancestor close the entering cell's cycle;
+            # on each, the cells 1st, 3rd, ... from its end give mass.
+            # A path cell is _cell of the edge, written out
+            a, b = enter_i, m + enter_k
+            row_path, col_path = [], []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    p = up[a]
+                    row_path.append((a, p - m) if a < m else (p, a - m))
+                    a = p
+                else:
+                    p = up[b]
+                    col_path.append((b, p - m) if b < m else (p, b - m))
+                    b = p
+            donors = row_path[::2] + col_path[::2]
+            theta = min([flow[cell] for cell in donors])
             bland = theta == 0.0
-            leaving = min(c for c in donors if self.flow[c] == theta)
-            self._add(enter_i, enter_k, 0.0)
-            for pos, cell in enumerate(cycle):
-                self.flow[cell] += theta if pos % 2 == 0 else -theta
+            leaving = min([cell for cell in donors if flow[cell] == theta])
+            self._add(enter_i, enter_k, theta)
+            for cell in donors:
+                flow[cell] -= theta
+            for cell in row_path[1::2] + col_path[1::2]:
+                flow[cell] += theta
             self._drop(*leaving)
             # the leaving cell cuts off the subtree holding the entering
             # endpoint on its side of the cycle; it hangs from the other
-            ends = (enter_i, self.m + enter_k)
-            row_end = cycle.index(leaving) <= row_side
-            self._hang(*(ends if row_end else ends[::-1]))
+            ends = (enter_i, m + enter_k)
+            self._hang(*(ends if leaving in row_path else ends[::-1]))
 
     def plan(self) -> TransportPlan:
         entries = tuple(sorted((i, k, w) for (i, k), w in self.flow.items()

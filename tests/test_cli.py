@@ -318,6 +318,18 @@ class TestResidual:
         for line in lines[1:]:
             assert float(line.split(",")[1]) <= 10.0 / 20
 
+    def test_sample_times_are_fractions_of_the_run_end(self, capsys,
+                                                       median_files):
+        # 49 steps of dt = 1/49 end at 49 * (1/49) = 0.9999999999999999,
+        # which put 0.74999999999999989 and 0.99999999999999989 in the
+        # grid; the run's own end time is 49 / 49 = 1.0
+        pvf, init = median_files
+        assert main(["residual", "--pvf", pvf, "--init", init,
+                     "--n", "49", "--horizon", "1.0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "0", "0.25", "0.5", "0.75", "1"]
+
     @pytest.mark.parametrize("times", ["nan,-1", "-1", "inf"])
     def test_bad_times_exit_2_with_the_json_error(self, capsys, median_files,
                                                   times):

@@ -98,8 +98,10 @@ def test_definition_scan_flags_a_dead_name():
 
 def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
     """Where a module other than measure.py imports or reads the size
-    constants of measure.exact_row_sums, or maps math.fsum over rows:
-    measure.py alone decides when numpy may stand in for fsum."""
+    constants of measure.exact_row_sums, maps math.fsum over rows, or
+    takes the fsum of an array's .tolist(): measure.py alone decides
+    when numpy may stand in for fsum, and a whole array's exact sum is
+    exact_row_sums of it."""
     found = []
     for module, source in package.items():
         if module == "measure.py":
@@ -115,18 +117,28 @@ def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
                     and node.func.id == "map" and node.args
                     and ast.unparse(node.args[0]) in ("math.fsum", "fsum")):
                 found.append((module, node.lineno, "map(fsum)"))
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("math.fsum", "fsum")
+                    and node.args and isinstance(node.args[0], ast.Call)
+                    and isinstance(node.args[0].func, ast.Attribute)
+                    and node.args[0].func.attr == "tolist"):
+                found.append((module, node.lineno, "fsum(tolist)"))
     return [f"{module}: line {line}: {what}"
             for module, line, what in sorted(found)]
 
 
 def test_exact_sums_have_one_home():
-    sample = {"measure.py": "TREE_FIXED = 1\nsums = map(math.fsum, rows)\n",
+    sample = {"measure.py": "TREE_FIXED = 1\nsums = map(math.fsum, rows)\n"
+                            "total = math.fsum(cols[:, k].tolist())\n",
               "a.py": "from .measure import TREE_FIXED\n"
                       "sums = list(map(math.fsum, rows))\n"
-                      "size = measure.TREE_PER_LEVEL\n"}
+                      "size = measure.TREE_PER_LEVEL\n"
+                      "cost = math.fsum((w * gaps).tolist())\n"
+                      "total = fsum(x.tolist()) + math.fsum(x)\n"}
     assert exact_sums_outside_measure(sample) == [
         "a.py: line 1: TREE_FIXED", "a.py: line 2: map(fsum)",
-        "a.py: line 3: TREE_PER_LEVEL"]
+        "a.py: line 3: TREE_PER_LEVEL", "a.py: line 4: fsum(tolist)",
+        "a.py: line 5: fsum(tolist)"]
     package = {path.name: path.read_text(encoding="utf-8")
                for path in PACKAGE}
     assert exact_sums_outside_measure(package) == []

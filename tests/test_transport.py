@@ -7,7 +7,9 @@ and against hand-derived instances frozen below. The assignment regime
 simplex and against an independent assignment on a numpy cost matrix.
 The simplex's starting basis is checked against the northwest loop it
 used to run, its kept basis tree against a breadth-first recompute from
-row 0, and a digest pins 54 seeded plans of every solver.
+row 0, and a digest pins 54 seeded plans of every solver; another pins
+the plans and pivot counts of 200 forced-simplex instances. The sweep
+is checked float for float against a single-loop reference.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ from mdelab import (
 )
 from mdelab.cli import main
 from mdelab.measure import measure_to_dict
-from mdelab.transport import _cost_matrix, _Simplex
+from mdelab.transport import _cost_matrix, _northwest, _Simplex
 
 
 def test_two_diracs():
@@ -366,6 +368,75 @@ def test_starting_basis_is_the_northwest_loop(src, tgt):
     assert len(solver.flow) == len(src) + len(tgt) - 1
 
 
+def _sweep_reference(src, tgt, band=None):
+    """The sweep as a single loop over moves, before its inner loop per
+    source: the oracle for _northwest's lists, float for float."""
+    src = list(src)
+    tgt = list(tgt)
+    m, n = len(src), len(tgt)
+    lo, hi = band if band is not None else ([0] * m, [n] * m)
+    rows, cols, deltas = [], [], []
+    i, k, top = 0, lo[0], hi[0]
+    while True:
+        if k < top:
+            s, t = src[i], tgt[k]
+            rows.append(i)
+            cols.append(k)
+            if s > t:
+                deltas.append(t)
+                src[i] = s - t
+                k += 1
+                continue
+            deltas.append(s)
+            if s == t:
+                k += 1
+            else:
+                tgt[k] = t - s
+        i += 1
+        if i == m or k == n:
+            return rows, cols, deltas
+        k, top = max(k, lo[i]), hi[i]
+
+
+@st.composite
+def sweep_masses(draw):
+    # basis_masses with some entries zeroed, as the marginal repair's
+    # deficits are
+    masses = draw(basis_masses())
+    for j in draw(st.sets(st.integers(0, len(masses) - 1))):
+        masses[j] = 0.0
+    return masses
+
+
+@st.composite
+def sweep_case(draw):
+    # two mass lists and, half the time, a band (lo, hi) of nondecreasing
+    # ends in [0, n] with lo <= hi, as _face_band gives them
+    src = draw(st.one_of(basis_masses(), sweep_masses()))
+    tgt = draw(st.one_of(basis_masses(), sweep_masses()))
+    if not draw(st.booleans()):
+        return src, tgt, None
+    m, n = len(src), len(tgt)
+    ends = st.lists(st.integers(0, n), min_size=m, max_size=m).map(sorted)
+    lo, hi = draw(ends), draw(ends)
+    return src, tgt, (lo, [max(a, b) for a, b in zip(lo, hi)])
+
+
+@given(sweep_case())
+@settings(max_examples=300, deadline=None)
+# equal totals; column total an ulp short; zero masses on both sides;
+# a band that skips targets, strands a source and ends before n
+@example(([0.5, 0.5], [0.25, 0.25, 0.5], None))
+@example(([0.5, 0.5], [0.5, math.nextafter(0.5, 0.0)], None))
+@example(([0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5], None))
+@example(([0.25, 0.25, 0.5], [0.5, 0.0, 0.5], ([0, 2, 2], [1, 2, 3])))
+@example(([0.5, 0.5], [0.25, 0.25, 0.5], ([1, 1], [2, 2])))
+def test_sweep_matches_the_single_loop(case):
+    src, tgt, band = case
+    assert repr(_northwest(src, tgt, band)) == repr(
+        _sweep_reference(src, tgt, band))
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_simplex_tree_invariants(data):
@@ -476,3 +547,40 @@ def test_plans_are_pinned():
     text = repr([(plan.entries, plan.cost) for plan in plans])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3244375fb0c28ed7ced6210395bbbce2710088b1fa145fd50300b653d2e09530")
+
+
+def _simplex_runs(monkeypatch):
+    """200 seeded 2D instances through the forced simplex: each plan's
+    entries with weights by .hex(), its cost by .hex(), and its pivot
+    count (one _hang per pivot after the one that hangs the start)."""
+    hangs = []
+    hang = _Simplex._hang
+    monkeypatch.setattr(_Simplex, "_hang",
+                        lambda self, *a: hangs.append(a) or hang(self, *a))
+    rng = np.random.default_rng(2121)
+    runs = []
+    for j in range(200):
+        m, n = rng.integers(1, 19, 2).tolist()
+        if j % 4 == 3:  # equal masses, which auto would send elsewhere
+            mu = _pinned_cloud(rng, m, 2, masses=[1.0 / m] * m)
+            nu = _pinned_cloud(rng, m, 2, masses=[1.0 / m] * m)
+        else:  # every other grid pair has coincident atoms and ties
+            grid = j % 4 == 1
+            mu = _pinned_cloud(rng, m, 2, grid=grid)
+            nu = _pinned_cloud(rng, n, 2, grid=grid)
+        before = len(hangs)
+        plan = wasserstein(mu, nu, method="simplex").plan
+        runs.append((tuple((i, k, w.hex()) for i, k, w in plan.entries),
+                     plan.cost.hex(), len(hangs) - before - 1))
+    return runs
+
+
+def test_simplex_pivots_are_pinned(monkeypatch):
+    # The digest was taken from the solver before its pricing moved to a
+    # reused buffer and its cycle walk to locals: every entry, cost and
+    # pivot count must stay bit-identical.
+    runs = _simplex_runs(monkeypatch)
+    assert sum(pivots for *_, pivots in runs) > 2000
+    text = repr(runs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1c302c455a04d1ec494f075e4df9d4cd7aa391fa30c9ceecf598eb1f74066fca")
