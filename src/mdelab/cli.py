@@ -305,11 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "measure-valued dynamics.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", help="output path (default: stdout)")
-            p.add_argument("--format", choices=("csv", "json"),
-                           default="csv")
+    def common(p):
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("solve", help="run the lattice scheme")
     p.add_argument("--pvf", required=True)

@@ -13,12 +13,13 @@ silently clipping support.
 The interaction kind lifts atom i to kernels.interaction_field with the
 masses as weights, the exact sums the particle integrator also calls.
 
-Velocity fields are named built-ins (linear, sgn_sqrt, sinusoidal,
-polynomial coefficients), never injected code, so run configurations
-stay reproducible. Fiber distributions produced at a single atom are
-rescaled to the atom's mass: conditional distributions are probability
-measures, and the tensor-style output then has the input as its base
-marginal.
+Velocity fields are named built-ins (sgn_sqrt, sinusoidal, polynomial
+coefficients; an affine field is a degree-1 polynomial), never injected
+code, so run configurations stay reproducible. The one-sided drift
+v = -sgn(x)sqrt|x| is the ODE lift of sgn_sqrt. Fiber distributions
+produced at a single atom are rescaled to the atom's mass: conditional
+distributions are probability measures, and the tensor-style output
+then has the input as its base marginal.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from .measure import (DiscreteMeasure, LiftedMeasure, _build, _check_masses,
                       neumaier_prefix, radius)
 
 PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
-             "interaction", "one_sided_ode")
+             "interaction")
 
 MEDIAN_TIE_TOL = 1e-12   # cumulative masses this close to 1/2 count as 1/2
 DEFAULT_SUB_ATOMS = 16   # phi_diffusion fallback outside a lattice run
 _H1_SLACK = 1e-12
 # kinds that lift atom i to one velocity with its own mass: their raw
 # atoms have index arange(m) and the input masses, already merged
-_ONE_TO_ONE = ("ode_lift", "one_sided_ode", "interaction")
+_ONE_TO_ONE = ("ode_lift", "interaction")
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +63,7 @@ def _horner(coeffs: tuple[float, ...], x):
 class VelocityField:
     """Named map x -> v(x), applied componentwise except where noted."""
 
-    name: str  # linear | sgn_sqrt | sinusoidal | poly
-    a: float = 0.0                 # linear slope
-    b: tuple[float, ...] = (0.0,)  # linear offset (broadcast if length 1)
+    name: str  # sgn_sqrt | sinusoidal | poly
     amplitude: float = 1.0
     frequency: float = 1.0
     phase: float = 0.0
@@ -77,13 +76,6 @@ class VelocityField:
         """The field on every row of an (m, n) float array. sin goes
         through math, whose last bits numpy's does not always match."""
         n = x.shape[1]
-        if self.name == "linear":
-            b = self.b if len(self.b) == n else self.b * n
-            if len(b) != n:
-                raise ValidationError(
-                    f"linear field offset has length {len(self.b)}, "
-                    f"position has {n}", field="b")
-            return self.a * x + np.array(b)
         if self.name == "sgn_sqrt":
             return 0.0 - np.copysign(np.sqrt(np.abs(x)), x)
         if self.name == "sinusoidal":
@@ -106,9 +98,6 @@ class VelocityField:
     def default_c(self, dim: int) -> float | None:
         """Sublinearity constant when derivable; None for e.g. high-degree
         polynomials, where the caller must declare one."""
-        if self.name == "linear":
-            b = self.b if len(self.b) == dim else self.b * dim
-            return max(abs(self.a), math.hypot(*b))
         if self.name == "sgn_sqrt":
             # sum_c sqrt|x_c| <= sqrt(n)|x|, so |v| <= n^(1/4) sqrt|x|
             return 0.5 * dim ** 0.25
@@ -136,7 +125,11 @@ def _numbers(values, field: str) -> tuple[float, ...]:
 
 
 def linear_field(a: float, b=0.0) -> VelocityField:
-    return VelocityField(name="linear", a=_number(a, "a"), b=_numbers(b, "b"))
+    """v(x) = a x + b as the poly field with components (b_j, a); an
+    offset of length 1 broadcasts over the position's components."""
+    a = _number(a, "a")
+    return VelocityField(name="poly",
+                         coeffs=tuple((bc, a) for bc in _numbers(b, "b")))
 
 
 def sgn_sqrt_field() -> VelocityField:
@@ -161,10 +154,10 @@ def poly_field(coeffs) -> VelocityField:
 
 def add_fields(f1: VelocityField, f2: VelocityField) -> VelocityField:
     """Pointwise sum, available for polynomial-representable fields."""
-    p1, p2 = (_as_poly(f1), _as_poly(f2))
-    n = max(len(p1.coeffs), len(p2.coeffs))
-    c1 = p1.coeffs if len(p1.coeffs) == n else p1.coeffs * n
-    c2 = p2.coeffs if len(p2.coeffs) == n else p2.coeffs * n
+    p1, p2 = _poly_coeffs(f1), _poly_coeffs(f2)
+    n = max(len(p1), len(p2))
+    c1 = p1 if len(p1) == n else p1 * n
+    c2 = p2 if len(p2) == n else p2 * n
     summed = []
     for a, b in zip(c1, c2):
         width = max(len(a), len(b))
@@ -175,20 +168,17 @@ def add_fields(f1: VelocityField, f2: VelocityField) -> VelocityField:
 
 
 def scale_field(lam: float, f: VelocityField) -> VelocityField:
-    p = _as_poly(f)
     return VelocityField(
         name="poly",
-        coeffs=tuple(tuple(lam * c for c in comp) for comp in p.coeffs))
+        coeffs=tuple(tuple(lam * c for c in comp)
+                     for comp in _poly_coeffs(f)))
 
 
-def _as_poly(f: VelocityField) -> VelocityField:
-    if f.name == "poly":
-        return f
-    if f.name == "linear":
-        return VelocityField(name="poly",
-                             coeffs=tuple((bc, f.a) for bc in f.b))
-    raise ValidationError(
-        f"field {f.name} has no polynomial form", field="name")
+def _poly_coeffs(f: VelocityField) -> tuple[tuple[float, ...], ...]:
+    if f.name != "poly":
+        raise ValidationError(
+            f"field {f.name} has no polynomial form", field="name")
+    return f.coeffs
 
 
 def field_from_dict(doc: dict) -> VelocityField:
@@ -213,8 +203,6 @@ def field_from_dict(doc: dict) -> VelocityField:
 
 
 def field_to_dict(f: VelocityField) -> dict:
-    if f.name == "linear":
-        return {"name": "linear", "a": f.a, "b": list(f.b)}
     if f.name == "sgn_sqrt":
         return {"name": "sgn_sqrt"}
     if f.name == "sinusoidal":
@@ -229,9 +217,8 @@ def field_to_dict(f: VelocityField) -> dict:
 @dataclass(frozen=True)
 class PvfSpec:
     kind: str
-    field: VelocityField | None = None
+    field: VelocityField | None = None  # ode_lift's v, phi_diffusion's phi
     fiber: tuple[tuple[tuple[float, ...], float], ...] | None = None
-    phi: VelocityField | None = None
     sub_atoms: int | None = None
     kernel: KernelSpec | None = None
     declared_c: float | None = None
@@ -263,6 +250,7 @@ def constant_pvf(fiber, sublinear_c: float | None = None) -> PvfSpec:
 
 
 def median_split_pvf() -> PvfSpec:
+    # every speed is +-1, so C = 1 is declared here, not derived
     return PvfSpec(kind="median_split", declared_c=1.0)
 
 
@@ -270,7 +258,7 @@ def phi_diffusion_pvf(phi: VelocityField, sub_atoms: int | None = None,
                       sublinear_c: float | None = None) -> PvfSpec:
     if sub_atoms is not None and sub_atoms < 1:
         raise ValidationError("sub_atoms must be >= 1", field="sub_atoms")
-    return PvfSpec(kind="phi_diffusion", phi=phi, sub_atoms=sub_atoms,
+    return PvfSpec(kind="phi_diffusion", field=phi, sub_atoms=sub_atoms,
                    declared_c=sublinear_c)
 
 
@@ -281,7 +269,8 @@ def interaction_pvf(kernel: KernelSpec,
 
 
 def one_sided_ode_pvf() -> PvfSpec:
-    return PvfSpec(kind="one_sided_ode", field=sgn_sqrt_field())
+    """The one-sided drift v = -sgn(x)sqrt|x| as an ODE lift."""
+    return ode_lift_pvf(sgn_sqrt_field())
 
 
 @functools.lru_cache
@@ -289,7 +278,7 @@ def sublinear_constant(spec: PvfSpec, dim: int) -> float:
     """The C for box sizing and validation, memoised per (spec, dim)."""
     if spec.declared_c is not None:
         return spec.declared_c
-    if spec.kind in ("ode_lift", "one_sided_ode"):
+    if spec.kind == "ode_lift":
         c = spec.field.default_c(dim)
         if c is None:
             raise ValidationError(
@@ -298,11 +287,9 @@ def sublinear_constant(spec: PvfSpec, dim: int) -> float:
         return c
     if spec.kind == "constant":
         return max(math.hypot(*vel) for vel, _ in spec.fiber)
-    if spec.kind == "median_split":
-        return 1.0
     if spec.kind == "phi_diffusion":
         # rank-speed phi lives on [0,1]; probe its sup there
-        top = np.abs(spec.phi.rows(np.arange(2001)[:, None] / 2000.0)).max()
+        top = np.abs(spec.field.rows(np.arange(2001)[:, None] / 2000.0)).max()
         return 1.02 * float(top) + 1e-12
     if spec.kind == "interaction":
         return spec.kernel.sublinear_default()
@@ -315,7 +302,7 @@ def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
     arrays; a source atom may appear with several velocities."""
     m, dim = positions.shape
     index = np.arange(m)
-    if spec.kind in ("ode_lift", "one_sided_ode"):
+    if spec.kind == "ode_lift":
         return index, spec.field.rows(positions), masses
     if spec.kind == "constant":
         fiber = as_rows([vel for vel, _ in spec.fiber], dim, "velocity")
@@ -343,7 +330,7 @@ def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
         k = spec.sub_atoms or n_hint or DEFAULT_SUB_ATOMS
         f_lo = np.append(0.0, neumaier_prefix(masses)[:-1])
         ranks = f_lo[:, None] + (np.arange(1, k + 1) - 0.5) * masses[:, None] / k
-        return (np.repeat(index, k), spec.phi.rows(ranks.reshape(-1, 1)),
+        return (np.repeat(index, k), spec.field.rows(ranks.reshape(-1, 1)),
                 np.repeat(masses / k, k))
     if spec.kind == "interaction":
         return index, interaction_field(spec.kernel, positions, masses), masses
@@ -460,12 +447,12 @@ def pvf_from_dict(doc: dict) -> PvfSpec:
 
 def pvf_to_dict(spec: PvfSpec) -> dict:
     params: dict = {}
-    if spec.kind in ("ode_lift",):
+    if spec.kind == "ode_lift":
         params["field"] = field_to_dict(spec.field)
     elif spec.kind == "constant":
         params["fiber"] = [list(vel) + [p] for vel, p in spec.fiber]
     elif spec.kind == "phi_diffusion":
-        params["phi"] = field_to_dict(spec.phi)
+        params["phi"] = field_to_dict(spec.field)
         if spec.sub_atoms is not None:
             params["sub_atoms"] = spec.sub_atoms
     elif spec.kind == "interaction":

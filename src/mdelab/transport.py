@@ -321,17 +321,14 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     method: "auto" picks the solver by regime: the monotone coupling in
     1D, an optimal assignment when both measures have m atoms of one
-    bit-equal mass, the transportation simplex otherwise. "monotone"
-    (1D only) and "simplex" (any dimension) force one solver.
+    bit-equal mass, the transportation simplex otherwise. "simplex"
+    forces the simplex in any dimension.
     """
     if mu.dim != nu.dim:
         raise ValidationError(
             f"dimension mismatch: {mu.dim} vs {nu.dim}", field="dim")
-    if method not in ("auto", "monotone", "simplex"):
+    if method not in ("auto", "simplex"):
         raise ValidationError(f"unknown method {method!r}", field="method")
-    if method == "monotone" and mu.dim != 1:
-        raise ValidationError("monotone coupling needs 1D measures",
-                              field="method")
     if mu.dim == 1 and method != "simplex":
         plan = _monotone_1d(mu, nu)
     elif method == "auto" and _equal_masses(mu, nu):

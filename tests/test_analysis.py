@@ -6,6 +6,7 @@ concentration for the splitting recursion) and frozen before the module
 was written.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -23,6 +24,7 @@ from mdelab.kernels import _bump
 from mdelab import (
     ConvergenceReport,
     FiberCostKind,
+    LatticeMeasure,
     StationaryFlow,
     TestFunction,
     ValidationError,
@@ -38,6 +40,7 @@ from mdelab import (
     las_solve,
     linear_field,
     make_kernel,
+    make_lattice_measure,
     make_lifted,
     make_measure,
     max_family_residual,
@@ -648,6 +651,29 @@ class TestSemigroup:
         assert semigroup_check(ode_lift_pvf(linear_field(-1.0)), dirac(1.0),
                                20, 0.25, 0.75) == 0.0
 
+    def test_empty_legs_are_zero(self):
+        assert semigroup_check(median_split_pvf(), dirac(0.0),
+                               10, 0.0, 0.0) == 0.0
+
+    def test_a_mismatched_leg_is_measured(self, monkeypatch):
+        # the leg that restarts from the midpoint ends one lattice cell
+        # (1/N^2) to the right, so the LP measures exactly that shift
+        real = analysis.las_solve
+
+        def shifted_second_leg(mu0, spec, n, horizon):
+            traj = real(mu0, spec, n, horizon)
+            if not isinstance(mu0, LatticeMeasure):
+                return traj
+            last = traj.steps[-1]
+            moved = make_lattice_measure(n, 1, [
+                ((c[0] + 1,), m) for c, m in zip(last.coords, last.masses)])
+            return dataclasses.replace(traj, steps=traj.steps[:-1] + (moved,))
+
+        monkeypatch.setattr(analysis, "las_solve", shifted_second_leg)
+        gap = semigroup_check(ode_lift_pvf(linear_field(-1.0)), dirac(1.0),
+                              10, 0.5, 0.5)
+        assert gap == pytest.approx(1.0 / 100, rel=1e-9)
+
 
 class TestStability:
     def test_identical_initial_data(self):
@@ -661,6 +687,15 @@ class TestStability:
     def test_median_split_lattice_aligned_pair(self):
         assert gronwall_check(median_split_pvf(), dirac(0.0), dirac(0.25),
                               20, 1.0, 1.0)
+
+    def test_growth_faster_than_k_is_rejected(self):
+        # v = x separates the pair like e^t, which K = 1 covers and
+        # smaller K do not
+        spec = ode_lift_pvf(linear_field(1.0))
+        assert gronwall_check(spec, dirac(0.0), dirac(0.5), 400, 1.0, 1.0)
+        for k_const in (0.5, 0.1):
+            assert not gronwall_check(spec, dirac(0.0), dirac(0.5), 400,
+                                      1.0, k_const)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -691,6 +726,20 @@ class TestTrajectoryChecks:
     def test_step_displacement(self, median_traj, ode_traj):
         assert step_displacement_check(median_traj)
         assert step_displacement_check(ode_traj)
+
+    def test_an_understated_c_is_rejected(self):
+        # v = x from a uniform cloud: the audits re-derive their bounds
+        # from traj.sublinear_c, and C / 10 is too small for all three
+        # while C / 2 still holds
+        traj = las_solve(uniform_1d(-1.0, 1.0, 20),
+                         ode_lift_pvf(linear_field(1.0)), 40, 1.0)
+        times = [k / 10 for k in range(11)]
+        for scale, holds in ((0.5, True), (0.1, False)):
+            audited = dataclasses.replace(
+                traj, sublinear_c=traj.sublinear_c * scale)
+            assert support_bound_check(audited) is holds
+            assert time_lipschitz_check(audited, times) is holds
+            assert step_displacement_check(audited) is holds
 
     def test_uniqueness_proxy(self):
         assert uniqueness_proxy(median_split_pvf(), dirac(0.0),

@@ -99,9 +99,10 @@ def test_definition_scan_flags_a_dead_name():
 def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
     """Where a module other than measure.py imports or reads the size
     constants of measure.exact_row_sums, maps math.fsum over rows, or
-    takes the fsum of an array's .tolist(): measure.py alone decides
-    when numpy may stand in for fsum, and a whole array's exact sum is
-    exact_row_sums of it."""
+    takes the fsum of an array's .tolist() or of an arithmetic or
+    indexing expression (an array in every use so far; generators and
+    named lists pass): measure.py alone decides when numpy may stand in
+    for fsum, and a whole array's exact sum is exact_row_sums of it."""
     found = []
     for module, source in package.items():
         if module == "measure.py":
@@ -123,6 +124,11 @@ def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
                     and isinstance(node.args[0].func, ast.Attribute)
                     and node.args[0].func.attr == "tolist"):
                 found.append((module, node.lineno, "fsum(tolist)"))
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("math.fsum", "fsum")
+                    and node.args
+                    and isinstance(node.args[0], (ast.BinOp, ast.Subscript))):
+                found.append((module, node.lineno, "fsum(array)"))
     return [f"{module}: line {line}: {what}"
             for module, line, what in sorted(found)]
 
@@ -134,11 +140,14 @@ def test_exact_sums_have_one_home():
                       "sums = list(map(math.fsum, rows))\n"
                       "size = measure.TREE_PER_LEVEL\n"
                       "cost = math.fsum((w * gaps).tolist())\n"
-                      "total = fsum(x.tolist()) + math.fsum(x)\n"}
+                      "total = fsum(x.tolist()) + math.fsum(x)\n"
+                      "cost = math.fsum(weights * base_dist[keep])\n"
+                      "part = fsum(x[keep]) + math.fsum(w for w in x)\n"}
     assert exact_sums_outside_measure(sample) == [
         "a.py: line 1: TREE_FIXED", "a.py: line 2: map(fsum)",
         "a.py: line 3: TREE_PER_LEVEL", "a.py: line 4: fsum(tolist)",
-        "a.py: line 5: fsum(tolist)"]
+        "a.py: line 5: fsum(tolist)", "a.py: line 6: fsum(array)",
+        "a.py: line 7: fsum(array)"]
     package = {path.name: path.read_text(encoding="utf-8")
                for path in PACKAGE}
     assert exact_sums_outside_measure(package) == []

@@ -1,5 +1,6 @@
-"""PVF catalog: velocity fields, the six kinds, the growth bound, JSON."""
+"""PVF catalog: velocity fields, the five kinds, the growth bound, JSON."""
 
+import hashlib
 import math
 import random
 
@@ -254,14 +255,16 @@ def measures_1d(draw):
     return make_measure([(p, m / total) for p, m in zip(pos, masses)])
 
 
-SPECS = [
-    ode_lift_pvf(linear_field(-1.0, 0.5)),
-    constant_pvf([(1.0, 0.25), (0.0, 0.5), (-1.0, 0.25)]),
-    median_split_pvf(),
-    phi_diffusion_pvf(linear_field(1.0), sub_atoms=3),
-    interaction_pvf(make_kernel("bounded_attraction")),
-    one_sided_ode_pvf(),
-]
+# one spec per kind, and the one-sided drift, an ode_lift of sgn_sqrt
+NAMED_SPECS = {
+    "ode_lift": ode_lift_pvf(linear_field(-1.0, 0.5)),
+    "constant": constant_pvf([(1.0, 0.25), (0.0, 0.5), (-1.0, 0.25)]),
+    "median_split": median_split_pvf(),
+    "phi_diffusion": phi_diffusion_pvf(linear_field(1.0), sub_atoms=3),
+    "interaction": interaction_pvf(make_kernel("bounded_attraction")),
+    "one_sided_ode": one_sided_ode_pvf(),
+}
+SPECS = list(NAMED_SPECS.values())
 
 
 @given(measures_1d(), st.sampled_from(SPECS))
@@ -275,7 +278,8 @@ def test_base_marginal_is_preserved(mu, spec):
 
 
 # every kind, plus a constant phi whose sub-atoms merge into one fiber
-CANONICAL = [pytest.param(spec, id=spec.kind) for spec in SPECS] + [
+CANONICAL = [pytest.param(spec, id=name)
+             for name, spec in NAMED_SPECS.items()] + [
     pytest.param(phi_diffusion_pvf(linear_field(0.0, 0.5), sub_atoms=3),
                  id="phi_diffusion_merging")]
 
@@ -327,9 +331,6 @@ def test_sum_field_matches_fiber_convolution(seed):
 def reference_field(f, x):
     """The field at one position, component by component in floats."""
     n = len(x)
-    if f.name == "linear":
-        b = f.b if len(f.b) == n else f.b * n
-        return tuple(f.a * c + bc for c, bc in zip(x, b))
     if f.name == "sgn_sqrt":
         return tuple(-math.copysign(math.sqrt(abs(c)), c) if c != 0.0
                      else 0.0 for c in x)
@@ -380,7 +381,7 @@ def test_neumaier_prefix_is_the_scalar_loop_bit_for_bit(values):
 def reference_raw_atoms(spec, mu, n_hint):
     """(source index, velocity tuple, mass) per lifted atom, one atom at
     a time."""
-    if spec.kind in ("ode_lift", "one_sided_ode"):
+    if spec.kind == "ode_lift":
         return [(i, reference_field(spec.field, pos), mass)
                 for i, (pos, mass) in enumerate(mu.atoms())]
     if spec.kind == "constant":
@@ -409,7 +410,7 @@ def reference_raw_atoms(spec, mu, n_hint):
         for i, (mass, f_hi) in enumerate(zip(mu.masses, prefix)):
             for r in range(1, k + 1):
                 rank = f_lo + (r - 0.5) * mass / k
-                out.append((i, reference_field(spec.phi, (rank,)), mass / k))
+                out.append((i, reference_field(spec.field, (rank,)), mass / k))
             f_lo = f_hi
         return out
     field = interaction_field(spec.kernel, mu.positions, mu.masses)
@@ -529,8 +530,8 @@ def test_field_rows_match_the_per_atom_formulas(case):
 
 
 def test_specs_cover_every_kind():
-    assert sorted(spec.kind for spec in SPECS) == sorted(PVF_KINDS)
-    assert sorted(LIFT_CASES) == sorted(PVF_KINDS)
+    assert sorted(set(spec.kind for spec in SPECS)) == sorted(PVF_KINDS)
+    assert sorted(LIFT_CASES) == sorted(PVF_KINDS + ("one_sided_ode",))
 
 
 class TestJson:
@@ -552,3 +553,85 @@ class TestJson:
             pvf_from_dict({"kind": "ode_lift", "params": {}})
         with pytest.raises(ValidationError):
             pvf_from_dict({"kind": "constant", "params": {}})
+
+
+# ---------------------------------------------------------------------------
+# retired names: a "linear" field is a degree-1 poly field, "one_sided_ode"
+# an ode_lift of sgn_sqrt; documents that use them still load
+
+def _linear_doc(a, b):
+    return {"kind": "ode_lift",
+            "params": {"field": {"name": "linear", "a": a, "b": b}}}
+
+
+# (document, the constructor's spec, dim, digest of its lattice run); the
+# digests were recorded while linear fields and the one-sided kind still
+# had code paths of their own, so they pin the two to the same bits
+RETIRED = {
+    "linear-1d": (_linear_doc(-1.0, 0.25),
+                  ode_lift_pvf(linear_field(-1.0, 0.25)), 1,
+                  "67489ada95f17a07"),
+    "linear-2d-broadcast": (_linear_doc(-0.5, 0.25),
+                            ode_lift_pvf(linear_field(-0.5, 0.25)), 2,
+                            "35d25ebd821d3999"),
+    "linear-2d": (_linear_doc(0.75, [0.5, -0.25]),
+                  ode_lift_pvf(linear_field(0.75, (0.5, -0.25))), 2,
+                  "746c31f6de8b4123"),
+    "linear-phi": ({"kind": "phi_diffusion", "params": {
+        "phi": {"name": "linear", "a": 1.0, "b": -0.5}}},
+        phi_diffusion_pvf(linear_field(1.0, -0.5)), 1, "8a1a716bfc99261c"),
+    "one_sided_ode-1d": ({"kind": "one_sided_ode"}, one_sided_ode_pvf(), 1,
+                         "9c5264763d6c6ebe"),
+    "one_sided_ode-2d": ({"kind": "one_sided_ode"}, one_sided_ode_pvf(), 2,
+                         "b706e4169c4ea733"),
+}
+
+
+def _lattice_digest(traj):
+    bits = [(mu.n_param, mu.dim, mu.coords, [m.hex() for m in mu.masses])
+            for mu in traj.steps]
+    return hashlib.sha256(repr(bits).encode()).hexdigest()[:16]
+
+
+def _cloud(seed, count, dim):
+    rng = random.Random(seed)
+    weights = [rng.uniform(0.2, 1.0) for _ in range(count)]
+    return make_measure([(tuple(rng.uniform(-0.9, 0.9) for _ in range(dim)),
+                          w / math.fsum(weights)) for w in weights])
+
+
+@pytest.mark.parametrize("seed, name", list(enumerate(RETIRED, start=30)),
+                         ids=list(RETIRED))
+def test_retired_names_load_as_their_constructors(seed, name):
+    doc, spec, dim, digest = RETIRED[name]
+    loaded = pvf_from_dict(doc)
+    assert loaded == spec
+    assert loaded.kind in PVF_KINDS
+    mu0 = _cloud(seed, 12, dim)
+    traj = las_solve(mu0, loaded, 16, 1.0)
+    assert _lattice_digest(traj) == digest
+    assert _lattice_digest(las_solve(mu0, spec, 16, 1.0)) == digest
+
+
+def test_linear_field_is_a_degree_one_poly():
+    assert linear_field(2.0, (3.0, -1.0)) == poly_field([[3.0, 2.0],
+                                                         [-1.0, 2.0]])
+    assert field_to_dict(linear_field(-1.0)) == {"name": "poly",
+                                                 "coeffs": [[0.0, -1.0]]}
+    assert one_sided_ode_pvf() == ode_lift_pvf(sgn_sqrt_field())
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    coefficient, st.sampled_from([1, dim]).flatmap(
+        lambda width: st.lists(coefficient, min_size=width,
+                               max_size=width)),
+    measures(dim))))
+@settings(max_examples=100, deadline=None)
+def test_affine_lift_is_a_x_plus_b(case):
+    a, b, mu = case
+    _, velocities, _, _ = lift(ode_lift_pvf(linear_field(a, b),
+                                            sublinear_c=1e3),
+                               mu.positions, mu.masses)
+    # v = a x + b as one numpy expression, offset broadcast over columns
+    want = as_rows(a * mu.positions + np.array(b), mu.dim, "velocity")
+    assert hexes(velocities.tolist()) == hexes(want.tolist())

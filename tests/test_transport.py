@@ -69,6 +69,11 @@ def test_identical_measures_have_zero_distance():
 def test_dimension_mismatch():
     with pytest.raises(ValidationError):
         wasserstein(dirac(0.0), dirac((0.0, 0.0)))
+    # only "auto" and "simplex" name a solver; 1D "auto" is the monotone one
+    for method in ("monotone", "lp"):
+        with pytest.raises(ValidationError) as info:
+            wasserstein(dirac(0.0), dirac(1.0), method=method)
+        assert info.value.field == "method"
 
 
 def test_plan_validation_catches_tampering():
@@ -135,7 +140,7 @@ def random_measure(draw, dim, max_atoms):
 @given(random_measure(1, 12), random_measure(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_monotone_equals_simplex_in_1d(mu, nu):
-    fast = wasserstein(mu, nu, method="monotone").distance
+    fast = wasserstein(mu, nu).distance
     lp = wasserstein(mu, nu, method="simplex").distance
     assert abs(fast - lp) <= 1e-9
 
