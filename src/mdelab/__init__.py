@@ -17,6 +17,7 @@ from .errors import (
 from .measure import (
     DiscreteMeasure,
     LatticeMeasure,
+    LatticeRows,
     LiftedMeasure,
     base_marginal,
     dirac,

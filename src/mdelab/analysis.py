@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ValidationError
 from .las import Trajectory, ax_discretize, interpolate, las_solve
@@ -205,6 +204,8 @@ def max_family_residual(flow, t: float, reach: float | None = None) -> float:
 # closed-form oracles
 
 def _ode_flow_map(field: VelocityField, t: float):
+    from scipy.integrate import solve_ivp  # loaded on first use
+
     def flow(pos):
         if t == 0.0:
             return pos
@@ -335,7 +336,7 @@ def semigroup_check(spec: PvfSpec, mu0: DiscreteMeasure, n: int,
     mid = (las_solve(mu0, spec, n, s).steps[-1] if s > 0
            else ax_discretize(mu0, n))
     end = (las_solve(mid, spec, n, t).steps[-1] if t > 0 else mid)
-    if (full.coords, full.masses) == (end.coords, end.masses):
+    if full == end:
         return 0.0
     return wasserstein(full.to_measure(), end.to_measure()).distance
 

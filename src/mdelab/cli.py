@@ -126,7 +126,7 @@ def _cmd_solve(config: RunConfig) -> None:
                + [f"x_{i + 1}" for i in range(traj.dim)] + ["mass"])
     rows: list[list] = []
     for ell, step in enumerate(traj.steps):
-        atoms = zip(step.position_rows().tolist(), step.masses)
+        atoms = zip(step.position_rows().tolist(), step.masses.tolist())
         for atom_id, (pos, mass) in enumerate(atoms):
             rows.append([ell * dt, atom_id, *pos, mass])
     _write(config, _emit(config, columns, rows))

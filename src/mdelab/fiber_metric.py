@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import NumericalError, ValidationError
 from .measure import (DiscreteMeasure, LiftedMeasure, _build, _group_sums,
@@ -294,6 +292,7 @@ def _assignment_flow(masses: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     permutation on the band (lo, hi), each atom's mass on its matched
     cell of the row-major band. Cells off the band cost inf, so the
     match stays on the optimal face, and its marginals are exact."""
+    from scipy.optimize import linear_sum_assignment  # loaded on first use
     cost = np.full((len(lo), len(lo)), np.inf)
     cost[row_of, col_of] = objective
     try:
@@ -314,6 +313,8 @@ def _lp_flow(v1: LiftedMeasure, v2: LiftedMeasure, lo: np.ndarray,
     """Stage 2 as a HiGHS LP over the band (lo, hi), one variable per
     cell, repaired to exact marginals. In nD a budget row keeps the
     base cost within BASE_OPT_REL_TOL of W*."""
+    import scipy.sparse as sp  # loaded on first use
+    from scipy.optimize import linprog
     options = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
     if v1.dim == 1:

@@ -9,9 +9,11 @@ rows / N^2 from step to step. A step lifts the positions into (source
 index, velocity, mass) arrays, floors the velocities to cells
 k = floor(v * N) in floats (_bin_velocity, the only floor), shifts
 rows[index] + k and merges coincident atoms (measure._merge); each
-step's LatticeMeasure is built once from the merged arrays. Runs replay
-bit-for-bit, but they are not exact rational arithmetic: a float
-product can land just below an integer and floor one cell lower.
+step's LatticeMeasure keeps the merged int64 rows and float64 masses,
+frozen in place, and a restart or las_step reads them back with no
+conversion. Runs replay bit-for-bit, but they are not exact rational
+arithmetic: a float product can land just below an integer and floor
+one cell lower.
 
 A solve also carries one fact (unit) from each mass check to the next:
 the masses are positive and their math.fsum is exactly 1.0. It skips
@@ -186,8 +188,7 @@ def _step(rows: np.ndarray, masses, positions: np.ndarray, n_param: int,
 
 def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
     """One recursion step of a lattice measure (the step las_solve runs)."""
-    n = mu_ell.n_param
-    rows = np.array(mu_ell.coords, dtype=np.int64)
+    n, rows = mu_ell.n_param, mu_ell.coords.array
     rows, masses, _ = _step(rows, mu_ell.masses, rows / n ** 2, n, spec)
     return _lattice(n, mu_ell.dim, rows, masses)
 
@@ -208,7 +209,7 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
                 f"initial lattice measure has N={mu0.n_param}, "
                 f"run wants N={n_param}", field="n_param")
         start = mu0
-        rows, masses = np.array(mu0.coords, dtype=np.int64), mu0.masses
+        rows, masses = mu0.coords.array, mu0.masses
         unit = False  # no check of this run has summed these masses
     else:
         rows, masses, unit = _binned(mu0, n_param)

@@ -5,26 +5,28 @@ DiscreteMeasure and LiftedMeasure hold read-only float64 arrays, rows
 one array builder (_build) that merges exactly-equal rows (_merge).
 Rows are arrays: `+` adds them, they are unhashable, and measures
 compare by value, and a merge of rows already sorted and distinct skips
-its lexsort. Lattice measures keep tuple fields: int64 coordinates
-|coords| <= N^3, whose positions coords / N^2 are one numpy division,
-rounded as Python's c / N**2 is for N <= 208,063 (N^3 <= 2^53). A step
-shifts coordinates by whole cells, so lattice runs replay bit-for-bit.
-The lattice solver carries its rows and masses as arrays and makes the
-tuple fields once per step (_lattice, the only place rows become
-tuples), by one tolist per column and one zip. They stay tuples because
-the benchmark's self-test perturbs a lattice row as (c[0] + k,) + c[1:],
-which on an array row broadcasts to an empty row and would hide the
-perturbation. A merge whose sorted rows are all distinct (the common
-case of a lattice step, where no atoms collide) returns the permuted
-arrays without group sums, and the lattice builder skips the mass check
-of such a merge when the caller knows its masses sum to exactly 1.0
-(see las.py). LatticeMeasure.to_measure merges too: near the largest N
-distinct coordinates can round to one float. This module alone decides
-where numpy may stand in for math.fsum (exact_row_sums, _pair_sums).
+its lexsort. LatticeMeasure holds its int64 coordinates |coords| <= N^3
+as one read-only (count, dim) array and its masses as a read-only
+float64 array; positions coords / N^2 are one numpy division, rounded as
+Python's c / N**2 is for N <= 208,063 (N^3 <= 2^53). A step shifts
+coordinates by whole cells, so lattice runs replay bit-for-bit. The
+lattice solver's merged arrays become a step's fields as they are
+(_lattice), with no copy. Its coords field is a LatticeRows view: it
+iterates, indexes, compares and prints as a tuple of tuples of Python
+ints, made only when read, so a row perturbed as (c[0] + k,) + c[1:] is
+a new row and not a broadcast over an array row. A merge whose sorted rows are all
+distinct (the common case of a lattice step, where no atoms collide)
+returns the permuted arrays without group sums, and the lattice builder
+skips the mass check of such a merge when the caller knows its masses
+sum to exactly 1.0 (see las.py). LatticeMeasure.to_measure merges too:
+near the largest N distinct coordinates can round to one float. This
+module alone decides where numpy may stand in for math.fsum
+(exact_row_sums, _pair_sums).
 """
 
 from __future__ import annotations
 
+import collections.abc
 import json
 import math
 import numbers
@@ -61,17 +63,19 @@ def as_rows(values: Sequence, dim: int | None = None,
     return rows + 0.0  # +0.0 canonicalizes -0.0
 
 
-def _tuples(rows: np.ndarray) -> tuple:
-    """Array rows as the tuples of Python numbers the lattice fields hold:
-    one tolist per column and one zip, the same numbers as a tolist per
-    row at about half the cost."""
-    return tuple(zip(*rows.T.tolist()))
-
-
 def _readonly(array: np.ndarray) -> np.ndarray:
     """Mark an array the caller owns as read-only and return it."""
     array.flags.writeable = False
     return array
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype: values itself when it is
+    one already, else a new array."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable):
+        return values
+    return _readonly(np.array(values, dtype=dtype))
 
 
 def neumaier_prefix(values: Sequence[float]) -> np.ndarray:
@@ -383,22 +387,70 @@ def support_radius(mu: DiscreteMeasure) -> float:
     return radius(mu.positions)
 
 
-@dataclass(frozen=True)
-class LatticeMeasure:
-    """Atoms on the grid Z^dim / N^2, stored as integer coordinate vectors."""
+class LatticeRows(collections.abc.Sequence):
+    """The coordinate rows of a LatticeMeasure: a read-only (count, dim)
+    int64 array (.array) that iterates, indexes, compares and prints as
+    the tuple of tuples of Python ints it stands for. Those tuples are
+    made when they are read (one tolist per column and one zip) and not
+    kept. Equal to another LatticeRows or to a tuple of rows with the
+    same values; unhashable, like the array."""
+
+    __slots__ = ("array",)
+    __hash__ = None
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        return zip(*self.array.T.tolist())
+
+    def __getitem__(self, index):
+        rows = self.array[index]
+        return (tuple(rows.tolist()) if rows.ndim == 1
+                else tuple(map(tuple, rows.tolist())))
+
+    def __eq__(self, other):
+        if isinstance(other, LatticeRows):
+            return np.array_equal(self.array, other.array)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.array, dtype=dtype, copy=copy)
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeMeasure(_ArrayFields):
+    """Atoms on the grid Z^dim / N^2: integer coordinate rows (coords, a
+    LatticeRows over a read-only int64 array) and read-only float64
+    masses. Other sequences given as fields (a dataclasses.replace with
+    tuples, say) become new arrays of those dtypes; no check runs."""
 
     n_param: int
     dim: int
-    coords: tuple[tuple[int, ...], ...]
-    masses: tuple[float, ...]
+    coords: LatticeRows
+    masses: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.coords, LatticeRows):
+            object.__setattr__(self, "coords",
+                               LatticeRows(_frozen(self.coords, np.int64)))
+        object.__setattr__(self, "masses", _frozen(self.masses, np.float64))
 
     @property
     def atom_count(self) -> int:
-        return len(self.coords)
+        return len(self.masses)
 
     def position_rows(self) -> np.ndarray:
         """The (count, dim) float positions coords / N^2, one division."""
-        return np.array(self.coords, dtype=np.int64) / self.n_param ** 2
+        return self.coords.array / self.n_param ** 2
 
     def to_measure(self) -> DiscreteMeasure:
         """The atoms at their float positions coords / N^2. Near the
@@ -456,10 +508,10 @@ def _lattice_rows(n_param: int, coords, masses, *, unit: bool = False
 
 def _lattice(n_param: int, dim: int, rows: np.ndarray,
              masses: np.ndarray) -> LatticeMeasure:
-    """The LatticeMeasure of rows and masses checked by _lattice_rows: the
-    one place its tuple fields are made."""
-    return LatticeMeasure(n_param=n_param, dim=dim, coords=_tuples(rows),
-                          masses=tuple(masses.tolist()))
+    """The LatticeMeasure of the new arrays that _lattice_rows returns,
+    frozen in place and kept without a copy."""
+    return LatticeMeasure(n_param=n_param, dim=dim, coords=_readonly(rows),
+                          masses=_readonly(masses))
 
 
 @dataclass(frozen=True, eq=False)

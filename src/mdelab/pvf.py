@@ -249,9 +249,10 @@ def constant_pvf(fiber, sublinear_c: float | None = None) -> PvfSpec:
                    declared_c=sublinear_c)
 
 
-def median_split_pvf() -> PvfSpec:
-    # every speed is +-1, so C = 1 is declared here, not derived
-    return PvfSpec(kind="median_split", declared_c=1.0)
+def median_split_pvf(sublinear_c: float | None = None) -> PvfSpec:
+    # every speed is +-1, so C = 1 is declared unless given, not derived
+    return PvfSpec(kind="median_split",
+                   declared_c=1.0 if sublinear_c is None else sublinear_c)
 
 
 def phi_diffusion_pvf(phi: VelocityField, sub_atoms: int | None = None,
@@ -268,9 +269,9 @@ def interaction_pvf(kernel: KernelSpec,
                    declared_c=sublinear_c)
 
 
-def one_sided_ode_pvf() -> PvfSpec:
+def one_sided_ode_pvf(sublinear_c: float | None = None) -> PvfSpec:
     """The one-sided drift v = -sgn(x)sqrt|x| as an ODE lift."""
-    return ode_lift_pvf(sgn_sqrt_field())
+    return ode_lift_pvf(sgn_sqrt_field(), sublinear_c=sublinear_c)
 
 
 @functools.lru_cache
@@ -424,7 +425,7 @@ def pvf_from_dict(doc: dict) -> PvfSpec:
                                   field="fiber")
         return constant_pvf(_fiber_rows(params["fiber"]), sublinear_c=c)
     if kind == "median_split":
-        return median_split_pvf()
+        return median_split_pvf(sublinear_c=c)
     if kind == "phi_diffusion":
         if "phi" not in params:
             raise ValidationError("phi_diffusion needs params.phi",
@@ -441,7 +442,7 @@ def pvf_from_dict(doc: dict) -> PvfSpec:
         return interaction_pvf(kernel_from_dict(params["kernel"]),
                                sublinear_c=c)
     if kind == "one_sided_ode":
-        return one_sided_ode_pvf()
+        return one_sided_ode_pvf(sublinear_c=c)
     raise ValidationError(f"unknown PVF kind {kind!r}", field="kind")
 
 

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
 from .measure import DiscreteMeasure, _merge, exact_row_sums, norms
@@ -179,6 +178,7 @@ def _equal_masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
 
 def _assignment(cost: np.ndarray, w: float) -> TransportPlan:
     """Optimal permutation plan of two equal-mass measures (mass w each)."""
+    from scipy.optimize import linear_sum_assignment  # loaded on first use
     rows, cols = linear_sum_assignment(cost)
     entries = tuple(sorted((i, k, w)
                            for i, k in zip(rows.tolist(), cols.tolist())))

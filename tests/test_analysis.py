@@ -697,6 +697,23 @@ class TestStability:
             assert not gronwall_check(spec, dirac(0.0), dirac(0.5), 400,
                                       1.0, k_const)
 
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_exponential_separation_keeps_its_closed_form_margin(self, n):
+        # v = x leaves the atom at 0 in place and moves the one at 0.5 by
+        # c <- c + floor(c / N), so W(t) is its position, and the floor
+        # bounds give 0 <= 0.5 e^t - W(t) <= (0.25 t e^t + e^t - 1) / N,
+        # under the K = 1 envelope e^t (W0 + dx + dt / K)
+        spec = ode_lift_pvf(linear_field(1.0))
+        runs = [las_solve(dirac(x), spec, n, 1.0) for x in (0.0, 0.5)]
+        for ell in (n // 2, n):
+            t = ell / n
+            w = wasserstein(runs[0].steps[ell].to_measure(),
+                            runs[1].steps[ell].to_measure()).distance
+            growth = math.exp(t)
+            assert 0.0 <= 0.5 * growth - w <= (
+                0.25 * t * growth + growth - 1.0) / n
+            assert w <= growth * (0.5 + 1.0 / n ** 2 + 1.0 / n)
+
     def test_k_must_be_positive(self):
         with pytest.raises(ValidationError):
             gronwall_check(median_split_pvf(), dirac(0.0), dirac(0.25),

@@ -15,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -386,7 +387,7 @@ def _no_linprog(*args, **kwargs):
 
 
 def test_equal_mass_1d_pairs_solve_no_lp(monkeypatch):
-    monkeypatch.setattr(fiber_metric, "linprog", _no_linprog)
+    monkeypatch.setattr(scipy.optimize, "linprog", _no_linprog)
     pairs = _equal_mass_pairs(1717)
     degenerate = 0
     for va, vb in pairs:
@@ -403,7 +404,7 @@ def test_equal_mass_1d_pairs_solve_no_lp(monkeypatch):
 
 
 def test_other_pairs_reach_the_lp(monkeypatch):
-    monkeypatch.setattr(fiber_metric, "linprog", _no_linprog)
+    monkeypatch.setattr(scipy.optimize, "linprog", _no_linprog)
     rng = np.random.default_rng(1718)
     base = rng.uniform(-1.0, 1.0, 6)
     equal = _equal_mass_lifted(rng, 5, base)
@@ -562,7 +563,7 @@ def equal_mass_pairs(draw):
 def test_assignment_matches_an_lp_on_the_band(pair, kind):
     va, vb = pair
     k = va.atom_count
-    with mock.patch.object(fiber_metric, "linprog", _no_linprog):
+    with mock.patch.object(scipy.optimize, "linprog", _no_linprog):
         value, plan = constrained_fiber_cost(va, vb, kind)
     # the reference: scipy's LP on the same allowed pairs, priced by the
     # scalar integrands

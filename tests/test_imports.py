@@ -4,11 +4,15 @@ every module-level function or constant of the package is used.
 An ast scan of the package modules, the tests and the scripts. Package
 ``__init__.py`` files are skipped, since their imports are the public
 re-exports; a name that only its definition and that re-export mention
-is dead.
+is dead. Importing the package and its CLI loads no scipy: the solvers
+that need it import it when they first run.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -151,3 +155,12 @@ def test_exact_sums_have_one_home():
     package = {path.name: path.read_text(encoding="utf-8")
                for path in PACKAGE}
     assert exact_sums_outside_measure(package) == []
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ("import sys, mdelab, mdelab.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -544,6 +544,31 @@ class TestJson:
                                sublinear_c=1.25)
         assert pvf_from_dict(pvf_to_dict(spec)) == spec
 
+    @pytest.mark.parametrize("kind, constructor, default", [
+        ("median_split", median_split_pvf, 1.0),
+        ("one_sided_ode", one_sided_ode_pvf, 0.5)])
+    def test_declared_c_is_kept_by_the_fixed_laws(self, kind, constructor,
+                                                  default):
+        doc = {"kind": kind, "params": {"sublinear_c": 0.1}}
+        loaded = pvf_from_dict(doc)
+        assert loaded == constructor(sublinear_c=0.1)
+        assert loaded.declared_c == 0.1
+        assert sublinear_constant(loaded, 1) == 0.1
+        assert pvf_from_dict(pvf_to_dict(loaded)) == loaded
+        assert sublinear_constant(pvf_from_dict({"kind": kind}), 1) == default
+
+    def test_a_declared_c_sizes_the_median_split_run(self):
+        doc = {"kind": "median_split", "params": {"sublinear_c": 0.5}}
+        # speeds +-1 exceed 0.5 (1 + |x|) near the origin
+        with pytest.raises(SublinearityError):
+            las_solve(dirac(0.0), pvf_from_dict(doc), 10, 1.0)
+        # exp(3)(0 + 1) > 10: the box is sized by the declared C
+        doc["params"]["sublinear_c"] = 3.0
+        with pytest.raises(ValidationError):
+            las_solve(dirac(0.0), pvf_from_dict(doc), 10, 1.0)
+        assert las_solve(dirac(0.0), median_split_pvf(), 10,
+                         1.0).steps[-1].atom_count == 2
+
     def test_malformed(self):
         with pytest.raises(ValidationError):
             pvf_from_dict({"params": {}})

@@ -1,18 +1,22 @@
 """The one array representation of measures and particle states.
 
 Every builder returns read-only float64 arrays: positions (and
-velocities) of shape (count, dim), masses of shape (count,). Objects
-compare by value, field by field, so a copy whose fields are tuples
-compares equal, and neither the objects nor their rows can be hashed.
+velocities) of shape (count, dim), masses of shape (count,); a lattice
+measure holds its coordinates as one read-only (count, dim) int64 array
+behind a row view that reads as tuples of ints. Objects compare by
+value, field by field, so a copy whose fields are tuples compares
+equal, and neither the objects nor their array rows can be hashed.
 The pinned hex values below were computed before the fields became
 arrays, at the sites where tuple rows were concatenated with `+`,
 compared with `==` or used as dict and set keys.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,12 +80,20 @@ BUILDERS = {
     "integrate": lambda: m.integrate(
         m.make_state(STATE), m.make_kernel("bounded_attraction"), 0.3,
         0.1)[-1],
+    "make_lattice_measure": lambda: m.make_lattice_measure(
+        4, 2, [((3, -5), 0.25), ((0, 2), 0.75)]),
+    "las_solve": lambda: m.las_solve(_cloud(1, count=3), TWO_SPEEDS, 10,
+                                     0.5).steps[-1],
 }
 
 
 def _array_fields(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-            if f.name in ("positions", "velocities", "masses")}
+    """The array fields by name, a lattice's coords as its int64 array."""
+    found = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+             if f.name in ("positions", "velocities", "masses", "coords")}
+    if "coords" in found:
+        found["coords"] = found["coords"].array
+    return found
 
 
 def _moved(obj):
@@ -100,18 +112,20 @@ def _moved(obj):
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
 def test_builders_make_read_only_arrays_compared_by_value(build):
     obj = build()
-    count, dim = obj.positions.shape
-    assert count >= 2 and dim == (1 if build is BUILDERS["uniform_1d"] else 2)
     fields = _array_fields(obj)
+    lattice = "coords" in fields
+    count, dim = fields["coords" if lattice else "positions"].shape
+    assert count >= 2 and dim == (1 if build is BUILDERS["uniform_1d"] else 2)
     for name, values in fields.items():
-        assert type(values) is np.ndarray and values.dtype == np.float64
+        assert type(values) is np.ndarray and values.dtype == (
+            np.int64 if name == "coords" else np.float64)
         assert values.shape == ((count,) if name == "masses" else (count, dim))
         with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0.0
+            values[0] = 0
     with pytest.raises(TypeError):
         hash(obj)
     with pytest.raises(TypeError):
-        hash(obj.positions[0])
+        hash(obj.coords if lattice else obj.positions[0])
 
     again = build()
     assert again is not obj and again == obj and not again != obj
@@ -121,7 +135,61 @@ def test_builders_make_read_only_arrays_compared_by_value(build):
         name: tuple(map(tuple, values.tolist())) if values.ndim == 2
         else tuple(values.tolist()) for name, values in fields.items()})
     assert as_tuples == obj and obj == as_tuples
-    assert obj != (obj.positions, getattr(obj, "masses", None))
+    assert obj != tuple(fields.values())
+
+
+def test_lattice_rows_read_as_tuples_of_ints():
+    step = BUILDERS["las_solve"]()
+    rows = list(step.coords)
+    assert len(rows) == step.atom_count >= 2
+    assert all(type(row) is tuple and len(row) == 2
+               and all(type(c) is int for c in row) for row in rows)
+    assert rows == [tuple(row) for row in step.coords.array.tolist()]
+    assert step.coords[0] == rows[0] and step.coords[-1] == rows[-1]
+    assert step.coords[1:] == tuple(rows[1:])
+    assert step.coords == tuple(rows) and repr(step.coords) == repr(
+        tuple(rows))
+    assert np.array_equal(np.asarray(step.coords), step.coords.array)
+
+
+def test_lattice_copies_compare_by_value():
+    # the copies the benchmark makes: dataclasses.replace with tuples,
+    # and a row moved as (c[0] + k,) + c[1:]
+    step = BUILDERS["las_solve"]()
+    same = dataclasses.replace(step, coords=tuple(step.coords),
+                               masses=tuple(step.masses.tolist()))
+    assert same == step and same.coords == step.coords
+    assert same.coords.array.dtype == np.int64
+    assert not same.coords.array.flags.writeable
+    assert not same.masses.flags.writeable
+    for k in (1, -3):
+        rows = list(step.coords)
+        rows[-1] = (rows[-1][0] + k,) + rows[-1][1:]
+        moved = dataclasses.replace(step, coords=tuple(rows))
+        assert moved != step and moved.coords != step.coords
+        assert moved.coords.array[-1, 0] == step.coords.array[-1, 0] + k
+    with pytest.raises(TypeError):
+        hash(step)
+    with pytest.raises(TypeError):
+        hash(step.coords)
+
+
+def test_a_trajectory_holds_its_steps_as_arrays():
+    # the +-1 field from a point: step ell has ell + 1 atoms, 20,301 in
+    # all, which as 16-byte array rows make under 0.4 MiB
+    spec = m.constant_pvf([(-1.0, 0.5), (1.0, 0.5)])
+    m.las_solve(m.dirac(0.1), spec, 20, 1.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = m.las_solve(m.dirac(0.1), spec, 200, 1.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(step.atom_count for step in traj.steps) == 201 * 202 // 2
+    assert held <= 2 ** 20
 
 
 def test_rows_add_as_vectors():
