@@ -15,9 +15,9 @@ from .errors import (
     ValidationError,
 )
 from .measure import (
+    ArrayRows,
     DiscreteMeasure,
     LatticeMeasure,
-    LatticeRows,
     LiftedMeasure,
     base_marginal,
     dirac,

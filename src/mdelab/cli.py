@@ -142,8 +142,8 @@ def _cmd_dist(config: RunConfig) -> None:
     lines = [f17(result.distance)]
     if config.plan:
         lines.append("i,k,weight")
-        for i, k, w in result.plan.entries:
-            lines.append(f"{i},{k},{f17(w)}")
+        i, k, w = (column.tolist() for column in result.plan.entries.columns)
+        lines.extend(f"{a},{b},{f17(x)}" for a, b, x in zip(i, k, w))
     _write(config, "\n".join(lines) + "\n")
 
 

@@ -29,6 +29,10 @@ alone:
 
 One array integrand (_integrand) prices the cells of every regime and
 the moves of the 1D monotone plan that monotone_fiber_cost_1d evaluates.
+A plan's entries are the kept cells' row, column and flow arrays, as
+read-only int64, int64 and float64 columns behind the row view of
+transport plans (transport._Coupling); induced_base_plan sums them per
+base cell with np.bincount, in entry order, into a TransportPlan's.
 The one_sided integrand <v-w, x-y>/|x-y| is defined as 0 when x = y.
 The two-stage value need not satisfy the triangle inequality; that is a
 feature of the quantity, not a solver defect, and tests assert a
@@ -45,10 +49,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .measure import (DiscreteMeasure, LiftedMeasure, _build, _group_sums,
-                      as_rows, base_marginal, exact_row_sums, norms)
-from .transport import (TransportPlan, _check_coupling, _equal_masses,
-                        _northwest, _plan_cost, wasserstein)
+from .measure import (ArrayRows, DiscreteMeasure, LiftedMeasure, _build,
+                      _group_sums, as_rows, base_marginal, exact_row_sums,
+                      norms)
+from .transport import (TransportPlan, _check_coupling, _Coupling,
+                        _equal_masses, _northwest, _plan_cost, _plan_entries,
+                        wasserstein)
 
 BASE_OPT_REL_TOL = 1e-7      # nD stage-2 constraint slack: W* + 1e-7*(1+W*)
 MARGINAL_TOL = 1e-10
@@ -64,10 +70,12 @@ class FiberCostKind(Enum):
 
 
 @dataclass(frozen=True)
-class LiftedPlan:
+class LiftedPlan(_Coupling):
     """Coupling of two lifted measures, entries (a, b, weight) where a
     indexes an (x, v) atom of the first measure and b a (y, w) atom of
-    the second.
+    the second, as read-only int64, int64 and float64 columns in (a, b)
+    order (transport._Coupling). Plans compare by value and are
+    unhashable.
 
     allowed_pairs counts the atom pairs stage 2 could use: the
     pairs on the optimal face in 1D, rows*cols in nD. degenerate_base
@@ -79,11 +87,13 @@ class LiftedPlan:
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, int, float], ...]
+    entries: ArrayRows
     base_cost: float
     fiber_cost: float
     allowed_pairs: int
     degenerate_base: bool | None
+
+    __hash__ = None
 
 
 def validate_lifted_plan(plan: LiftedPlan, v1: LiftedMeasure,
@@ -97,13 +107,12 @@ def induced_base_plan(plan: LiftedPlan, v1: LiftedMeasure,
     """Project a lifted coupling to the base: weights summed over fibers."""
     mu = base_marginal(v1)
     nu = base_marginal(v2)
-    a, b, w = map(np.array, zip(*plan.entries))
+    a, b, w = plan.entries.columns
     cells = _base_groups(v1)[2][a] * nu.atom_count + _base_groups(v2)[2][b]
     # bincount adds each cell's weights in entry order, as a running sum
     cells, inverse = np.unique(cells, return_inverse=True)
-    weights = np.bincount(inverse, w).tolist()
     rows, cols = np.divmod(cells, nu.atom_count)
-    entries = tuple(zip(rows.tolist(), cols.tolist(), weights))
+    entries = _plan_entries(rows, cols, np.bincount(inverse, w))
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
                          entries=entries, cost=_plan_cost(entries, mu, nu))
 
@@ -274,11 +283,10 @@ def constrained_fiber_cost(v1: LiftedMeasure, v2: LiftedMeasure,
     else:
         flow = _lp_flow(v1, v2, lo, hi, row_of, col_of, base_dist, objective)
     keep = np.flatnonzero(flow > _ENTRY_FLOOR)
-    kept = flow[keep]
-    entries = tuple(zip(row_of[keep].tolist(), col_of[keep].tolist(),
-                        kept.tolist()))
-    moved = v1.velocities[row_of[keep]] - v2.velocities[col_of[keep]]
-    plan = LiftedPlan(rows=rows, cols=cols, entries=entries,
+    a, b, kept = row_of[keep], col_of[keep], flow[keep]
+    moved = v1.velocities[a] - v2.velocities[b]
+    plan = LiftedPlan(rows=rows, cols=cols,
+                      entries=_plan_entries(a, b, kept),
                       base_cost=float(exact_row_sums(kept * base_dist[keep])),
                       fiber_cost=float(exact_row_sums(kept * norms(moved))),
                       allowed_pairs=n_vars, degenerate_base=degenerate)

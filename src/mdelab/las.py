@@ -16,13 +16,13 @@ arithmetic: a float product can land just below an integer and floor
 one cell lower.
 
 A solve also carries one fact (unit) from each mass check to the next:
-the masses are positive and their math.fsum is exactly 1.0. It skips
-only the checks whose result the fact decides, the lift of a one-to-one
-kind (pvf.lift) and a step merge that joins no rows
-(measure._lattice_rows), so every trajectory is bit for bit the one of
-a solve that checks every lift and every step. The binning's check
-sets the fact; a restart from a LatticeMeasure, las_step and any
-renormalisation start without it.
+the masses are positive and their math.fsum is exactly 1.0. The lift
+of a one-to-one kind skips its check under the fact (pvf.lift), and a
+step never checks its merged masses (_step): at most one check per
+step, and every trajectory is bit for bit the one of a solve that
+checks every lift and every step. The binning's check sets the fact; a
+restart from a LatticeMeasure, las_step and any renormalisation start
+without it, and a restart checks its rows' box and width.
 
 This module is the one home of the paper's a-priori estimates and of
 the lattice clock: support_envelope, exp(C t)(R + 1), and
@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import BoxOverflowError, SupportBoundError, ValidationError
 from .measure import (DiscreteMeasure, LatticeMeasure, LiftedMeasure,
-                      _build, _lattice, _lattice_rows, as_rows, radius,
-                      support_radius)
+                      _build, _lattice, _lattice_box, _lattice_rows, _merge,
+                      as_rows, radius, support_radius)
 from .pvf import PvfSpec, lift, sublinear_constant
 
 _STEP_COUNT_SNAP = 1e-9  # floor(N*T) guard against 39.999... artifacts
@@ -145,8 +145,8 @@ def _binned(mu: DiscreteMeasure, n_param: int
         raise ValidationError(
             f"support reaches {mu.positions[outside][0].item()!r}, outside "
             f"[-N, N) with N={n_param}; increase N", field="n_param")
-    return _lattice_rows(n_param, np.floor(mu.positions * n_param ** 2),
-                         mu.masses)
+    return _lattice_rows(n_param, mu.dim,
+                         np.floor(mu.positions * n_param ** 2), mu.masses)
 
 
 def _bin_velocity(vel: np.ndarray, n_param: int) -> np.ndarray:
@@ -172,18 +172,28 @@ def _step(rows: np.ndarray, masses, positions: np.ndarray, n_param: int,
     """One recursion step on arrays: lift the positions rows / N^2, bin
     the velocity array, shift each source row by its integer cells
     (dt * v = k / N^2), merge once. unit states that masses are known to
-    be positive with a math.fsum of exactly 1.0. Returns the checked
-    int64 rows and float64 masses of the next step, and the same fact
-    about them (_lattice_rows)."""
+    be positive with a math.fsum of exactly 1.0. Returns the int64 rows
+    and float64 masses of the next step, and the same fact about them.
+
+    The merged masses are not checked: the lift has just checked (or,
+    under unit, passed on) the masses the merge sums, so they are
+    positive with an fsum within a few ulps of 1, and the check could
+    not raise. A merge that joins no rows permutes them, and fsum does
+    not depend on order, so the fact holds. A join's rounded group sums
+    can move the total, so the fact is dropped and the next lift checks
+    them: it keeps them when their fsum is exactly 1.0 and renormalises
+    them otherwise, the same bits as with a check here."""
     index, velocities, masses, unit = lift(spec, positions, masses,
                                            n_hint=n_param, unit=unit)
     shifted = rows[index] + _bin_velocity(velocities, n_param)
     try:
-        return _lattice_rows(n_param, shifted, masses, unit=unit)
+        shifted = _lattice_box(n_param, rows.shape[1], shifted)
     except ValidationError as exc:
         raise BoxOverflowError(
             f"step left the lattice box [-N, N]^n with N={n_param}: {exc}; "
             "support growth exceeded the a-priori radius bound") from exc
+    keys, merged = _merge(shifted, masses)
+    return keys, merged, unit and len(keys) == len(shifted)
 
 
 def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
@@ -209,7 +219,8 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
                 f"initial lattice measure has N={mu0.n_param}, "
                 f"run wants N={n_param}", field="n_param")
         start = mu0
-        rows, masses = mu0.coords.array, mu0.masses
+        rows = _lattice_box(n_param, mu0.dim, mu0.coords.array)
+        masses = mu0.masses
         unit = False  # no check of this run has summed these masses
     else:
         rows, masses, unit = _binned(mu0, n_param)

@@ -11,14 +11,14 @@ float64 array; positions coords / N^2 are one numpy division, rounded as
 Python's c / N**2 is for N <= 208,063 (N^3 <= 2^53). A step shifts
 coordinates by whole cells, so lattice runs replay bit-for-bit. The
 lattice solver's merged arrays become a step's fields as they are
-(_lattice), with no copy. Its coords field is a LatticeRows view: it
-iterates, indexes, compares and prints as a tuple of tuples of Python
-ints, made only when read, so a row perturbed as (c[0] + k,) + c[1:] is
-a new row and not a broadcast over an array row. A merge whose sorted rows are all
-distinct (the common case of a lattice step, where no atoms collide)
-returns the permuted arrays without group sums, and the lattice builder
-skips the mass check of such a merge when the caller knows its masses
-sum to exactly 1.0 (see las.py). LatticeMeasure.to_measure merges too:
+(_lattice), with no copy. Its coords field is an ArrayRows view, the
+row view that transport plans share: it iterates, indexes, compares
+and prints as a tuple of tuples of Python ints, made only when read, so
+a row perturbed as (c[0] + k,) + c[1:] is a new row and not a broadcast
+over an array row. A merge whose sorted rows are all distinct (the
+common case of a lattice step, where no atoms collide) returns the
+permuted arrays without group sums; a lattice step does not check the
+merged masses again (see las.py). LatticeMeasure.to_measure merges too:
 near the largest N distinct coordinates can round to one float. This
 module alone decides where numpy may stand in for math.fsum
 (exact_row_sums, _pair_sums).
@@ -65,7 +65,7 @@ def as_rows(values: Sequence, dim: int | None = None,
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     """Mark an array the caller owns as read-only and return it."""
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 
@@ -146,6 +146,8 @@ def exact_row_sums(a: np.ndarray) -> np.ndarray:
     if n < 2:  # fsum of [x] is x + 0.0 for every float x, of [] 0.0
         return a.sum(-1) + 0.0
     if a.size < TREE_FIXED + TREE_PER_LEVEL * (n - 1).bit_length():
+        if a.ndim == 1:
+            return np.float64(math.fsum(a.tolist()))
         rows = a.reshape(-1, n).tolist()
         sums = np.fromiter(map(math.fsum, rows), float, len(rows))
         return sums.reshape(shape)
@@ -387,34 +389,45 @@ def support_radius(mu: DiscreteMeasure) -> float:
     return radius(mu.positions)
 
 
-class LatticeRows(collections.abc.Sequence):
-    """The coordinate rows of a LatticeMeasure: a read-only (count, dim)
-    int64 array (.array) that iterates, indexes, compares and prints as
-    the tuple of tuples of Python ints it stands for. Those tuples are
-    made when they are read (one tolist per column and one zip) and not
-    kept. Equal to another LatticeRows or to a tuple of rows with the
-    same values; unhashable, like the array."""
+class ArrayRows(collections.abc.Sequence):
+    """A table kept as read-only array columns (.columns: a tuple of 1D
+    arrays of one length, or a 2D array whose rows are the columns) that
+    iterates, indexes, compares and prints as the tuple of row tuples of
+    Python numbers it stands for. Those tuples are made when they are
+    read (one tolist per column and one zip) and not kept. A lattice
+    measure's coords are the transposed (count, dim) int64 array, .array;
+    a transport plan's entries are the columns i, k and w. Equal to
+    another ArrayRows with equal columns or to a tuple of rows with the
+    same values; unhashable, like its arrays."""
 
-    __slots__ = ("array",)
+    __slots__ = ("columns",)
     __hash__ = None
 
-    def __init__(self, array: np.ndarray):
-        self.array = array
+    def __init__(self, columns):
+        self.columns = columns
+
+    @property
+    def array(self) -> np.ndarray:
+        """The (count, width) array of the rows: a view when the columns
+        are one 2D array, else a new array of their common dtype."""
+        return np.transpose(self.columns)
 
     def __len__(self) -> int:
-        return len(self.array)
+        return len(self.columns[0])
 
     def __iter__(self):
-        return zip(*self.array.T.tolist())
+        return zip(*map(np.ndarray.tolist, self.columns))
 
     def __getitem__(self, index):
-        rows = self.array[index]
-        return (tuple(rows.tolist()) if rows.ndim == 1
-                else tuple(map(tuple, rows.tolist())))
+        cut = [column[index] for column in self.columns]
+        if cut[0].ndim:  # a slice or an index array: its rows
+            return tuple(ArrayRows(cut))
+        return tuple(value.item() for value in cut)
 
     def __eq__(self, other):
-        if isinstance(other, LatticeRows):
-            return np.array_equal(self.array, other.array)
+        if isinstance(other, ArrayRows):
+            return (len(self.columns) == len(other.columns)
+                    and all(map(np.array_equal, self.columns, other.columns)))
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -428,20 +441,21 @@ class LatticeRows(collections.abc.Sequence):
 
 @dataclass(frozen=True, eq=False)
 class LatticeMeasure(_ArrayFields):
-    """Atoms on the grid Z^dim / N^2: integer coordinate rows (coords, a
-    LatticeRows over a read-only int64 array) and read-only float64
-    masses. Other sequences given as fields (a dataclasses.replace with
-    tuples, say) become new arrays of those dtypes; no check runs."""
+    """Atoms on the grid Z^dim / N^2: integer coordinate rows (coords, an
+    ArrayRows over a read-only (count, dim) int64 array) and read-only
+    float64 masses. Other sequences given as fields (a
+    dataclasses.replace with tuples, say) become new arrays of those
+    dtypes; no check runs."""
 
     n_param: int
     dim: int
-    coords: LatticeRows
+    coords: ArrayRows
     masses: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.coords, LatticeRows):
+        if not isinstance(self.coords, ArrayRows):
             object.__setattr__(self, "coords",
-                               LatticeRows(_frozen(self.coords, np.int64)))
+                               ArrayRows(_frozen(self.coords, np.int64).T))
         object.__setattr__(self, "masses", _frozen(self.masses, np.float64))
 
     @property
@@ -471,21 +485,16 @@ def make_lattice_measure(n_param: int, dim: int,
         raise ValidationError("lattice measure needs at least one atom",
                               field="atoms")
     coords, masses = zip(*cells)
-    rows, masses, _ = _lattice_rows(n_param, coords, masses)
+    rows, masses, _ = _lattice_rows(n_param, dim, coords, masses)
     return _lattice(n_param, dim, rows, masses)
 
 
-def _lattice_rows(n_param: int, coords, masses, *, unit: bool = False
-                  ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The lattice builder on integer coordinate rows (an int64 array or
-    anything that converts to one): check N and the box [-N^3, N^3]^dim,
-    merge coincident rows, check the masses. Returns the int64 rows and
-    float64 masses, new arrays, that _lattice turns into a measure, and
-    whether those masses are known to be positive with a math.fsum of
-    exactly 1.0 (_check_masses). unit states that the caller knows this
-    of masses: a merge that joins no rows then permutes them, and fsum,
-    correctly rounded, does not depend on order, so the check is
-    skipped."""
+def _lattice_box(n_param: int, dim: int, coords) -> np.ndarray:
+    """Integer coordinate rows (an int64 array or anything that converts
+    to one) as an int64 array of shape (count, dim), checked: N at most
+    MAX_LATTICE_N, rows dim wide, every coordinate in the box
+    [-N^3, N^3]. A failed check raises ValidationError naming n_param,
+    dim or coords."""
     if n_param > MAX_LATTICE_N:
         raise ValidationError(f"N={n_param} above {MAX_LATTICE_N}: "
                               "coordinates up to N^3 must be exact floats",
@@ -493,16 +502,30 @@ def _lattice_rows(n_param: int, coords, masses, *, unit: bool = False
     bound = n_param ** 3
     try:
         rows = np.asarray(coords, dtype=np.int64)
-        inside = (np.abs(rows) <= bound).all()
     except OverflowError:
-        inside = False
-    if not inside:
+        rows = None
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"lattice coordinate rows need {dim} entries",
+                              field="dim") from exc
+    if rows is not None and (rows.ndim != 2 or rows.shape[1] != dim):
+        raise ValidationError(f"lattice coordinate rows need {dim} entries, "
+                              f"got shape {rows.shape}", field="dim")
+    if rows is None or not (np.abs(rows) <= bound).all():
         raise ValidationError(
             f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
             field="coords")
-    keys, merged = _merge(rows, masses)
-    if not (unit and len(keys) == len(rows)):
-        merged, unit = _check_masses(merged, renormalize=False)
+    return rows
+
+
+def _lattice_rows(n_param: int, dim: int, coords, masses
+                  ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The lattice builder on integer coordinate rows: check them
+    (_lattice_box), merge coincident rows, check the masses. Returns the
+    int64 rows and float64 masses, new arrays, that _lattice turns into
+    a measure, and whether those masses are known to be positive with a
+    math.fsum of exactly 1.0 (_check_masses)."""
+    keys, merged = _merge(_lattice_box(n_param, dim, coords), masses)
+    merged, unit = _check_masses(merged, renormalize=False)
     return keys, merged, unit
 
 

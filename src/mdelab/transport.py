@@ -38,7 +38,13 @@ Distance is the transportation LP optimum with Euclidean ground cost
   theta.
 
 Every returned plan is a vertex of the transportation polytope (at most
-rows+cols-1 entries).
+rows+cols-1 entries). Its entries are three read-only columns, int64 i,
+int64 k and float64 w, in (i, k) order, behind a measure.ArrayRows view
+that reads as (i, k, w) tuples of Python numbers. The solvers fill them
+with no tuple per entry: the sweep from its lists, the assignment from
+linear_sum_assignment's index arrays with the masses as w, the simplex
+from its sorted basic cells. validate_plan reads the columns: the cost
+as one exact_row_sums of w * |x_i - y_k|, the marginals by np.bincount.
 """
 
 from __future__ import annotations
@@ -50,19 +56,48 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .measure import DiscreteMeasure, _merge, exact_row_sums, norms
+from .measure import ArrayRows, DiscreteMeasure, _merge, exact_row_sums, norms
 
 PLAN_TOL = 1e-10          # marginal and cost-consistency tolerance
 OPT_REL_TOL = 1e-7        # plan_is_optimal: cost <= W + 1e-7*(1+W)
 _PIVOT_TOL_SCALE = 1e-11  # entering threshold: 1e-11*(1+max|C|)
 
 
+def _plan_entries(i: np.ndarray, k: np.ndarray, w: np.ndarray) -> ArrayRows:
+    """The (i, k, weight) entry view of a plan over the int64, int64 and
+    float64 arrays i, k and w, frozen in place: arrays the caller made,
+    or read-only ones."""
+    for column in (i, k, w):
+        column.setflags(write=False)
+    return ArrayRows((i, k, w))
+
+
+class _Coupling:
+    """The entries field of a plan dataclass: an ArrayRows over
+    read-only int64, int64 and float64 columns (_plan_entries). Entries
+    given as (i, k, w) rows (a dataclasses.replace with a tuple, say)
+    become new columns; no check runs."""
+
+    def __post_init__(self):
+        if not isinstance(self.entries, ArrayRows):
+            i, k, w = list(zip(*self.entries)) or [(), (), ()]
+            object.__setattr__(self, "entries", _plan_entries(
+                np.array(i, np.int64), np.array(k, np.int64),
+                np.array(w, np.float64)))
+
+
 @dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(_Coupling):
+    """A coupling of two measures: entries (i, k, weight), weight > 0,
+    in (i, k) order, as read-only columns (_Coupling). Plans compare by
+    value and are unhashable."""
+
     rows: int
     cols: int
-    entries: tuple[tuple[int, int, float], ...]  # (i, k, weight), weight > 0
+    entries: ArrayRows
     cost: float
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -71,31 +106,38 @@ class WassersteinResult:
     plan: TransportPlan
 
 
-def _plan_cost(entries, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    p, q = mu.positions.tolist(), nu.positions.tolist()
-    return math.fsum(w * math.dist(p[i], q[k]) for i, k, w in entries)
+def _plan_cost(entries: ArrayRows, mu: DiscreteMeasure,
+               nu: DiscreteMeasure) -> float:
+    """The math.fsum of w * math.dist(x_i, y_k) over the entries, bit for
+    bit (norms, exact_row_sums)."""
+    i, k, w = entries.columns
+    return float(exact_row_sums(w * norms(mu.positions[i] - nu.positions[k])))
 
 
 def _check_coupling(plan, row_masses: np.ndarray, col_masses: np.ndarray,
                     tol: float, what: str) -> None:
-    """Check a coupling's shape, indices, positivity and both marginals."""
+    """Check a coupling's shape, indices, positivity and both marginals.
+    The first bad entry names the fault, an index out of range before a
+    weight that is not positive. np.bincount adds each marginal in entry
+    order, the running sums of a loop over the entries."""
     if plan.rows != len(row_masses) or plan.cols != len(col_masses):
         raise ValidationError(f"{what} shape does not match the measures")
-    row_sums = [0.0] * plan.rows
-    col_sums = [0.0] * plan.cols
-    for i, k, w in plan.entries:
-        if not (0 <= i < plan.rows and 0 <= k < plan.cols):
-            raise ValidationError(f"{what} index ({i},{k}) out of range")
-        if not w > 0.0:
-            raise ValidationError(f"{what} weights must be positive")
-        row_sums[i] += w
-        col_sums[k] += w
-    for side, sums, masses in (("row", row_sums, row_masses.tolist()),
-                               ("column", col_sums, col_masses.tolist())):
-        for i, (total, m) in enumerate(zip(sums, masses)):
-            if abs(total - m) > tol:
-                raise ValidationError(
-                    f"{what} {side} {i} mass {total!r} != {m!r}")
+    i, k, w = plan.entries.columns
+    outside = (i < 0) | (i >= plan.rows) | (k < 0) | (k >= plan.cols)
+    bad = outside | ~(w > 0.0)
+    if bad.any():
+        j = int(bad.argmax())
+        if outside[j]:
+            raise ValidationError(f"{what} index ({i[j]},{k[j]}) out of range")
+        raise ValidationError(f"{what} weights must be positive")
+    for side, index, masses in (("row", i, row_masses),
+                                ("column", k, col_masses)):
+        sums = np.bincount(index, w, len(masses))
+        off = np.abs(sums - masses) > tol
+        if off.any():
+            j = int(off.argmax())
+            raise ValidationError(f"{what} {side} {j} mass "
+                                  f"{sums[j].item()!r} != {masses[j].item()!r}")
 
 
 def validate_plan(plan: TransportPlan, mu: DiscreteMeasure,
@@ -156,11 +198,13 @@ def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     # positions are already sorted lexicographically = numerically in 1D
     rows, cols, deltas = _northwest(mu.masses.tolist(), nu.masses.tolist())
     size = len(rows)  # fromiter with a count fills the arrays in one pass
-    gaps = np.abs(mu.positions[np.fromiter(rows, np.intp, size), 0]
-                  - nu.positions[np.fromiter(cols, np.intp, size), 0])
-    cost = float(exact_row_sums(np.fromiter(deltas, float, size) * gaps))
+    i = np.fromiter(rows, np.int64, size)
+    k = np.fromiter(cols, np.int64, size)
+    w = np.fromiter(deltas, np.float64, size)
+    gaps = np.abs(mu.positions[i, 0] - nu.positions[k, 0])
     return TransportPlan(rows=mu.atom_count, cols=nu.atom_count,
-                         entries=tuple(zip(rows, cols, deltas)), cost=cost)
+                         entries=_plan_entries(i, k, w),
+                         cost=float(exact_row_sums(w * gaps)))
 
 
 def _cost_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -176,15 +220,15 @@ def _equal_masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
             and len(set(mu.masses.tolist() + nu.masses.tolist())) == 1)
 
 
-def _assignment(cost: np.ndarray, w: float) -> TransportPlan:
-    """Optimal permutation plan of two equal-mass measures (mass w each)."""
+def _assignment(cost: np.ndarray, masses: np.ndarray) -> TransportPlan:
+    """Optimal permutation plan of two equal-mass measures: source i
+    sends its whole mass, masses[i], one common value, to one target.
+    The masses are the plan's weight column."""
     from scipy.optimize import linear_sum_assignment  # loaded on first use
-    rows, cols = linear_sum_assignment(cost)
-    entries = tuple(sorted((i, k, w)
-                           for i, k in zip(rows.tolist(), cols.tolist())))
-    total = math.fsum(w * cost[i, k] for i, k, _ in entries)
-    return TransportPlan(rows=len(entries), cols=len(entries),
-                         entries=entries, cost=total)
+    rows, cols = linear_sum_assignment(cost)  # rows is 0 .. m-1
+    return TransportPlan(rows=len(rows), cols=len(rows),
+                         entries=_plan_entries(rows, cols, masses),
+                         cost=float(exact_row_sums(masses * cost[rows, cols])))
 
 
 def _pivot_budget(m: int, n: int) -> int:
@@ -308,11 +352,19 @@ class _Simplex:
             self._hang(*(ends if leaving in row_path else ends[::-1]))
 
     def plan(self) -> TransportPlan:
-        entries = tuple(sorted((i, k, w) for (i, k), w in self.flow.items()
-                               if w > 0.0))
-        cost = math.fsum(w * self.cost[i, k] for i, k, w in entries)
-        return TransportPlan(rows=self.m, cols=self.n,
-                             entries=entries, cost=cost)
+        """The basic cells that carry mass, in (i, k) order, priced by
+        the math.fsum of w * cost over the cost matrix's own floats."""
+        c = self.c
+        cells = sorted((i, k, w) for (i, k), w in self.flow.items()
+                       if w > 0.0)
+        cost = math.fsum([w * c[i][k] for i, k, w in cells])
+        i, k, w = zip(*cells)
+        count = len(cells)
+        return TransportPlan(rows=self.m, cols=self.n, cost=cost,
+                             entries=_plan_entries(
+                                 np.fromiter(i, np.int64, count),
+                                 np.fromiter(k, np.int64, count),
+                                 np.fromiter(w, np.float64, count)))
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -333,7 +385,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
         plan = _monotone_1d(mu, nu)
     elif method == "auto" and _equal_masses(mu, nu):
         plan = _assignment(_cost_matrix(mu.positions, nu.positions),
-                           mu.masses[0].item())
+                           mu.masses)
     else:
         solver = _Simplex(_cost_matrix(mu.positions, nu.positions),
                           mu.masses.tolist(), nu.masses.tolist())

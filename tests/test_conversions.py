@@ -1,10 +1,14 @@
-"""Tooling: no module converts a measure field between tuples and arrays.
+"""Tooling: no module converts a measure field or a plan between tuples
+and arrays.
 
 The fields of DiscreteMeasure, LiftedMeasure, LatticeMeasure and
 ParticleState are read-only arrays built once in measure.py (a lattice's
-coords is a row view over one). An ast scan of the package fails on any
-call of np.array, np.asarray or tuple whose argument is a .positions,
-.velocities, .masses or .coords attribute.
+coords is a row view over one), and the entries of TransportPlan and
+LiftedPlan are a row view over read-only (i, k, w) columns that their
+producers fill. An ast scan of the package fails on any call of
+np.array, np.asarray or tuple whose argument is a .positions,
+.velocities, .masses, .coords or .entries attribute, and on
+tuple(zip(...)), the form that builds one tuple per entry of a plan.
 """
 
 import ast
@@ -15,7 +19,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "mdelab").glob("*.py"))
 CONVERTERS = {"np.array", "np.asarray", "tuple"}
-FIELDS = {"positions", "velocities", "masses", "coords"}
+FIELDS = {"positions", "velocities", "masses", "coords", "entries"}
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -28,7 +32,8 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def field_conversions(source: str) -> list[str]:
-    """The converter calls on measure fields, as 'line N: call'."""
+    """The converter calls on measure fields and plan entries, and the
+    tuple(zip(...)) calls, as 'line N: call'."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
@@ -37,6 +42,10 @@ def field_conversions(source: str) -> list[str]:
                            and arg.attr in FIELDS for arg in node.args)
             if name in CONVERTERS and on_field:
                 found.append((node.lineno, name))
+            elif name == "tuple" and any(
+                    isinstance(arg, ast.Call) and _callee(arg) == "zip"
+                    for arg in node.args):
+                found.append((node.lineno, "tuple(zip)"))
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
@@ -54,7 +63,12 @@ def test_scan_flags_field_conversions():
               "    d = np.array(rows) + mu.positions.tolist()[0][0]\n"
               "    return np.array(step.coords, dtype=np.int64)\n"
               "def g(step):\n"
-              "    return tuple(step.coords), step.coords.array\n")
+              "    return tuple(step.coords), step.coords.array\n"
+              "def h(plan, rows, cols, deltas):\n"
+              "    e = tuple(zip(rows, cols, deltas))\n"
+              "    i, k, w = zip(*plan.entries)\n"
+              "    return tuple(plan.entries), np.array(plan.entries)\n")
     assert field_conversions(source) == [
         "line 3: np.array", "line 4: np.asarray", "line 5: tuple",
-        "line 7: np.array", "line 9: tuple"]
+        "line 7: np.array", "line 9: tuple", "line 11: tuple(zip)",
+        "line 13: np.array", "line 13: tuple"]

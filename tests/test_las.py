@@ -7,6 +7,8 @@ Tolerances appear only where real-coordinate output is compared against
 closed forms.
 """
 
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -369,6 +371,48 @@ def test_a_solve_without_collisions_checks_no_mass_after_its_first_step(
     checks.clear()
     las_solve(traj.steps[-1], spec, 20, 1.0)
     assert checks == [True]
+
+
+def test_a_joining_solve_checks_its_masses_once_per_step(monkeypatch):
+    # the +-1 field from a point joins rows at every step, so the lift
+    # merges and checks each step; the merge after the shift is not
+    # checked again. The digest is of the same solve at the parent of
+    # this rule, whose steps also checked every merge.
+    mu0, spec = dirac(0.0), constant_pvf([(-1.0, 0.5), (1.0, 0.5)])
+    checks = []
+
+    def counted(masses, renormalize):
+        checks.append(renormalize)
+        return _check_masses(masses, renormalize)
+
+    monkeypatch.setattr(measure, "_check_masses", counted)
+    monkeypatch.setattr(pvf, "_check_masses", counted)
+    traj = las_solve(mu0, spec, 400, 1.0)
+    assert checks == [False] + [True] * 400  # the binning's, then the lifts'
+    assert [mu.atom_count for mu in traj.steps] == list(range(1, 402))
+    text = repr([(mu.n_param, mu.dim, mu.coords,
+                  [m.hex() for m in mu.masses.tolist()])
+                 for mu in traj.steps])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7c2ceb8b3c8413143760e26313c4e99858b799fb0eb9f87063fff48672fdab55")
+
+
+def test_lattice_rows_must_be_dim_wide():
+    with pytest.raises(ValidationError) as info:
+        make_lattice_measure(4, 3, [((1, 2), 1.0)])
+    assert info.value.field == "dim"
+    with pytest.raises(ValidationError) as info:
+        make_lattice_measure(4, 2, [((1, 2), 0.5), ((3,), 0.5)])
+    assert info.value.field == "dim"
+    # a restart reads rows that no builder checked against dim
+    start = make_lattice_measure(4, 2, [((1, 2), 0.5), ((3, -1), 0.5)])
+    spec = ode_lift_pvf(linear_field(0.0, 0.25))
+    las_solve(start, spec, 4, 0.5)
+    for bad in (dataclasses.replace(start, dim=3),
+                dataclasses.replace(start, coords=((1,), (3,)))):
+        with pytest.raises(ValidationError) as info:
+            las_solve(bad, spec, 4, 0.5)
+        assert info.value.field == "dim"
 
 
 class TestSolve:

@@ -233,3 +233,68 @@ def test_former_tuple_sites_give_the_same_floats():
     assert gap.hex() == "0x1.813dc23ee910bp-2"
     margin = selfcheck.check_dual_feasibility(seed=12, instances=20).margin
     assert margin.hex() == "0x1.2bd84965827e0p-2"
+
+
+def _equal_mass_lifted(seed, count=6):
+    """A 1D lifted measure of count atoms of mass 1/count each."""
+    rng = np.random.default_rng(seed)
+    return m.make_lifted([((x,), (v,), 1.0 / count) for x, v in
+                          zip(rng.uniform(-1.0, 1.0, count),
+                              rng.uniform(-1.0, 1.0, count))])
+
+
+def _induced():
+    v1, v2 = _lifted_pair(12)
+    return m.induced_base_plan(m.constrained_fiber_cost(v1, v2)[1], v1, v2)
+
+
+# one plan from each producer of plan columns
+PLANS = {
+    "monotone_1d": lambda: m.wasserstein(
+        m.make_measure([(-0.5, 0.25), (0.1, 0.5), (0.9, 0.25)]),
+        m.make_measure([(-0.2, 0.6), (0.4, 0.4)])).plan,
+    "assignment": lambda: m.wasserstein(
+        *[m.make_measure(zip(_cloud(seed, count=4).positions, [0.25] * 4))
+          for seed in (2, 3)]).plan,
+    "simplex": lambda: m.wasserstein(_cloud(4), _cloud(5, count=4)).plan,
+    "fiber_assignment": lambda: m.constrained_fiber_cost(
+        _equal_mass_lifted(6), _equal_mass_lifted(7))[1],
+    "fiber_lp": lambda: m.constrained_fiber_cost(*_lifted_pair(3))[1],
+    "induced_base_plan": _induced,
+}
+
+
+@pytest.mark.parametrize("build", PLANS.values(), ids=PLANS.keys())
+def test_plan_entries_are_read_only_columns(build):
+    plan = build()
+    columns = plan.entries.columns
+    assert [c.dtype for c in columns] == [np.int64, np.int64, np.float64]
+    rows = list(plan.entries)
+    assert len(rows) >= 2
+    for column in columns:
+        assert type(column) is np.ndarray and column.shape == (len(rows),)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    assert all(type(i) is int and type(k) is int and type(w) is float
+               for i, k, w in rows)
+    assert rows == sorted(rows) and all(w > 0.0 for _, _, w in rows)
+    assert plan.entries == tuple(rows) and plan.entries[0] == rows[0]
+    assert plan.entries[1:] == tuple(rows[1:])
+
+    # a tuple-form replace becomes new read-only columns of equal value
+    same = dataclasses.replace(plan, entries=tuple(rows))
+    assert isinstance(same.entries, m.ArrayRows)
+    assert [c.dtype for c in same.entries.columns] == [
+        np.int64, np.int64, np.float64]
+    assert not any(c.flags.writeable for c in same.entries.columns)
+    assert same == plan and repr(same) == repr(plan)
+
+    # a perturbed entry, in its weight or in an index, compares unequal
+    i, k, w = rows[0]
+    for entry in ((i, k, 0.5 * w), (i, k + 1, w), (i + 1, k, w)):
+        moved = dataclasses.replace(plan, entries=(entry,) + tuple(rows[1:]))
+        assert moved != plan and moved.entries != plan.entries
+    with pytest.raises(TypeError):
+        hash(plan)
+    with pytest.raises(TypeError):
+        hash(plan.entries)

@@ -12,6 +12,7 @@ the plans and pivot counts of 200 forced-simplex instances. The sweep
 is checked float for float against a single-loop reference.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -36,7 +37,8 @@ from mdelab import (
 )
 from mdelab.cli import main
 from mdelab.measure import measure_to_dict
-from mdelab.transport import _cost_matrix, _northwest, _Simplex
+from mdelab.transport import (PLAN_TOL, _check_coupling, _cost_matrix,
+                              _northwest, _plan_cost, _Simplex)
 
 
 def test_two_diracs():
@@ -86,6 +88,90 @@ def test_plan_validation_catches_tampering():
                         cost=plan.cost)
     with pytest.raises(ValidationError):
         validate_plan(bad, mu, nu)
+
+
+def _entry_loop_check(plan, row_masses, col_masses, tol, what):
+    """The loop over plan entries that _check_coupling ran before plans
+    held their entries as columns."""
+    if plan.rows != len(row_masses) or plan.cols != len(col_masses):
+        raise ValidationError(f"{what} shape does not match the measures")
+    row_sums = [0.0] * plan.rows
+    col_sums = [0.0] * plan.cols
+    for i, k, w in plan.entries:
+        if not (0 <= i < plan.rows and 0 <= k < plan.cols):
+            raise ValidationError(f"{what} index ({i},{k}) out of range")
+        if not w > 0.0:
+            raise ValidationError(f"{what} weights must be positive")
+        row_sums[i] += w
+        col_sums[k] += w
+    for side, sums, masses in (("row", row_sums, row_masses.tolist()),
+                               ("column", col_sums, col_masses.tolist())):
+        for i, (total, m) in enumerate(zip(sums, masses)):
+            if abs(total - m) > tol:
+                raise ValidationError(
+                    f"{what} {side} {i} mass {total!r} != {m!r}")
+
+
+def _check_message(check, plan, mu, nu, tol):
+    try:
+        check(plan, mu.masses, nu.masses, tol, "plan")
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_coupling_check_is_the_entry_loop():
+    # every single fault and pairs of faults, in both orders, at each
+    # entry of a simplex plan: the column check raises what the loop did
+    rng = np.random.default_rng(8)
+    mu = make_measure(zip(rng.uniform(-1.0, 1.0, (6, 2)),
+                          np.full(6, 1.0 / 6)))
+    nu = make_measure(zip(rng.uniform(-1.0, 1.0, (5, 2)),
+                          rng.dirichlet(np.ones(5))))
+    plan = wasserstein(mu, nu).plan
+    rows = list(plan.entries)
+
+    def faults(i, k, w):
+        return [(i, k, w), (-1, k, w), (6, k, w), (i, 5, w), (i, -2, w),
+                (i, (k + 1) % 5, w), (i, k, 0.0), (i, k, -w), (i, k, math.nan), (i, k, math.inf),
+                (i, k, w * (1.0 + 1e-9)), (i, k, w + 1e-11), (i, k, 2 * w)]
+
+    cases = [rows, rows[:-1], rows + [(0, 0, 1e-12)]]
+    for j, entry in enumerate(rows):
+        for fault in faults(*entry):
+            cases.append(rows[:j] + [fault] + rows[j + 1:])
+        for a, b in itertools.product(faults(*entry)[1:], repeat=2):
+            if j + 1 < len(rows):
+                cases.append(rows[:j] + [a, b] + rows[j + 2:])
+    seen = set()
+    for entries in cases:
+        bad = dataclasses.replace(plan, entries=tuple(entries))
+        for tol in (PLAN_TOL, 0.0):
+            want = _check_message(_entry_loop_check, bad, mu, nu, tol)
+            assert _check_message(_check_coupling, bad, mu, nu, tol) == want
+            seen.add(want and want.split()[1])
+    assert seen == {None, "index", "weights", "row", "column"}
+    for shape in ((6, 4), (5, 5)):
+        bad = dataclasses.replace(plan, rows=shape[0], cols=shape[1])
+        assert "shape" in _check_message(_check_coupling, bad, mu, nu, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plan_cost_is_the_fsum_of_weighted_distances(dim):
+    # random entries, a few and a few thousand (the row-sum tree's size)
+    rng = np.random.default_rng(dim)
+    mu = make_measure(zip(rng.uniform(-1.0, 1.0, (40, dim)),
+                          np.full(40, 1.0 / 40)))
+    nu = make_measure(zip(rng.uniform(-3.0, 3.0, (30, dim)),
+                          np.full(30, 1.0 / 30)))
+    p, q = mu.positions.tolist(), nu.positions.tolist()
+    for count in (1, 7, 3000):
+        entries = tuple(zip(rng.integers(0, 40, count).tolist(),
+                            rng.integers(0, 30, count).tolist(),
+                            rng.exponential(1e-3, count).tolist()))
+        plan = TransportPlan(rows=40, cols=30, entries=entries, cost=0.0)
+        want = math.fsum(w * math.dist(p[i], q[k]) for i, k, w in entries)
+        assert _plan_cost(plan.entries, mu, nu).hex() == want.hex()
 
 
 def test_vertex_plan_is_sparse():
