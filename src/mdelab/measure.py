@@ -502,18 +502,19 @@ def _lattice_box(n_param: int, dim: int, coords) -> np.ndarray:
     bound = n_param ** 3
     try:
         rows = np.asarray(coords, dtype=np.int64)
+        inside = (np.abs(rows) <= bound).all()
     except OverflowError:
-        rows = None
+        inside = False
     except ValueError as exc:  # ragged rows
         raise ValidationError(f"lattice coordinate rows need {dim} entries",
                               field="dim") from exc
-    if rows is not None and (rows.ndim != 2 or rows.shape[1] != dim):
-        raise ValidationError(f"lattice coordinate rows need {dim} entries, "
-                              f"got shape {rows.shape}", field="dim")
-    if rows is None or not (np.abs(rows) <= bound).all():
+    if not inside:
         raise ValidationError(
             f"lattice coordinate outside [-N^3, N^3] = [-{bound}, {bound}]",
             field="coords")
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValidationError(f"lattice coordinate rows need {dim} entries, "
+                              f"got shape {rows.shape}", field="dim")
     return rows
 
 

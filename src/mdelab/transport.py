@@ -41,9 +41,9 @@ Every returned plan is a vertex of the transportation polytope (at most
 rows+cols-1 entries). Its entries are three read-only columns, int64 i,
 int64 k and float64 w, in (i, k) order, behind a measure.ArrayRows view
 that reads as (i, k, w) tuples of Python numbers. The solvers fill them
-with no tuple per entry: the sweep from its lists, the assignment from
-linear_sum_assignment's index arrays with the masses as w, the simplex
-from its sorted basic cells. validate_plan reads the columns: the cost
+and keep no tuple per entry: the sweep from its lists, the assignment
+from linear_sum_assignment's index arrays with the masses as w, the
+simplex from its basic cells, sorted as (i, k, w) triples. validate_plan reads the columns: the cost
 as one exact_row_sums of w * |x_i - y_k|, the marginals by np.bincount.
 """
 

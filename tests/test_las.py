@@ -376,8 +376,8 @@ def test_a_solve_without_collisions_checks_no_mass_after_its_first_step(
 def test_a_joining_solve_checks_its_masses_once_per_step(monkeypatch):
     # the +-1 field from a point joins rows at every step, so the lift
     # merges and checks each step; the merge after the shift is not
-    # checked again. The digest is of the same solve at the parent of
-    # this rule, whose steps also checked every merge.
+    # checked again. The digest was taken from the solver while each
+    # step also checked its merged masses.
     mu0, spec = dirac(0.0), constant_pvf([(-1.0, 0.5), (1.0, 0.5)])
     checks = []
 
