@@ -249,11 +249,12 @@ class _Simplex:
         self.tol = _PIVOT_TOL_SCALE * (1.0 + float(self.cost.max(initial=0.0)))
         self.flow: dict[tuple[int, int], float] = {}
         self.adj: list[set[int]] = [set() for _ in range(self.m + self.n)]
-        rows, cols, deltas = _northwest(row_masses, col_masses)
-        for j, (i, k) in enumerate(zip(rows, cols)):
-            if j and (rows[j - 1], cols[j - 1]) == (i - 1, k - 1):
+        last_i = last_k = -2  # the previous move's cell
+        for i, k, w in zip(*_northwest(row_masses, col_masses)):
+            if i == last_i + 1 and k == last_k + 1:
                 self._add(i, k - 1, 0.0)
-            self._add(i, k, deltas[j])
+            self._add(i, k, w)
+            last_i, last_k = i, k
         for r in range(i + 1, self.m):
             self._add(r, k, 0.0)
         for c in range(k + 1, self.n):
