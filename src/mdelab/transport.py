@@ -43,8 +43,9 @@ int64 k and float64 w, in (i, k) order, behind a measure.ArrayRows view
 that reads as (i, k, w) tuples of Python numbers. The solvers fill them
 and keep no tuple per entry: the sweep from its lists, the assignment
 from linear_sum_assignment's index arrays with the masses as w, the
-simplex from its basic cells, sorted as (i, k, w) triples. validate_plan reads the columns: the cost
-as one exact_row_sums of w * |x_i - y_k|, the marginals by np.bincount.
+simplex from its basic cells, sorted as (i, k, w) triples. validate_plan
+reads the columns: the cost as one exact_row_sums of w * |x_i - y_k|,
+the marginals by np.bincount.
 """
 
 from __future__ import annotations
@@ -136,8 +137,9 @@ def _check_coupling(plan, row_masses: np.ndarray, col_masses: np.ndarray,
         off = np.abs(sums - masses) > tol
         if off.any():
             j = int(off.argmax())
-            raise ValidationError(f"{what} {side} {j} mass "
-                                  f"{sums[j].item()!r} != {masses[j].item()!r}")
+            raise ValidationError(
+                f"{what} {side} {j} mass {sums[j].item()!r} != "
+                f"{masses[j].item()!r}")
 
 
 def validate_plan(plan: TransportPlan, mu: DiscreteMeasure,

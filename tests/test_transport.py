@@ -133,9 +133,10 @@ def test_coupling_check_is_the_entry_loop():
 
     def faults(i, k, w):
         return [(i, k, w), (-1, k, w), (6, k, w), (i, 5, w), (i, -2, w),
-                (i, (k + 1) % 5, w), (i, k, 0.0), (i, k, -w), (i, k, math.nan), (i, k, math.inf),
-                (i, k, w * (1.0 + 1e-9)), (i, k, w + 1e-11), (i, k, 2 * w),
-                (-1, k, 0.0), (i, 5, math.nan)]
+                (i, (k + 1) % 5, w), (i, k, 0.0), (i, k, -w),
+                (i, k, math.nan), (i, k, math.inf), (i, k, w * (1.0 + 1e-9)),
+                (i, k, w + 1e-11), (i, k, 2 * w), (-1, k, 0.0),
+                (i, 5, math.nan)]
 
     cases = [rows, rows[:-1], rows + [(0, 0, 1e-12)]]
     for j, entry in enumerate(rows):
