@@ -4,25 +4,25 @@ One parameter N sets every resolution: time step 1/N, velocity step 1/N,
 space step 1/N^2 (their product, the space a velocity cell covers in
 one time step). Measures live on the grid Z^n / N^2 inside the box
 [-N, N]^n, stored as int64 coordinates (N <= 208,063). A solve carries
-the int64 coordinate rows, the float64 masses and the positions
-rows / N^2 from step to step. A step lifts the positions into (source
-index, velocity, mass) arrays, floors the velocities to cells
-k = floor(v * N) in floats (_bin_velocity, the only floor), shifts
-rows[index] + k and merges coincident atoms (measure._merge); each
-step's LatticeMeasure keeps the merged int64 rows and float64 masses,
-frozen in place, and a restart or las_step reads them back with no
-conversion. Runs replay bit-for-bit, but they are not exact rational
-arithmetic: a float product can land just below an integer and floor
-one cell lower.
+the int64 coordinate rows, the float64 masses, the positions rows / N^2
+and their radius from step to step, and fixes a constant PVF's fiber
+once (pvf._fiber). A step lifts the positions into (source index,
+velocity, mass) arrays, floors the velocities to cells k = floor(v * N)
+in floats (_bin_velocity, the only floor; a fiber's cells once, at the
+first step), shifts rows[index] + k and merges coincident atoms
+(measure._merge). Each step's LatticeMeasure keeps the merged int64
+rows and float64 masses, frozen in place, and a restart or las_step
+reads them back with no conversion. Runs replay bit-for-bit, but they
+are not exact rational arithmetic: a float product can land just below
+an integer and floor one cell lower.
 
 A solve also carries one fact (unit) from each mass check to the next:
-the masses are positive and their math.fsum is exactly 1.0. The lift
-of a one-to-one kind skips its check under the fact (pvf.lift), and a
-step never checks its merged masses (_step): at most one check per
-step, and every trajectory is bit for bit the one of a solve that
-checks every lift and every step. The binning's check sets the fact; a
-restart from a LatticeMeasure, las_step and any renormalisation start
-without it, and a restart checks its rows' box and width.
+the masses are positive with a math.fsum of exactly 1.0. A one-to-one
+lift skips its check under the fact (pvf.lift), a step never checks its
+merged masses (_step), and the trajectory is bit for bit that of a
+solve that checks every lift and step. The binning's check sets the
+fact; a restart (which checks its rows' box and width), las_step and
+any renormalisation start without it.
 
 This module is the one home of the paper's a-priori estimates and of
 the lattice clock: support_envelope, exp(C t)(R + 1), and
@@ -44,7 +44,7 @@ from .errors import BoxOverflowError, SupportBoundError, ValidationError
 from .measure import (DiscreteMeasure, LatticeMeasure, LiftedMeasure,
                       _build, _lattice, _lattice_box, _lattice_rows, _merge,
                       as_rows, radius, support_radius)
-from .pvf import PvfSpec, lift, sublinear_constant
+from .pvf import PvfSpec, _fiber, _lift, lift, sublinear_constant
 
 _STEP_COUNT_SNAP = 1e-9  # floor(N*T) guard against 39.999... artifacts
 
@@ -166,26 +166,29 @@ def av_discretize(v: LiftedMeasure, n_param: int) -> LiftedMeasure:
     return _build(v.positions, v.masses, cells)
 
 
-def _step(rows: np.ndarray, masses, positions: np.ndarray, n_param: int,
-          spec: PvfSpec, unit: bool = False
-          ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One recursion step on arrays: lift the positions rows / N^2, bin
-    the velocity array, shift each source row by its integer cells
-    (dt * v = k / N^2), merge once. unit states that masses are known to
-    be positive with a math.fsum of exactly 1.0. Returns the int64 rows
-    and float64 masses of the next step, and the same fact about them.
+def _step(rows: np.ndarray, masses, positions: np.ndarray, max_x: float,
+          n_param: int, spec: PvfSpec, unit: bool = False, fixed=None
+          ) -> tuple[np.ndarray, np.ndarray, bool, tuple]:
+    """One recursion step on arrays: lift the positions rows / N^2 (of
+    radius max_x), bin the velocity array, shift each source row by its
+    integer cells (dt * v = k / N^2), merge once. unit: the masses are
+    known to be positive with a math.fsum of exactly 1.0. fixed: None at
+    a solve's first step, then (pvf._fiber, the fiber's distinct cells).
+    Returns the next int64 rows, float64 masses, unit and fixed.
 
     The merged masses are not checked: the lift has just checked (or,
-    under unit, passed on) the masses the merge sums, so they are
-    positive with an fsum within a few ulps of 1, and the check could
-    not raise. A merge that joins no rows permutes them, and fsum does
-    not depend on order, so the fact holds. A join's rounded group sums
-    can move the total, so the fact is dropped and the next lift checks
-    them: it keeps them when their fsum is exactly 1.0 and renormalises
-    them otherwise, the same bits as with a check here."""
-    index, velocities, masses, unit = lift(spec, positions, masses,
-                                           n_hint=n_param, unit=unit)
-    shifted = rows[index] + _bin_velocity(velocities, n_param)
+    under unit, passed on) the masses the merge sums, so the check could
+    not raise. A merge that joins no rows only permutes them, and fsum
+    does not depend on order; one that joins rows drops the fact, and
+    the next lift checks them, the same bits as a check here."""
+    fiber, cells = fixed or (_fiber(spec, rows.shape[1]), None)
+    index, velocities, masses, unit = _lift(spec, positions, masses,
+                                            n_param, unit, max_x, fiber)
+    if fiber is None:
+        shifted = rows[index] + _bin_velocity(velocities, n_param)
+    else:
+        cells = _bin_velocity(fiber[2], n_param) if cells is None else cells
+        shifted = (rows[:, None] + cells).reshape(len(index), -1)
     try:
         shifted = _lattice_box(n_param, rows.shape[1], shifted)
     except ValidationError as exc:
@@ -193,13 +196,14 @@ def _step(rows: np.ndarray, masses, positions: np.ndarray, n_param: int,
             f"step left the lattice box [-N, N]^n with N={n_param}: {exc}; "
             "support growth exceeded the a-priori radius bound") from exc
     keys, merged = _merge(shifted, masses)
-    return keys, merged, unit and len(keys) == len(shifted)
+    return keys, merged, unit and len(keys) == len(shifted), (fiber, cells)
 
 
 def las_step(mu_ell: LatticeMeasure, spec: PvfSpec) -> LatticeMeasure:
     """One recursion step of a lattice measure (the step las_solve runs)."""
     n, rows = mu_ell.n_param, mu_ell.coords.array
-    rows, masses, _ = _step(rows, mu_ell.masses, rows / n ** 2, n, spec)
+    rows, masses = _step(rows, mu_ell.masses, rows / n ** 2,
+                         mu_ell.support_radius(), n, spec)[:2]
     return _lattice(n, mu_ell.dim, rows, masses)
 
 
@@ -226,8 +230,9 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
         rows, masses, unit = _binned(mu0, n_param)
         start = _lattice(n_param, mu0.dim, rows, masses)
     positions = rows / n_param ** 2
+    reach = radius(positions)
     # a fresh run bounds its support by the radius before binning
-    radius0 = radius(positions) if start is mu0 else support_radius(mu0)
+    radius0 = reach if start is mu0 else support_radius(mu0)
     c_sub = sublinear_constant(spec, start.dim)
     envelope = support_envelope(c_sub, radius0, horizon)
     if envelope > n_param:
@@ -236,10 +241,10 @@ def las_solve(mu0: DiscreteMeasure | LatticeMeasure, spec: PvfSpec,
             f"exp(C*T)*(R+1) = {envelope!r} exceeds N "
             f"(C={c_sub!r}, R={radius0!r}, T={horizon!r})",
             field="n_param")
-    steps = [start]
+    steps, fixed = [start], None
     for ell in range(1, config.step_count + 1):
-        rows, masses, unit = _step(rows, masses, positions, n_param, spec,
-                                   unit)
+        rows, masses, unit, fixed = _step(rows, masses, positions, reach,
+                                          n_param, spec, unit, fixed)
         positions = rows / n_param ** 2
         bound = support_envelope(c_sub, radius0, ell, config.dt)
         reach = radius(positions)

@@ -183,13 +183,12 @@ def _group_sums(masses: np.ndarray, new: np.ndarray) -> np.ndarray:
     of its members: exactly rounded, so independent of their order.
     Pairs take _pair_sums, longer runs fsum."""
     starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(masses))
-    merged = masses[starts]
-    pairs = ends - starts == 2
+    sizes = np.append(starts[1:], len(masses)) - starts
+    merged, pairs = masses[starts], sizes == 2
     with np.errstate(over="ignore", invalid="ignore"):
         merged[pairs] = _pair_sums(merged[pairs], masses[starts[pairs] + 1])
-    for g in np.flatnonzero(ends - starts > 2).tolist():
-        merged[g] = math.fsum(masses[starts[g]:ends[g]].tolist())
+    for g in np.flatnonzero(sizes > 2).tolist() if sizes.max() > 2 else ():
+        merged[g] = math.fsum(masses[starts[g]:starts[g] + sizes[g]].tolist())
     return merged
 
 
@@ -234,7 +233,7 @@ def _check_masses(masses: np.ndarray, renormalize: bool
     when the returned masses are the ones checked and summed to 1.0,
     false after a renormalisation, whose sum may still miss 1.0."""
     out = masses.tolist()
-    total = math.fsum(out) if min(out) > 0.0 else math.nan
+    total = math.fsum(out) if masses.min() > 0.0 else math.nan
     if not math.isfinite(total):
         raise ValidationError("atom mass must be positive and finite",
                               field="mass")

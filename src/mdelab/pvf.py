@@ -43,9 +43,6 @@ PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
 MEDIAN_TIE_TOL = 1e-12   # cumulative masses this close to 1/2 count as 1/2
 DEFAULT_SUB_ATOMS = 16   # phi_diffusion fallback outside a lattice run
 _H1_SLACK = 1e-12
-# kinds that lift atom i to one velocity with its own mass: their raw
-# atoms have index arange(m) and the input masses, already merged
-_ONE_TO_ONE = ("ode_lift", "interaction")
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +294,29 @@ def sublinear_constant(spec: PvfSpec, dim: int) -> float:
     raise ValidationError(f"unknown PVF kind {spec.kind!r}", field="kind")
 
 
+def _fiber(spec: PvfSpec, dim: int) -> tuple | None:
+    """A constant PVF's fiber, checked once per solve: velocity rows in
+    lexicographic order, probabilities, distinct rows and max speed."""
+    if spec.kind != "constant":
+        return None
+    rows = as_rows([vel for vel, _ in spec.fiber], dim, "velocity")
+    order = np.lexsort(rows.T[::-1])
+    rows, probs = rows[order], np.array([p for _, p in spec.fiber])[order]
+    new = np.append(True, (rows[1:] != rows[:-1]).any(axis=1))
+    return rows, probs, rows[new], radius(rows)
+
+
 def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
-               n_hint: int | None) -> tuple:
+               n_hint: int | None, fiber: tuple | None = None) -> tuple:
     """The unmerged lifted atoms as (source index, velocity rows, mass)
-    arrays; a source atom may appear with several velocities."""
+    arrays, in (index, velocity) order for every kind but phi_diffusion."""
     m, dim = positions.shape
     index = np.arange(m)
     if spec.kind == "ode_lift":
         return index, spec.field.rows(positions), masses
     if spec.kind == "constant":
-        fiber = as_rows([vel for vel, _ in spec.fiber], dim, "velocity")
-        probs = np.array([p for _, p in spec.fiber])
-        return (np.repeat(index, len(probs)), np.tile(fiber, (m, 1)),
+        rows, probs = (fiber or _fiber(spec, dim))[:2]
+        return (np.repeat(index, len(probs)), np.tile(rows, (m, 1)),
                 (masses[:, None] * probs).ravel())
     if spec.kind in ("median_split", "phi_diffusion") and dim != 1:
         raise ValidationError(f"{spec.kind} is one-dimensional only",
@@ -320,10 +328,10 @@ def _raw_atoms(spec: PvfSpec, positions: np.ndarray, masses: np.ndarray,
         f_before = prefix[split - 1] if split > 0 else 0.0
         if abs(f_before - 0.5) <= MEDIAN_TIE_TOL:
             f_before = 0.5
-        index = np.append(index, split)
-        velocities = np.append(np.where(index[:-1] < split, -1.0, 1.0), -1.0)
-        masses = np.append(masses, 0.5 - f_before)
-        masses[split] = prefix[split] - 0.5
+        index = np.concatenate((index[:split + 1], index[split:]))
+        velocities = np.repeat([-1.0, 1.0], [split + 1, m - split])
+        masses = np.concatenate((masses[:split], [0.5 - f_before,
+                                 prefix[split] - 0.5], masses[split + 1:]))
         keep = masses > 0.0
         return index[keep], velocities[keep, None], masses[keep]
     if spec.kind == "phi_diffusion":
@@ -349,20 +357,28 @@ def lift(spec: PvfSpec, positions, masses, n_hint: int | None = None, *,
     phi_diffusion's default sub-atom count (the lattice solver passes its
     N). unit states that the caller knows this of masses: a one-to-one
     kind then passes them on unchecked, as the check would return them
-    unchanged. Raises SublinearityError when C fails."""
-    dim = positions.shape[1]
+    unchanged. Only phi_diffusion and a fiber with a repeated velocity
+    merge; the other kinds build their atoms in order. Raises
+    SublinearityError when C fails."""
+    return _lift(spec, positions, masses, n_hint, unit, radius(positions),
+                 _fiber(spec, positions.shape[1]))
+
+
+def _lift(spec: PvfSpec, positions: np.ndarray, masses, n_hint: int | None,
+          unit: bool, max_x: float, fiber: tuple | None) -> tuple:
+    """lift, given radius(positions) and _fiber(spec, dim)."""
     index, velocities, sub = _raw_atoms(
-        spec, positions, np.asarray(masses, dtype=float), n_hint)
-    velocities = as_rows(velocities, dim, what="velocity")
-    if spec.kind not in _ONE_TO_ONE:
+        spec, positions, np.asarray(masses, dtype=float), n_hint, fiber)
+    if spec.kind not in ("constant", "median_split"):
+        velocities = as_rows(velocities, positions.shape[1], "velocity")
+    if spec.kind == "phi_diffusion" or (fiber is not None
+                                        and len(fiber[2]) < len(fiber[0])):
         keys, sub = _merge(np.column_stack([index, velocities]), sub)
         index, velocities = keys[:, 0].astype(np.int64), keys[:, 1:]
-        unit = False
-    if not unit:
+    if not (unit and spec.kind in ("ode_lift", "interaction")):
         sub, unit = _check_masses(sub, renormalize=True)
-    c = sublinear_constant(spec, dim)
-    max_x = radius(positions)
-    max_v = radius(velocities)
+    c = sublinear_constant(spec, positions.shape[1])
+    max_v = radius(velocities) if fiber is None else fiber[3]
     if max_v > c * (1.0 + max_x) * (1.0 + _H1_SLACK) + _H1_SLACK:
         raise SublinearityError(
             f"{spec.kind} PVF: max speed {max_v!r} exceeds "

@@ -102,11 +102,13 @@ def test_definition_scan_flags_a_dead_name():
 
 def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
     """Where a module other than measure.py imports or reads the size
-    constants of measure.exact_row_sums, maps math.fsum over rows, or
-    takes the fsum of an array's .tolist() or of an arithmetic or
-    indexing expression (an array in every use so far; generators and
-    named lists pass): measure.py alone decides when numpy may stand in
-    for fsum, and a whole array's exact sum is exact_row_sums of it."""
+    constants of measure.exact_row_sums, maps math.fsum over rows, takes
+    the fsum of an array's .tolist() or of an arithmetic or indexing
+    expression (an array in every use so far; generators and named lists
+    pass), or sums runs with a ufunc's reduceat (np.add.reduceat, or
+    .reduceat( on any name): measure.py alone decides when numpy may
+    stand in for fsum, and a whole array's exact sum is exact_row_sums
+    of it."""
     found = []
     for module, source in package.items():
         if module == "measure.py":
@@ -117,6 +119,8 @@ def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
                      [node.attr] if isinstance(node, ast.Attribute) else [])
             found += [(module, node.lineno, name) for name in names
                       if name in ("TREE_FIXED", "TREE_PER_LEVEL")]
+            if isinstance(node, ast.Attribute) and node.attr == "reduceat":
+                found.append((module, node.lineno, "reduceat"))
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "map" and node.args
@@ -139,19 +143,22 @@ def exact_sums_outside_measure(package: dict[str, str]) -> list[str]:
 
 def test_exact_sums_have_one_home():
     sample = {"measure.py": "TREE_FIXED = 1\nsums = map(math.fsum, rows)\n"
-                            "total = math.fsum(cols[:, k].tolist())\n",
+                            "total = math.fsum(cols[:, k].tolist())\n"
+                            "runs = np.add.reduceat(masses, starts)\n",
               "a.py": "from .measure import TREE_FIXED\n"
                       "sums = list(map(math.fsum, rows))\n"
                       "size = measure.TREE_PER_LEVEL\n"
                       "cost = math.fsum((w * gaps).tolist())\n"
                       "total = fsum(x.tolist()) + math.fsum(x)\n"
                       "cost = math.fsum(weights * base_dist[keep])\n"
-                      "part = fsum(x[keep]) + math.fsum(w for w in x)\n"}
+                      "part = fsum(x[keep]) + math.fsum(w for w in x)\n"
+                      "runs = np.add.reduceat(w, i) + add.reduceat(w, s)\n"}
     assert exact_sums_outside_measure(sample) == [
         "a.py: line 1: TREE_FIXED", "a.py: line 2: map(fsum)",
         "a.py: line 3: TREE_PER_LEVEL", "a.py: line 4: fsum(tolist)",
         "a.py: line 5: fsum(tolist)", "a.py: line 6: fsum(array)",
-        "a.py: line 7: fsum(array)"]
+        "a.py: line 7: fsum(array)", "a.py: line 8: reduceat",
+        "a.py: line 8: reduceat"]
     package = {path.name: path.read_text(encoding="utf-8")
                for path in PACKAGE}
     assert exact_sums_outside_measure(package) == []

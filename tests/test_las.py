@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdelab import measure, pvf
+from mdelab import las, measure, pvf
 from mdelab import (
     BoxOverflowError,
     LatticeConfig,
     LatticeMeasure,
+    SublinearityError,
     SupportBoundError,
     ValidationError,
     ax_discretize,
@@ -45,6 +46,7 @@ from mdelab import (
     uniform_1d,
     wasserstein,
 )
+from mdelab.las import _bin_velocity
 from mdelab.measure import MAX_LATTICE_N, _check_masses, _merge, as_rows
 from mdelab.pvf import _raw_atoms
 
@@ -397,6 +399,79 @@ def test_a_joining_solve_checks_its_masses_once_per_step(monkeypatch):
         "7c2ceb8b3c8413143760e26313c4e99858b799fb0eb9f87063fff48672fdab55")
 
 
+# merges per step: the step's own, and the lift's only where its kind can
+# join rows (phi_diffusion, a fiber with a repeated velocity)
+MERGES_PER_STEP = {"constant": 1, "constant_merging": 2, "median_split": 1,
+                   "phi_diffusion": 2, "ode_lift": 1, "one_sided_ode": 1,
+                   "interaction": 1, "bump_alignment": 1}
+
+
+@pytest.mark.parametrize("name", sorted(MERGES_PER_STEP))
+def test_a_lift_merges_only_where_its_kind_can_join_rows(monkeypatch, name):
+    merges = []
+
+    def counted(keys, masses):
+        merges.append(len(keys))
+        return _merge(keys, masses)
+
+    monkeypatch.setattr(las, "_merge", counted)
+    monkeypatch.setattr(pvf, "_merge", counted)
+    traj = las_solve(_cloud(2, 15, 1), SOLVE_SPECS[name], 20, 1.0)
+    assert len(traj.steps) == 21
+    assert len(merges) == 20 * MERGES_PER_STEP[name]
+
+
+def test_a_constant_solve_floors_its_fiber_once(monkeypatch):
+    floors = []
+
+    def counted(velocities, n_param):
+        floors.append(len(velocities))
+        return _bin_velocity(velocities, n_param)
+
+    monkeypatch.setattr(las, "_bin_velocity", counted)
+    for name in ("constant", "constant_merging"):
+        floors.clear()
+        traj = las_solve(_cloud(1, 12, 1), SOLVE_SPECS[name], 20, 1.0)
+        assert floors == [2]  # the fiber's two distinct velocities
+        floors.clear()
+        las_solve(traj.steps[10], SOLVE_SPECS[name], 20, 0.5)
+        assert floors == [2]
+    floors.clear()
+    las_solve(_cloud(1, 12, 1), SOLVE_SPECS["ode_lift"], 20, 1.0)
+    assert len(floors) == 20  # a field's velocities, at every step
+
+
+@pytest.mark.parametrize("mu0, spec, n, first_lift", [
+    (make_measure([(-0.5, 0.625), (0.1, 0.25), (0.6, 0.125)]),
+     median_split_pvf(), 10, [(0, -1.0), (0, 1.0), (1, 1.0), (2, 1.0)]),
+    (make_measure([(-0.5, 0.125), (0.1, 0.25), (0.6, 0.625)]),
+     median_split_pvf(), 10, [(0, -1.0), (1, -1.0), (2, -1.0), (2, 1.0)]),
+    # 0.3 + 0.2 is exactly 1/2: the -1 copy of the split atom has mass 0
+    # and is dropped
+    (make_measure([(-0.6, 0.3), (-0.1, 0.2), (0.4, 0.5)]),
+     median_split_pvf(), 10, [(0, -1.0), (1, -1.0), (2, 1.0)]),
+    (_cloud(9, 10, 1), constant_pvf([(0.75, 0.1), (-0.5, 0.3), (0.75, 0.2),
+                                     (0.0, 0.15), (-0.5, 0.25)]), 12,
+     [(0, -0.5), (0, 0.0), (0, 0.75)]),
+    (_cloud(10, 10, 2), constant_pvf([((0.5, -0.25), 0.2),
+                                      ((-0.5, 0.5), 0.3),
+                                      ((0.5, -0.5), 0.1),
+                                      ((-0.5, -0.25), 0.4)]), 10,
+     [(0, -0.5, -0.25), (0, -0.5, 0.5), (0, 0.5, -0.5), (0, 0.5, -0.25)]),
+], ids=["split_on_first", "split_on_last", "split_tie",
+        "constant_unsorted_repeated", "constant_2d_unsorted"])
+def test_edge_cases_match_the_loop_that_checks_every_mass(mu0, spec, n,
+                                                          first_lift):
+    index, velocities, _, _ = pvf.lift(spec, mu0.positions, mu0.masses, n)
+    rows = np.column_stack([index, velocities]).tolist()
+    assert [tuple(r) for r in rows[:len(first_lift)]] == first_lift
+    whole = las_solve(mu0, spec, n, 1.0)
+    assert _bits(whole.steps) == reference_solve(mu0, spec, n, 1.0)
+    mid = whole.steps[n // 2]
+    assert _bits(las_solve(mid, spec, n, 0.5).steps) == reference_solve(
+        mid, spec, n, 0.5)
+
+
 def test_lattice_rows_must_be_dim_wide():
     with pytest.raises(ValidationError) as info:
         make_lattice_measure(4, 3, [((1, 2), 1.0)])
@@ -458,6 +533,23 @@ class TestSolve:
         spec = ode_lift_pvf(linear_field(0.0, -1e-9))
         with pytest.raises(SupportBoundError):
             las_solve(dirac(0.0), spec, 3, 10.0)
+
+    def test_sublinearity_is_checked_at_the_current_radius(self):
+        # C(1 + |x|) falls below the speed 1 once the atom passes x = 1:
+        # the lift of step 7 sees x = 0.9
+        spec = constant_pvf([(-1.0, 1.0)], sublinear_c=0.5)
+        assert len(las_solve(dirac(1.5), spec, 10, 0.6).steps) == 7
+        with pytest.raises(SublinearityError, match="= 0.95 "):
+            las_solve(dirac(1.5), spec, 10, 0.7)
+        # the first lift sees the binned start, 0.99 and not 0.999
+        with pytest.raises(SublinearityError, match="= 0.997"):
+            las_solve(dirac(0.999), constant_pvf([(1.0, 1.0)],
+                                                 sublinear_c=0.50125), 10, 1.0)
+        # the first lift fails on C before its fiber is floored to cells
+        # that leave the box
+        with pytest.raises(SublinearityError):
+            las_solve(dirac(0.0), constant_pvf([(5.0, 1.0)], sublinear_c=0.1),
+                      2, 1.0)
 
     def test_times_and_dim(self):
         traj = las_solve(dirac(0.0), median_split_pvf(), 5, 1.0)

@@ -289,6 +289,13 @@ def test_mass_check_knows_a_unit_sum_only_of_the_masses_it_summed(
     assert not unit or math.fsum(out.tolist()) == 1.0
 
 
+@pytest.mark.parametrize("masses", [[0.0, 1.0], [1.0, -0.0], [1.5, -0.5],
+                                    [math.nan, 1.0], [1.0, math.nan]])
+def test_mass_check_refuses_a_mass_that_is_not_positive(masses):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        _check_masses(np.array(masses), renormalize=True)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_radius_is_the_largest_hypot(dim):
     rng = np.random.default_rng(dim)
