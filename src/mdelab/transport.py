@@ -11,23 +11,36 @@ Distance is the transportation LP optimum with Euclidean ground cost
   problem: by Birkhoff-von Neumann an optimal permutation is an optimal
   vertex, so `scipy.optimize.linear_sum_assignment` on the cost matrix
   gives an exact plan with m entries;
-- everything else runs a transportation simplex. It starts from the
-  1D sweep's moves, with a zero cell after each move where both masses
-  run out together and zero cells from the last move on to the last
-  cell: a basis of m + n - 1 cells. It keeps the basis tree (rows and
-  columns as nodes, basic cells as edges) between pivots as parent
-  pointers from row 0, with depths and duals. The entering cell's cycle
-  is the two paths up to the common ancestor, and only the subtree that
-  the leaving cell cuts off hangs again and gets new duals. A dual is
-  cost minus its parent's, fixed by the unique path from row 0, so each
-  is the float a recompute of the whole tree gives. It enters the cell
-  with the most negative reduced cost (Dantzig's rule, first in lex
-  order among ties), except after a degenerate pivot (theta = 0), where
-  it enters the first negative cell in lex order (Bland's rule); the
-  leaving cell is always Bland's. A cycle of bases leaves the cost
-  unchanged, so each of its pivots is degenerate and follows a
-  degenerate pivot: all of them run under Bland's rule, which cannot
-  cycle. Every pivot sequence therefore terminates.
+- everything else runs a transportation simplex. In 2D and up it
+  starts from the least-cost basis. It takes the cells by ascending
+  cost, ties in row-major order, and skips a cell whose row or column
+  is closed. A cell ships min(s, d) of its row's remainder s and its
+  column's d, and the line that ran out closes: the row on a tie, the
+  column staying open at 0 for a later zero cell. The last open row
+  ships d and closes the column, the last open column ships s and
+  closes the row, and the last cell ships min(s, d), at least 0. Each
+  cell before the last closes one line, so the m + n - 1 cells form a
+  spanning tree. Rows and columns are treated alike but on exact ties,
+  so a transposed instance starts from the transposed basis. In 1D it
+  starts from the sweep's moves, with a zero cell after each move where
+  both masses run out together and zero cells from the last move on to
+  the last cell. That staircase is already the optimal monotone
+  coupling, so the simplex only certifies it.
+
+  It keeps the basis tree (rows and columns as nodes, basic cells as
+  edges) between pivots as parent pointers from row 0, with depths and
+  duals. The entering cell's cycle is the two paths up to the common
+  ancestor, and only the subtree that the leaving cell cuts off hangs
+  again and gets new duals. A dual is cost minus its parent's, fixed by
+  the unique path from row 0, so each is the float a recompute of the
+  whole tree gives. It enters the cell with the most negative reduced
+  cost (Dantzig's rule, first in lex order among ties), except after a
+  degenerate pivot (theta = 0), where it enters the first negative cell
+  in lex order (Bland's rule); the leaving cell is always Bland's. A
+  cycle of bases leaves the cost unchanged, so each of its pivots is
+  degenerate and follows a degenerate pivot: all of them run under
+  Bland's rule, which cannot cycle. Every pivot sequence therefore
+  terminates.
 
   A pivot prices every cell into one reused buffer as (cost - u) - v,
   and the entering rule's own reduction (argmin for Dantzig, argmax of
@@ -244,27 +257,52 @@ class _Simplex:
     rooted at row 0, as parent pointers with depths and duals."""
 
     def __init__(self, cost: np.ndarray, row_masses: Sequence[float],
-                 col_masses: Sequence[float]):
+                 col_masses: Sequence[float], least_cost: bool):
         self.m, self.n = cost.shape
         self.cost = cost
         self.c = cost.tolist()
         self.tol = _PIVOT_TOL_SCALE * (1.0 + float(self.cost.max(initial=0.0)))
         self.flow: dict[tuple[int, int], float] = {}
         self.adj: list[set[int]] = [set() for _ in range(self.m + self.n)]
-        last_i = last_k = -2  # the previous move's cell
-        for i, k, w in zip(*_northwest(row_masses, col_masses)):
-            if i == last_i + 1 and k == last_k + 1:
-                self._add(i, k - 1, 0.0)
-            self._add(i, k, w)
-            last_i, last_k = i, k
-        for r in range(i + 1, self.m):
-            self._add(r, k, 0.0)
-        for c in range(k + 1, self.n):
-            self._add(i, c, 0.0)
+        if least_cost:
+            self._least_cost_start(row_masses, col_masses)
+        else:
+            last_i = last_k = -2  # the previous move's cell
+            for i, k, w in zip(*_northwest(row_masses, col_masses)):
+                if i == last_i + 1 and k == last_k + 1:
+                    self._add(i, k - 1, 0.0)
+                self._add(i, k, w)
+                last_i, last_k = i, k
+            for r in range(i + 1, self.m):
+                self._add(r, k, 0.0)
+            for c in range(k + 1, self.n):
+                self._add(i, c, 0.0)
         self.parent = [-1] * (self.m + self.n)
         self.depth = [0] * (self.m + self.n)
         self.dual = [0.0] * (self.m + self.n)  # u = dual[:m], v = dual[m:]
         self._hang(0, -1)
+
+    def _least_cost_start(self, src: Sequence[float],
+                          tgt: Sequence[float]) -> None:
+        """Add the least-cost starting basis (see the module docstring)
+        with the remainders of the open rows and columns in src and tgt,
+        None once a line is closed."""
+        src, tgt = list(src), list(tgt)
+        rows_left, cols_left = self.m, self.n
+        for flat in np.argsort(self.cost, axis=None, kind="stable").tolist():
+            i, k = divmod(flat, self.n)
+            s, d = src[i], tgt[k]
+            if s is None or d is None:
+                continue
+            if rows_left == cols_left == 1:  # the last cell
+                self._add(i, k, max(min(s, d), 0.0))
+                return
+            if cols_left == 1 or (rows_left > 1 and s <= d):
+                self._add(i, k, s)  # the row closes
+                src[i], tgt[k], rows_left = None, d - s, rows_left - 1
+            else:
+                self._add(i, k, d)  # the column closes
+                src[i], tgt[k], cols_left = s - d, None, cols_left - 1
 
     def _add(self, i: int, k: int, w: float) -> None:
         self.flow[(i, k)] = w
@@ -391,7 +429,8 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure,
                            mu.masses)
     else:
         solver = _Simplex(_cost_matrix(mu.positions, nu.positions),
-                          mu.masses.tolist(), nu.masses.tolist())
+                          mu.masses.tolist(), nu.masses.tolist(),
+                          least_cost=mu.dim > 1)
         solver.solve()
         plan = solver.plan()
     return WassersteinResult(distance=plan.cost, plan=plan)
@@ -416,19 +455,24 @@ def kr_dual_gap(mu: DiscreteMeasure, nu: DiscreteMeasure,
                           np.concatenate([mu.masses, -nu.masses]))
     points = list(map(tuple, rows.tolist()))
     signed = signed.tolist()
+    # absolute epsilon absorbs rounding on near-coincident atoms
+    bound = _cost_matrix(rows, rows) * (1.0 + 1e-9) + 1e-12
     best = -math.inf
     for idx, f in enumerate(witnesses):
         values = [float(f(p)) for p in points]
-        for a in range(len(points)):
-            for b in range(a + 1, len(points)):
-                d = math.dist(points[a], points[b])
-                # absolute epsilon absorbs rounding on near-coincident atoms
-                if abs(values[a] - values[b]) > d * (1.0 + 1e-9) + 1e-12:
-                    raise ValidationError(
-                        f"witness {idx} is not 1-Lipschitz on the atoms: "
-                        f"|f{points[a]} - f{points[b]}| = "
-                        f"{abs(values[a] - values[b])!r} > {d!r}",
-                        field=f"witnesses[{idx}]")
+        column = np.array(values)[:, None]
+        # both sides are symmetric with a False diagonal, so the first
+        # True in row-major order is the first pair a < b of a loop
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, unwarned
+            bad = np.abs(column - column.T) > bound
+        a, b = divmod(int(bad.argmax()), len(points))
+        if bad[a, b]:
+            raise ValidationError(
+                f"witness {idx} is not 1-Lipschitz on the atoms: "
+                f"|f{points[a]} - f{points[b]}| = "
+                f"{abs(values[a] - values[b])!r} > "
+                f"{math.dist(points[a], points[b])!r}",
+                field=f"witnesses[{idx}]")
         # -f is a witness whenever f is, so orientation is irrelevant
         best = max(best, abs(math.fsum(v * m for v, m in zip(values, signed))))
     return wasserstein(mu, nu).distance - best

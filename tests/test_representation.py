@@ -212,25 +212,27 @@ def test_former_tuple_sites_give_the_same_floats():
     # tangent_wasserstein joined p + v; the one-sided integrand compared
     # rows with ==; induced_base_plan, fiber_convolution and kr_dual_gap
     # keyed dicts and sets on rows; the McShane anchors were
-    # mu.positions + nu.positions
+    # mu.positions + nu.positions. The one-sided value, the base plan and
+    # the gap were re-pinned when the nD simplex began to start from the
+    # least-cost basis, each within 1e-12 of its old value.
     v1, v2 = _lifted_pair(12)
     assert m.tangent_wasserstein(v1, v2).hex() == "0x1.085aba3693331p+0"
     value, plan = m.constrained_fiber_cost(v1, v2, m.FiberCostKind.ONE_SIDED)
-    assert value.hex() == "-0x1.932a2508c2e30p-2"
+    assert value.hex() == "-0x1.932a2508c2e2ap-2"
     base = m.induced_base_plan(plan, v1, v2)
     assert len(plan.entries) == 16 and len(base.entries) == 8
-    assert base.cost.hex() == "0x1.b50fe0705a061p-2"
+    assert base.cost.hex() == "0x1.b50fe0705a05fp-2"
     assert [w.hex() for _, _, w in base.entries] == [
-        "0x1.94fc0a678440bp-3", "0x1.a3ad34f223bbfp-23",
-        "0x1.0a8493c2f87d2p-3", "0x1.9f1e89fb589cdp-3",
-        "0x1.d2c5b54c5e6a4p-4", "0x1.56ff505d80a4ep-7",
-        "0x1.394955a3749fap-4", "0x1.12f4a190cae38p-2"]
+        "0x1.94fc0a678440bp-3", "0x1.a3ad34ecaff96p-23",
+        "0x1.0a8493c2f87d8p-3", "0x1.9f1e89fb589d2p-3",
+        "0x1.d2c5b54c5e6a4p-4", "0x1.56ff505d809f7p-7",
+        "0x1.394955a3749fcp-4", "0x1.12f4a190cae38p-2"]
     conv = m.fiber_convolution(v1, m.scalar_action(-0.5, v1))
     digest = hashlib.sha256(json.dumps(m.lifted_to_dict(conv)).encode())
     assert digest.hexdigest()[:16] == "b0455344ea975147"
     gap = m.kr_dual_gap(m.base_marginal(v1), m.base_marginal(v2),
                         [lambda x: x[0], lambda x: math.dist(x, (0.5, 0.5))])
-    assert gap.hex() == "0x1.813dc23ee910bp-2"
+    assert gap.hex() == "0x1.813dc23ee9109p-2"
     margin = selfcheck.check_dual_feasibility(seed=12, instances=20).margin
     assert margin.hex() == "0x1.2bd84965827e0p-2"
 

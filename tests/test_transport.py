@@ -5,10 +5,12 @@ coupling, against brute-force enumeration over permutation couplings,
 and against hand-derived instances frozen below. The assignment regime
 (m vs m atoms of one bit-equal mass) is cross-checked against the
 simplex and against an independent assignment on a numpy cost matrix.
-The simplex's starting basis is checked against the northwest loop it
-used to run, its kept basis tree against a breadth-first recompute from
-row 0, and a digest pins 54 seeded plans of every solver; another pins
-the plans and pivot counts of 200 forced-simplex instances. The sweep
+The simplex's starting bases are checked against plain loops: the 1D
+start against the northwest loop it used to run, the nD start against a
+least-cost loop. Its kept basis tree is checked against a breadth-first
+recompute from row 0, and a digest pins 54 seeded plans of every
+solver; another pins the plans and pivot counts of 224 forced-simplex
+instances, and HiGHS solves the nD instances of both again. The sweep
 is checked float for float against a single-loop reference.
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from mdelab import (
     TransportPlan,
@@ -211,6 +213,21 @@ class TestDualGap:
         with pytest.raises(ValidationError):
             kr_dual_gap(dirac(0.0), dirac(1.0), [lambda x: 2.0 * x[0]])
 
+    def test_lipschitz_violation_names_the_first_pair(self):
+        # witness 1 breaks the bound on atoms (0, 3) and (1, 2) of the
+        # sorted union; a loop over a, then b > a, meets (0, 3) first,
+        # a loop over b, then a < b, would meet (1, 2)
+        values = {(-1.5, -2.0): 1.0, (-1.5, 1.0): 0.5, (-1.5, 2.0): -1.5,
+                  (-1.0, -1.0): -1.0}
+        mu = make_measure([((-1.5, -2.0), 0.5), ((-1.5, 2.0), 0.5)])
+        nu = make_measure([((-1.5, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
+        with pytest.raises(ValidationError) as caught:
+            kr_dual_gap(mu, nu, [lambda x: 0.0, lambda x: values[x]])
+        assert str(caught.value) == (
+            "witness 1 is not 1-Lipschitz on the atoms: |f(-1.5, -2.0) - "
+            "f(-1.0, -1.0)| = 2.0 > 1.118033988749895")
+        assert caught.value.field == "witnesses[1]"
+
 
 coords = st.floats(min_value=-20, max_value=20, allow_nan=False, width=64)
 weights = st.floats(min_value=0.05, max_value=1.0)
@@ -270,6 +287,20 @@ def test_dual_feasibility(mu, nu):
 
     gap = kr_dual_gap(mu, nu, [cone(a) for a in anchors])
     assert gap >= -1e-10
+
+
+@pytest.mark.parametrize("method", ["auto", "simplex"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_distance_is_symmetric_and_zero_on_itself(dim, method):
+    # generic pairs: random positions and unequal random masses. W must
+    # not depend on which measure gives the rows, to the last bit
+    rng = np.random.default_rng(77 + dim)
+    for _ in range(40):
+        m, n = rng.integers(1, 16, 2).tolist()
+        mu, nu = _pinned_cloud(rng, m, dim), _pinned_cloud(rng, n, dim)
+        assert (wasserstein(mu, nu, method).distance
+                == wasserstein(nu, mu, method).distance)
+        assert wasserstein(mu, mu, method).distance == 0.0
 
 
 def test_deterministic_plans():
@@ -456,9 +487,80 @@ def basis_masses(draw):
 @example([0.5, 0.5 - 2**-40], [0.5, 0.5 - 2**-40, 2**-40])
 @example([0.5, 0.5 - 2**-40, 2**-40], [0.5, 0.5 - 2**-40])
 def test_starting_basis_is_the_northwest_loop(src, tgt):
-    solver = _Simplex(np.zeros((len(src), len(tgt))), src, tgt)
+    solver = _Simplex(np.zeros((len(src), len(tgt))), src, tgt,
+                      least_cost=False)
     assert solver.flow == _northwest_basis(src, tgt)
     assert len(solver.flow) == len(src) + len(tgt) - 1
+
+
+def _least_cost_reference(cost, src, tgt):
+    """The least-cost start as a plain loop over the cells sorted by
+    (cost, i, k): ship the open row's or column's remainder, whichever
+    is smaller, and close that line (the row on a tie); the last open
+    row closes columns, the last open column closes rows, and the last
+    cell ships what is left, never below 0. The oracle for the start."""
+    src, tgt = list(src), list(tgt)
+    m, n = len(src), len(tgt)
+    rows, cols = set(range(m)), set(range(n))
+    flow = {}
+    for _, i, k in sorted((cost[i][k], i, k)
+                          for i in range(m) for k in range(n)):
+        if i not in rows or k not in cols:
+            continue
+        if len(rows) == 1 and len(cols) == 1:
+            flow[(i, k)] = max(min(src[i], tgt[k]), 0.0)
+            return flow
+        if len(rows) == 1 or (len(cols) > 1 and src[i] > tgt[k]):
+            delta = tgt[k]
+            cols.remove(k)
+        else:
+            delta = src[i]
+            rows.remove(i)
+        flow[(i, k)] = delta
+        src[i] -= delta
+        tgt[k] -= delta
+
+
+def _is_spanning_tree(cells, m, n):
+    """m + n - 1 cells that join all m rows and n columns."""
+    reached, frontier = {0}, [0]
+    for a in frontier:
+        for i, k in cells:
+            for x, y in ((i, m + k), (m + k, i)):
+                if x == a and y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return len(cells) == m + n - 1 and len(reached) == m + n
+
+
+@st.composite
+def least_cost_case(draw):
+    # basis_masses on both sides and a random, a tied or an all-zero
+    # cost matrix
+    src, tgt = draw(basis_masses()), draw(basis_masses())
+    entry = draw(st.sampled_from([
+        st.floats(0.0, 3.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.just(0.0)]))
+    cost = [[draw(entry) for _ in tgt] for _ in src]
+    return src, tgt, cost
+
+
+@given(least_cost_case())
+@settings(max_examples=200, deadline=None)
+# both masses run out together at the first cell; a tie at the last
+# row, which ships the column's 0.25 and keeps column 0 at 0 for the
+# last cell; a tie at the last column, as 0.6 - 0.4 falls an ulp short
+# of 0.2 and column 1 closes first
+@example(([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 2.0]]))
+@example(([0.25, 0.75], [0.25, 0.5, 0.25],
+          [[0.0, 9.0, 9.0], [9.0, 1.0, 2.0]]))
+@example(([0.4, 0.2, 0.4], [0.4, 0.6], [[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]))
+def test_starting_basis_is_the_least_cost_loop(case):
+    src, tgt, cost = case
+    solver = _Simplex(np.array(cost), src, tgt, least_cost=True)
+    # the same cells in the same order with the same floats, zeros too
+    assert repr(solver.flow) == repr(_least_cost_reference(cost, src, tgt))
+    assert _is_spanning_tree(solver.flow, len(src), len(tgt))
 
 
 def _sweep_reference(src, tgt, band=None):
@@ -537,7 +639,8 @@ def test_simplex_tree_invariants(data):
     draw_measure = st.one_of(random_measure(dim, 10), grid_measure(dim, 10))
     mu, nu = data.draw(draw_measure), data.draw(draw_measure)
     solver = _Simplex(_cost_matrix(mu.positions, nu.positions),
-                      mu.masses.tolist(), nu.masses.tolist())
+                      mu.masses.tolist(), nu.masses.tolist(),
+                      least_cost=dim > 1)  # the start wasserstein takes
     solver.solve()
     m, n = solver.m, solver.n
     assert solver.parent[0] == -1 and solver.depth[0] == 0
@@ -563,11 +666,7 @@ def test_pivot_budget_error_names_its_work(tmp_path, capsys, monkeypatch):
         cloud = _planar_cloud(rng, [1.0 / count] * count)
         path.write_text(json.dumps(measure_to_dict(cloud)), encoding="utf-8")
         files.append(str(path))
-    # every pivot re-hangs one subtree; the start hangs the whole tree
-    hangs = []
-    hang = _Simplex._hang
-    monkeypatch.setattr(_Simplex, "_hang",
-                        lambda self, *a: hangs.append(a) or hang(self, *a))
+    hangs = _count_pivots(monkeypatch)
     assert main(["dist", *files]) == 0
     capsys.readouterr()
     pivots = len(hangs) - 1
@@ -602,57 +701,59 @@ def _pinned_cloud(rng, count, dim, grid=False, masses=None):
     return make_measure(list(zip(map(tuple, pos.tolist()), masses)), dim=dim)
 
 
-def _pinned_plans():
+def _pinned_instances():
+    """The (mu, nu, method) of the 54 pinned plans, in order."""
     rng = np.random.default_rng(1414)
-    plans = []
+    cases = []
     for dim in (1, 2, 3):
         for m, n in ((2, 3), (5, 4), (9, 12), (17, 14), (1, 6), (7, 1)):
             mu, nu = _pinned_cloud(rng, m, dim), _pinned_cloud(rng, n, dim)
-            plans.append(wasserstein(mu, nu, method="simplex").plan)
+            cases.append((mu, nu, "simplex"))
         for m, n in ((6, 6), (12, 10), (20, 23), (1, 5), (8, 1)):
             mu = _pinned_cloud(rng, m, dim, grid=True)
             nu = _pinned_cloud(rng, n, dim, grid=True)
-            plans.append(wasserstein(mu, nu, method="simplex").plan)
+            cases.append((mu, nu, "simplex"))
         for m in (4, 11, 25):
             mu = _pinned_cloud(rng, m, dim, masses=[1.0 / m] * m)
             nu = _pinned_cloud(rng, m, dim, masses=[1.0 / m] * m)
-            plans.append(wasserstein(mu, nu, method="simplex").plan)
+            cases.append((mu, nu, "simplex"))
     for m, n in ((3, 5), (40, 33), (1, 9), (9, 1), (200, 150)):
-        plans.append(wasserstein(_pinned_cloud(rng, m, 1),
-                                 _pinned_cloud(rng, n, 1)).plan)
-        plans.append(wasserstein(_pinned_cloud(rng, m, 1, grid=True),
-                                 _pinned_cloud(rng, n, 1, grid=True)).plan)
+        mu, nu = _pinned_cloud(rng, m, 1), _pinned_cloud(rng, n, 1)
+        cases.append((mu, nu, "auto"))
+        mu = _pinned_cloud(rng, m, 1, grid=True)
+        nu = _pinned_cloud(rng, n, 1, grid=True)
+        cases.append((mu, nu, "auto"))
     for m in (5, 64):
         mu = _pinned_cloud(rng, m, 1, masses=[1.0 / m] * m)
         nu = _pinned_cloud(rng, m, 1, masses=[1.0 / m] * m)
-        plans.append(wasserstein(mu, nu).plan)
-    return plans
+        cases.append((mu, nu, "auto"))
+    return cases
+
+
+def _pinned_plans():
+    return [wasserstein(mu, nu, method=method).plan
+            for mu, nu, method in _pinned_instances()]
 
 
 def test_plans_are_pinned():
     # 54 seeded plans: the forced simplex in 1D-3D on unequal, quarter-grid
     # and equal masses, 1 x n and m x 1 shapes, and 1D monotone plans. The
-    # digest was taken once from the solvers before their rewrite to a
-    # kept basis tree and a flat sweep; any change to a pivot, an entry or
-    # a cost changes it.
+    # digest was taken when the nD simplex began to start from the
+    # least-cost basis (the 1D plans are those of the first digest, taken
+    # before the rewrite to a kept basis tree and a flat sweep); any
+    # change to a pivot, an entry or a cost changes it.
     plans = _pinned_plans()
     assert len(plans) == 54
     text = repr([(plan.entries, plan.cost) for plan in plans])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3244375fb0c28ed7ced6210395bbbce2710088b1fa145fd50300b653d2e09530")
+        "8af407b08dc7d8dfc7efb4016564459c748deb892a3f02d967506bc0ac9dc8d5")
 
 
-def _simplex_runs(monkeypatch):
-    """200 seeded 2D instances through the forced simplex: each plan's
-    entries with weights by .hex(), its cost by .hex(), and its pivot
-    count (one _hang per pivot after the one that hangs the start)."""
-    hangs = []
-    hang = _Simplex._hang
-    monkeypatch.setattr(_Simplex, "_hang",
-                        lambda self, *a: hangs.append(a) or hang(self, *a))
+def _simplex_pairs():
+    """224 seeded 2D pairs for the forced simplex: random, quarter-grid
+    and equal masses in turn."""
     rng = np.random.default_rng(2121)
-    runs = []
-    for j in range(200):
+    for j in range(224):
         m, n = rng.integers(1, 19, 2).tolist()
         if j % 4 == 3:  # equal masses, which auto would send elsewhere
             mu = _pinned_cloud(rng, m, 2, masses=[1.0 / m] * m)
@@ -661,6 +762,26 @@ def _simplex_runs(monkeypatch):
             grid = j % 4 == 1
             mu = _pinned_cloud(rng, m, 2, grid=grid)
             nu = _pinned_cloud(rng, n, 2, grid=grid)
+        yield mu, nu
+
+
+def _count_pivots(monkeypatch):
+    """A list that gets one entry per _hang: the start hangs the whole
+    tree once, and every pivot re-hangs one subtree."""
+    hangs = []
+    hang = _Simplex._hang
+    monkeypatch.setattr(_Simplex, "_hang",
+                        lambda self, *a: hangs.append(a) or hang(self, *a))
+    return hangs
+
+
+def _simplex_runs(monkeypatch):
+    """The _simplex_pairs through the forced simplex: each plan's
+    entries with weights by .hex(), its cost by .hex(), and its pivot
+    count (one _hang per pivot after the one that hangs the start)."""
+    hangs = _count_pivots(monkeypatch)
+    runs = []
+    for mu, nu in _simplex_pairs():
         before = len(hangs)
         plan = wasserstein(mu, nu, method="simplex").plan
         runs.append((tuple((i, k, w.hex()) for i, k, w in plan.entries),
@@ -669,11 +790,61 @@ def _simplex_runs(monkeypatch):
 
 
 def test_simplex_pivots_are_pinned(monkeypatch):
-    # The digest was taken from the solver before its pricing moved to a
-    # reused buffer and its cycle walk to locals: every entry, cost and
-    # pivot count must stay bit-identical.
+    # The digest was taken when the nD simplex began to start from the
+    # least-cost basis: every entry, cost and pivot count must stay
+    # bit-identical. The start halved the pivots of the first 200 pairs
+    # (3559 to 1810), so the loop runs on to 224 pairs to keep the bar.
     runs = _simplex_runs(monkeypatch)
     assert sum(pivots for *_, pivots in runs) > 2000
     text = repr(runs)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1c302c455a04d1ec494f075e4df9d4cd7aa391fa30c9ceecf598eb1f74066fca")
+        "4bfd1541462428a18c9d74100feb093d9549d399c6d2a452a1bbefe517fb7aa7")
+
+
+def _lp_distance(mu, nu):
+    """W by scipy's HiGHS on the transportation LP over the same cost
+    matrix: one variable per cell, one equality per row and column."""
+    m, n = mu.atom_count, nu.atom_count
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)),
+                      np.kron(np.ones(m), np.eye(n))])
+    res = linprog(_cost_matrix(mu.positions, nu.positions).ravel(),
+                  A_eq=a_eq, b_eq=np.concatenate([mu.masses, nu.masses]),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_pinned_nd_plans_match_an_lp():
+    # the nD instances behind the two digests above, solved again by an
+    # independent LP: the pins hold optimal vertices, not merely the
+    # floats some pivot order gave
+    nd = [(mu, nu, method) for mu, nu, method in _pinned_instances()
+          if mu.dim > 1]
+    nd += [(mu, nu, "simplex") for mu, nu in _simplex_pairs()]
+    assert len(nd) == 28 + 224
+    for mu, nu, method in nd:
+        plan = wasserstein(mu, nu, method=method).plan
+        assert abs(plan.cost - _lp_distance(mu, nu)) <= 1e-12 * (
+            1.0 + plan.cost)
+        assert len(plan.entries) <= mu.atom_count + nu.atom_count - 1
+
+
+def _roadmap_cloud(seed, count):
+    # positions uniform in [-0.9, 0.9]^2, masses uniform in [0.5, 1.5],
+    # normalised: the seeded 2D clouds of the transport scaling table
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-0.9, 0.9, (count, 2))
+    raw = rng.uniform(0.5, 1.5, count)
+    return make_measure(list(zip(map(tuple, pos.tolist()),
+                                 (raw / raw.sum()).tolist())), dim=2)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_least_cost_start_keeps_pivots_low(seed, monkeypatch):
+    # 100 x 103 unequal masses: the least-cost start takes 177-245
+    # pivots, the cost-blind northwest start 487-545. A bar of
+    # 1.5 (m + n) catches a return to a start that ignores the costs.
+    hangs = _count_pivots(monkeypatch)
+    mu, nu = _roadmap_cloud(seed, 100), _roadmap_cloud(seed + 100, 103)
+    wasserstein(mu, nu)
+    assert len(hangs) - 1 <= 1.5 * (100 + 103)
