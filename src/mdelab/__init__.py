@@ -109,7 +109,6 @@ from .analysis import (
     step_displacement_check,
     support_bound_check,
     time_lipschitz_check,
-    uniqueness_proxy,
     weak_residual,
 )
 from .particles import (

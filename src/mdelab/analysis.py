@@ -388,10 +388,3 @@ def step_displacement_check(traj: Trajectory) -> bool:
         <= limit * (1.0 + 1e-9) + 1e-15
         for a, b in zip(traj.steps, traj.steps[1:]))
 
-
-def uniqueness_proxy(spec: PvfSpec, mu0: DiscreteMeasure, oracle_ref,
-                     horizon: float, n: int, tol: float) -> bool:
-    """Oracle agreement at both N and 2N certifies a single limit point
-    for this initial datum at the stated tolerance."""
-    report = convergence_study(spec, mu0, oracle_ref, horizon, [n, 2 * n])
-    return all(err <= tol for _, err, _ in report.entries)

@@ -30,6 +30,7 @@ _KIND_BY_FLAG = {
     "combined": FiberCostKind.COMBINED,
     "one-sided": FiberCostKind.ONE_SIDED,
 }
+_CHOICES = {"kind": tuple(_KIND_BY_FLAG), "format": ("csv", "json")}
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,17 @@ class RunConfig:
                     raise ValidationError(
                         "sample times must lie in [0, horizon]",
                         field="times")
-        if self.format not in ("csv", "json"):
-            raise ValidationError("format must be csv or json",
-                                  field="format")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValidationError(
+                    f"{name} must be {' or '.join(allowed)}", field=name)
 
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)  # recipes are checked by them
+# RunConfig's field types without "| None": recipes are checked by them
+# and the parser's flags are made from them
+_FIELD_TYPES = {name: typing.get_args(kind)[0]
+                if type(None) in typing.get_args(kind) else kind
+                for name, kind in typing.get_type_hints(RunConfig).items()}
 
 
 def f17(x: float) -> str:
@@ -117,7 +123,6 @@ def _require(config: RunConfig, *names: str) -> None:
 # per-subcommand drivers
 
 def _cmd_solve(config: RunConfig) -> None:
-    _require(config, "pvf", "init", "n", "horizon")
     spec = pvf_from_dict(load_json(config.pvf))
     mu0 = measure_from_dict(load_json(config.init))
     traj = las_solve(mu0, spec, config.n, config.horizon)
@@ -136,8 +141,7 @@ def _cmd_dist(config: RunConfig) -> None:
     if len(config.inputs) != 2:
         raise ValidationError("dist needs exactly two measure files",
                               field="inputs")
-    mu = measure_from_dict(load_json(config.inputs[0]))
-    nu = measure_from_dict(load_json(config.inputs[1]))
+    mu, nu = (measure_from_dict(load_json(p)) for p in config.inputs)
     result = wasserstein(mu, nu)
     lines = [f17(result.distance)]
     if config.plan:
@@ -153,10 +157,7 @@ def _cmd_fiber_dist(config: RunConfig) -> None:
                               field="inputs")
     kind = _KIND_BY_FLAG[config.kind]
     lifted = [lifted_from_dict(load_json(p)) for p in config.inputs]
-    if len(lifted) == 2:
-        pairs = [(0, 1)]
-    else:
-        pairs = [(0, 1), (1, 2), (0, 2)]
+    pairs = [(0, 1)] if len(lifted) == 2 else [(0, 1), (1, 2), (0, 2)]
     values = [constrained_fiber_cost(lifted[a], lifted[b], kind)[0]
               for a, b in pairs]
     _write(config, "\n".join(f17(v) for v in values) + "\n")
@@ -177,7 +178,6 @@ def _oracle_params_from_dict(doc: dict) -> dict:
 
 
 def _cmd_converge(config: RunConfig) -> None:
-    _require(config, "pvf", "init", "oracle", "n_grid", "horizon")
     spec = pvf_from_dict(load_json(config.pvf))
     mu0 = measure_from_dict(load_json(config.init))
     oracle_doc = load_json(config.oracle)
@@ -193,7 +193,6 @@ def _cmd_converge(config: RunConfig) -> None:
 
 
 def _cmd_residual(config: RunConfig) -> None:
-    _require(config, "pvf", "init")
     spec = pvf_from_dict(load_json(config.pvf))
     mu0 = measure_from_dict(load_json(config.init))
     if config.stationary:
@@ -220,7 +219,6 @@ def _cmd_check(config: RunConfig) -> None:
 
 
 def _cmd_particles(config: RunConfig) -> None:
-    _require(config, "kernel", "init", "n", "horizon")
     kernel = kernel_from_dict(load_json(config.kernel))
     state0 = particles.state_from_dict(load_json(config.init))
     gaps = particles.meanfield_compare(state0, kernel, config.n,
@@ -229,22 +227,48 @@ def _cmd_particles(config: RunConfig) -> None:
     _write(config, _emit(config, ["t", "gap"], rows))
 
 
-_DRIVERS = {
-    "solve": _cmd_solve,
-    "dist": _cmd_dist,
-    "fiber-dist": _cmd_fiber_dist,
-    "converge": _cmd_converge,
-    "residual": _cmd_residual,
-    "check": _cmd_check,
-    "particles": _cmd_particles,
+class _Subcommand(typing.NamedTuple):
+    """One row of _SUBCOMMANDS, the one place an option is declared: with
+    RunConfig's type hints it builds the parser and run()'s checks."""
+    driver: typing.Callable[[RunConfig], None]
+    help: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ("out", "format")
+    nargs: int | str | None = None  # of the positional "inputs"
+
+
+_SUBCOMMANDS = {
+    "solve": _Subcommand(_cmd_solve, "run the lattice scheme",
+                         ("pvf", "init", "n", "horizon")),
+    "dist": _Subcommand(_cmd_dist, "Wasserstein distance of two measures",
+                        ("inputs",), ("plan", "out"), nargs=2),
+    "fiber-dist": _Subcommand(_cmd_fiber_dist,
+                              "constrained fiber cost of lifted measures",
+                              ("inputs",), ("kind", "out"), nargs="+"),
+    "converge": _Subcommand(_cmd_converge,
+                            "error-vs-N study against an oracle",
+                            ("pvf", "init", "oracle", "n_grid", "horizon")),
+    "residual": _Subcommand(_cmd_residual, "weak-form residual report",
+                            ("pvf", "init"), ("n", "horizon", "times",
+                                              "stationary", "out", "format")),
+    "check": _Subcommand(_cmd_check, "seeded transport self-checks", (),
+                         ("seed", "instances", "out", "format")),
+    "particles": _Subcommand(_cmd_particles,
+                             "mean-field gap of a particle system",
+                             ("kernel", "init", "n", "horizon")),
 }
+_HELP = {"plan": "also print the optimal plan as CSV",
+         "stationary": "treat the initial measure as a fixed point",
+         "out": "output path (default: stdout)"}
 
 
 def run(config: RunConfig) -> int:
-    if config.subcommand not in _DRIVERS:
+    command = _SUBCOMMANDS.get(config.subcommand)
+    if command is None:
         raise ValidationError(f"unknown subcommand {config.subcommand!r}",
                               field="subcommand")
-    _DRIVERS[config.subcommand](config)
+    _require(config, *command.required)
+    command.driver(config)
     return 0
 
 
@@ -257,8 +281,6 @@ def _option(key: str, value, kind: type):
             raise ValidationError(f"recipe option {key!r} must be a list, "
                                   f"got {value!r}", field=key)
         return tuple(_option(key, v, typing.get_args(kind)[0]) for v in value)
-    kind = next(k for k in typing.get_args(kind) or (kind,)
-                if k is not type(None))
     if kind in (int, float):
         return _number(value, key, integer=kind is int)
     if not isinstance(value, kind):
@@ -284,100 +306,52 @@ def recipe_to_config(doc: dict) -> RunConfig:
                                            *options.items()]})
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _list_of(kind: type):
+    """argparse type of a comma-separated list of ints or floats."""
+    noun = "integer" if kind is int else "number"
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in text.split(",") if tok)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"bad {noun} list {text!r}") from exc
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
+def _add_option(parser: argparse.ArgumentParser, name: str,
+                required: bool) -> None:
+    flag, kind = "--" + name.replace("_", "-"), _FIELD_TYPES[name]
+    if kind is bool:
+        parser.add_argument(flag, action="store_true", help=_HELP.get(name))
+        return
+    kind = (_list_of(typing.get_args(kind)[0])
+            if typing.get_origin(kind) is tuple else kind)
+    parser.add_argument(flag, type=kind, required=required,
+                        choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mdelab",
-        description="Lattice solver and transport toolkit for "
-                    "measure-valued dynamics.")
+    parser = argparse.ArgumentParser(prog="mdelab", description=(
+        "Lattice solver and transport toolkit for measure-valued dynamics."))
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("solve", help="run the lattice scheme")
-    p.add_argument("--pvf", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    common(p)
-
-    p = sub.add_parser("dist", help="Wasserstein distance of two measures")
-    p.add_argument("inputs", nargs=2)
-    p.add_argument("--plan", action="store_true",
-                   help="also print the optimal plan as CSV")
-    p.add_argument("--out")
-
-    p = sub.add_parser("fiber-dist",
-                       help="constrained fiber cost of lifted measures")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--kind", choices=tuple(_KIND_BY_FLAG),
-                   default="fiber")
-    p.add_argument("--out")
-
-    p = sub.add_parser("converge", help="error-vs-N study against an oracle")
-    p.add_argument("--pvf", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--n-grid", dest="n_grid", type=_int_list, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    common(p)
-
-    p = sub.add_parser("residual", help="weak-form residual report")
-    p.add_argument("--pvf", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--times", type=_float_list, default=())
-    p.add_argument("--stationary", action="store_true",
-                   help="treat the initial measure as a fixed point")
-    common(p)
-
-    p = sub.add_parser("check", help="seeded transport self-checks")
-    p.add_argument("--seed", type=int, default=selfcheck.DEFAULT_SEED)
-    p.add_argument("--instances", type=int,
-                   default=selfcheck.DEFAULT_INSTANCES)
-    common(p)
-
-    p = sub.add_parser("particles",
-                       help="mean-field gap of a particle system")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    common(p)
-
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in command.required + command.optional:
+            if option == "inputs":
+                p.add_argument(option, nargs=command.nargs)
+            else:
+                _add_option(p, option, option in command.required)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(args).items()
-              if k in fields and v is not None}
-    if "inputs" in kwargs:
-        kwargs["inputs"] = tuple(kwargs["inputs"])
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = {k: v for k, v in vars(_build_parser().parse_args(argv)).items()
+            if v is not None}
+    if "inputs" in args:
+        args["inputs"] = tuple(args["inputs"])
     try:
-        return run(_config_from_args(args))
+        return run(RunConfig(**args))
     except MdeLabError as exc:
         kind = "validation" if isinstance(exc, ValidationError) else "numerical"
         payload = {"schema": 1,

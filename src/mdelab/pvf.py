@@ -33,8 +33,8 @@ import numpy as np
 from .errors import SublinearityError, ValidationError
 from .kernels import (KernelSpec, interaction_field, kernel_from_dict,
                       kernel_to_dict)
-from .measure import (DiscreteMeasure, LiftedMeasure, _build, _check_masses,
-                      _check_schema, _merge, _number, as_rows,
+from .measure import (MASS_SUM_TOL, DiscreteMeasure, LiftedMeasure, _build,
+                      _check_masses, _check_schema, _merge, _number, as_rows,
                       neumaier_prefix, radius)
 
 PVF_KINDS = ("ode_lift", "constant", "median_split", "phi_diffusion",
@@ -239,7 +239,7 @@ def constant_pvf(fiber, sublinear_c: float | None = None) -> PvfSpec:
         raise ValidationError("constant PVF needs a nonempty fiber",
                               field="fiber")
     total = math.fsum(p for _, p in rows)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > MASS_SUM_TOL:
         raise ValidationError(
             f"fiber probabilities sum to {total!r}", field="fiber")
     return PvfSpec(kind="constant", fiber=tuple(rows),

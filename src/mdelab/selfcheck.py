@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .measure import DiscreteMeasure, make_measure
 from .rng import SplitMix64
 from .transport import kr_dual_gap, wasserstein
@@ -161,4 +162,6 @@ CHECKS = (
 
 def run_all_checks(seed: int = DEFAULT_SEED,
                    instances: int = DEFAULT_INSTANCES) -> list[CheckResult]:
+    if instances < 1:  # no instance has no violation, so every check passes
+        raise ValidationError("instances must be >= 1", field="instances")
     return [fn(seed=seed, instances=instances) for _, fn in CHECKS]

@@ -56,7 +56,6 @@ from mdelab import (
     support_bound_check,
     time_lipschitz_check,
     uniform_1d,
-    uniqueness_proxy,
     wasserstein,
     weak_residual,
 )
@@ -757,11 +756,6 @@ class TestTrajectoryChecks:
             assert support_bound_check(audited) is holds
             assert time_lipschitz_check(audited, times) is holds
             assert step_displacement_check(audited) is holds
-
-    def test_uniqueness_proxy(self):
-        assert uniqueness_proxy(median_split_pvf(), dirac(0.0),
-                                ("median_split_delta", {"x0": 0.0}),
-                                1.0, 20, 0.15)
 
 
 class TestMonotoneFiberCost:
