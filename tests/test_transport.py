@@ -39,8 +39,10 @@ from mdelab import (
 )
 from mdelab.cli import main
 from mdelab.measure import measure_to_dict
-from mdelab.transport import (PLAN_TOL, _check_coupling, _cost_matrix,
-                              _northwest, _plan_cost, _Simplex)
+from mdelab.transport import (_ARRAY_SWEEP_ATOMS, _SWAP_PASSES, PLAN_TOL,
+                              _array_sweep, _check_coupling, _cost_matrix,
+                              _monotone_moves, _northwest, _plan_cost,
+                              _Simplex)
 
 
 def test_two_diracs():
@@ -630,6 +632,137 @@ def test_sweep_matches_the_single_loop(case):
     src, tgt, band = case
     assert repr(_northwest(src, tgt, band)) == repr(
         _sweep_reference(src, tgt, band))
+
+
+def test_cumsum_adds_left_to_right():
+    # _array_sweep proves its order against np.cumsum's running sums,
+    # and measure.neumaier_prefix takes them for Neumaier's loop: both
+    # need add.accumulate to add left to right. Here a running sum
+    # rounds 1 + 2^-53 back to 1 at every step, while a pairwise sum
+    # adds the small terms first and keeps their 500 ulps of 1.
+    values = [1.0] + [2.0 ** -53] * 1000
+    running = list(itertools.accumulate(values))
+    assert [v.hex() for v in np.cumsum(values).tolist()] == [
+        v.hex() for v in running]
+    assert running[-1] == 1.0
+    assert math.fsum(values) == 1.0 + 1000 * 2.0 ** -53
+
+
+def _binomial_tail(count):
+    # the binomial(count - 1, 1/2) law without the masses below 1e-121,
+    # as a lattice solution's atoms of acceptance criterion 10 carry them
+    law = np.array([math.comb(count - 1, j) for j in range(count)], float)
+    law = law[law / law.sum() > 1e-121]
+    return law / law.sum()
+
+
+def _random_masses(seed, count):
+    raw = np.random.default_rng(seed).uniform(0.2, 1.0, count)
+    return raw / raw.sum()
+
+
+def _ulp_apart(m, n):
+    # 1/m vs 1/n with the last target an ulp heavier: totals an ulp apart
+    tgt = np.full(n, 1.0 / n)
+    tgt[-1] = math.nextafter(tgt[-1], 1.0)
+    return np.full(m, 1.0 / m), tgt
+
+
+SWEEP_PAIRS = {
+    "equal_3x4": lambda: (np.full(3, 1 / 3), np.full(4, 1 / 4)),
+    "random_7x5": lambda: (_random_masses(1, 7), _random_masses(2, 5)),
+    "equal_270x200": lambda: (np.full(270, 1 / 270), np.full(200, 1 / 200)),
+    "equal_400x300": lambda: (np.full(400, 1 / 400), np.full(300, 1 / 300)),
+    "equal_1000x999": lambda: (np.full(1000, 1e-3), np.full(999, 1 / 999)),
+    "equal_2500x3000": lambda: (np.full(2500, 1 / 2500),
+                                np.full(3000, 1 / 3000)),
+    "binomial_201x401": lambda: (_binomial_tail(201), _binomial_tail(401)),
+    "binomial_301x401": lambda: (_binomial_tail(301), _binomial_tail(401)),
+    "ulp_apart_500x700": lambda: _ulp_apart(500, 700),
+    "ulp_apart_2000x1500": lambda: _ulp_apart(2000, 1500),
+    "random_600x500": lambda: (_random_masses(3, 600), _random_masses(4, 500)),
+    "random_2000x1500": lambda: (_random_masses(5, 2000),
+                                 _random_masses(6, 1500)),
+}
+
+
+def test_sweep_pairs_straddle_the_cutoff():
+    sizes = [sum(map(len, pair())) for pair in SWEEP_PAIRS.values()]
+    assert min(sizes) < _ARRAY_SWEEP_ATOMS <= max(sizes)
+
+
+def _spy_resumes(monkeypatch):
+    """The mass lists each scalar sweep that _array_sweep resumes gets."""
+    resumes = []
+    scalar = transport._sweep_arrays
+
+    def spy(src, tgt, i0=0, k0=0):
+        resumes.append((src, tgt))
+        return scalar(src, tgt, i0, k0)
+
+    monkeypatch.setattr(transport, "_sweep_arrays", spy)
+    return resumes
+
+
+@pytest.mark.parametrize("name", SWEEP_PAIRS)
+def test_array_sweep_is_the_sweep_float_for_float(name, monkeypatch):
+    # the array pass, with no repair (every mismatch resumes the scalar
+    # sweep) and with the full budget, and the helper both callers take,
+    # below and above the cutoff
+    src, tgt = SWEEP_PAIRS[name]()
+    reference = repr(_sweep_reference(src.tolist(), tgt.tolist()))
+    resumes = _spy_resumes(monkeypatch)
+    for moves in (_array_sweep(src, tgt, 0),
+                  _array_sweep(src, tgt, _SWAP_PASSES),
+                  _monotone_moves(src, tgt)):
+        assert [c.dtype for c in moves] == [np.int64, np.int64, np.float64]
+        assert repr(tuple(c.tolist() for c in moves)) == reference
+    if name.startswith("binomial"):
+        # tiny masses tie the predicted totals far apart: the sweep
+        # resumes for the right tail, whatever the budget
+        assert len(resumes) >= 2 and all(
+            len(src) < 100 for src, _ in resumes)
+
+
+def test_repair_passes_mend_adjacent_near_ties(monkeypatch):
+    # 1/2500 vs 1/3000: the predicted order has near ties that one
+    # vectorised swap pass mends; with no pass the scalar sweep resumes
+    src, tgt = SWEEP_PAIRS["equal_2500x3000"]()
+    resumes = _spy_resumes(monkeypatch)
+    _array_sweep(src, tgt, 0)
+    assert len(resumes) == 1 and len(resumes[0][0]) < len(src)
+    _array_sweep(src, tgt, _SWAP_PASSES)
+    assert len(resumes) == 1
+
+
+@given(sweep_case())
+@settings(max_examples=300, deadline=None)
+@example(([0.5, 0.5], [0.5, math.nextafter(0.5, 0.0)], None))
+@example(([0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5], None))
+def test_array_sweep_matches_the_single_loop(case):
+    # small pairs, with zero masses (which take the scalar sweep whole)
+    # and totals a few ulps apart; the band plays no part
+    src, tgt, _ = case
+    reference = repr(_sweep_reference(src, tgt))
+    for passes in (0, _SWAP_PASSES):
+        moves = _array_sweep(np.array(src), np.array(tgt), passes)
+        assert repr(tuple(c.tolist() for c in moves)) == reference
+
+
+def test_large_1d_plan_is_the_same_through_both_paths(monkeypatch):
+    # the benchmark's shape: 10,000 vs 7,000 equal masses, N(0, 1) vs
+    # N(0.3, 1.2), through the array pass and through the scalar sweep
+    rng = np.random.default_rng(3131)
+    mu = make_measure([(x, 1e-4) for x in rng.normal(0.0, 1.0, 10_000)])
+    nu = make_measure([(x, 1.0 / 7000) for x in rng.normal(0.3, 1.2, 7000)])
+    assert mu.atom_count + nu.atom_count >= _ARRAY_SWEEP_ATOMS
+    array = wasserstein(mu, nu).plan
+    monkeypatch.setattr(transport, "_ARRAY_SWEEP_ATOMS", math.inf)
+    scalar = wasserstein(mu, nu).plan
+    for a, b in zip(array.entries.columns, scalar.entries.columns):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert array.cost.hex() == scalar.cost.hex()
+    assert len(array.entries) == 16_999  # no move ends on a tie
 
 
 @given(st.data())
