@@ -223,18 +223,15 @@ def _northwest(src: Sequence[float], tgt: Sequence[float],
     return rows, cols, deltas
 
 
-def _sweep_arrays(src: list[float], tgt: list[float], i0: int = 0,
-                  k0: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep_arrays(src: list[float], tgt: list[float],
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_northwest's moves over two mass lists as int64, int64 and float64
-    arrays, the rows counted from source i0 and the columns from target
-    k0."""
+    arrays."""
     rows, cols, deltas = _northwest(src, tgt)
     size = len(rows)  # fromiter with a count fills the arrays in one pass
-    i = np.fromiter(rows, np.int64, size)
-    k = np.fromiter(cols, np.int64, size)
-    i += i0
-    k += k0
-    return i, k, np.fromiter(deltas, np.float64, size)
+    return (np.fromiter(rows, np.int64, size),
+            np.fromiter(cols, np.int64, size),
+            np.fromiter(deltas, np.float64, size))
 
 
 def _array_sweep(src: np.ndarray, tgt: np.ndarray, passes: int,
@@ -313,8 +310,9 @@ def _array_sweep(src: np.ndarray, tgt: np.ndarray, passes: int,
         rest_src[0] = d
     elif d < 0.0:
         rest_tgt[0] = -d
-    tail = _sweep_arrays(rest_src, rest_tgt, i0, k0)
-    return tuple(map(np.concatenate, zip((i, k, w), tail)))
+    tail_i, tail_k, tail_w = _sweep_arrays(rest_src, rest_tgt)
+    return (np.concatenate((i, tail_i + i0)),
+            np.concatenate((k, tail_k + k0)), np.concatenate((w, tail_w)))
 
 
 def _monotone_moves(src: np.ndarray, tgt: np.ndarray,

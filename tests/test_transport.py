@@ -696,9 +696,9 @@ def _spy_resumes(monkeypatch):
     resumes = []
     scalar = transport._sweep_arrays
 
-    def spy(src, tgt, i0=0, k0=0):
+    def spy(src, tgt):
         resumes.append((src, tgt))
-        return scalar(src, tgt, i0, k0)
+        return scalar(src, tgt)
 
     monkeypatch.setattr(transport, "_sweep_arrays", spy)
     return resumes
