@@ -85,9 +85,10 @@ PLAN_TOL = 1e-10          # marginal and cost-consistency tolerance
 OPT_REL_TOL = 1e-7        # plan_is_optimal: cost <= W + 1e-7*(1+W)
 _PIVOT_TOL_SCALE = 1e-11  # entering threshold: 1e-11*(1+max|C|)
 # _monotone_moves takes the array pass from _ARRAY_SWEEP_ATOMS atoms in
-# all, where it beats the scalar sweep on equal, random and binomial-tail
-# masses alike; no pair of 250-20,000 atoms a side needed more than one
-# of its _SWAP_PASSES repair passes (measured)
+# all: from there it is no slower than the scalar sweep on equal, random
+# and binomial-tail masses (BENCH_31.json, crossover), and no pair of
+# 250-20,000 atoms a side needed more than one of its _SWAP_PASSES
+# repair passes (measured)
 _ARRAY_SWEEP_ATOMS, _SWAP_PASSES = 500, 2
 
 
