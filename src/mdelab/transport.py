@@ -13,9 +13,9 @@ Distance is the transportation LP optimum with Euclidean ground cost
   the loop does; an order of the atoms predicted from the two sides'
   running totals is the sweep's own when every target enters where
   that sum is > 0 and every source where it is <= 0; near ties are
-  swapped and checked again, and where no swap mends the first one (a
-  binomial tail's masses, too small to move the running totals) the
-  scalar loop resumes from the checked prefix;
+  swapped and checked again, and a pair where no swap mends the first
+  one (a binomial tail's masses, too small to move the running totals)
+  takes the scalar loop whole;
 - m vs m atoms whose masses are all bit-equal are an assignment
   problem: by Birkhoff-von Neumann an optimal permutation is an optimal
   vertex, so `scipy.optimize.linear_sum_assignment` on the cost matrix
@@ -85,11 +85,10 @@ PLAN_TOL = 1e-10          # marginal and cost-consistency tolerance
 OPT_REL_TOL = 1e-7        # plan_is_optimal: cost <= W + 1e-7*(1+W)
 _PIVOT_TOL_SCALE = 1e-11  # entering threshold: 1e-11*(1+max|C|)
 # _monotone_moves takes the array pass from _ARRAY_SWEEP_ATOMS atoms in
-# all: from there it is no slower than the scalar sweep on equal, random
-# and binomial-tail masses (BENCH_31.json, crossover), and no pair of
-# 250-20,000 atoms a side needed more than one of its _SWAP_PASSES
-# repair passes (measured)
-_ARRAY_SWEEP_ATOMS, _SWAP_PASSES = 500, 2
+# all: from there it beats the scalar sweep on equal and random masses
+# (BENCH_31.json, crossover); no pair of 250-20,000 atoms a side, equal
+# or random masses, needed more than _SWAP_PASSES repair pass (measured)
+_ARRAY_SWEEP_ATOMS, _SWAP_PASSES = 500, 1
 
 
 def _plan_entries(i: np.ndarray, k: np.ndarray, w: np.ndarray) -> ArrayRows:
@@ -235,7 +234,7 @@ def _sweep_arrays(src: list[float], tgt: list[float],
             np.fromiter(deltas, np.float64, size))
 
 
-def _array_sweep(src: np.ndarray, tgt: np.ndarray, passes: int,
+def _array_sweep(src: np.ndarray, tgt: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unbanded sweep's moves (_northwest) over two mass arrays as
     int64, int64 and float64 arrays, float for float, in array passes.
@@ -247,23 +246,25 @@ def _array_sweep(src: np.ndarray, tgt: np.ndarray, passes: int,
     s - t is D - t, and t - s is -(D + s), as rounding to nearest is
     symmetric in sign. An atom is predicted to enter at the running
     total of the masses before it on its side, the source first on a
-    tie (one searchsorted). Event j is the sweep's own when it is a
-    target exactly where the D before it is > 0: by induction an order
-    that passes at every event is the sweep's, up to the first event
-    whose wanted side is used up, where the sweep ends. A mismatch is a
-    near tie of the two running totals. Each of at most passes repair
-    passes swaps every mismatch with its next event when that is of the
-    other side, and checks again. The scalar sweep then resumes from the
-    D before the first mismatch, the sweep's own state there. A mass
-    that is not positive (which no measure has) sends the whole pair to
-    the scalar sweep, as a zero mass gives a zero move that D misses.
+    tie (one searchsorted); a running total of positive masses never
+    falls, so each target gets its own slot. Event j is the sweep's own
+    when it is a target exactly where the D before it is > 0: by
+    induction an order that passes at every event is the sweep's, up to
+    the first event whose wanted side is used up, where the sweep ends.
+    A mismatch is a near tie of the two running totals. Each of at most
+    _SWAP_PASSES repair passes swaps every mismatch with its next event
+    when that is of the other side, and checks again. A pair whose first
+    mismatch no pass mends, such as a binomial tail whose masses are too
+    small to move the running totals, goes to the scalar sweep whole, as
+    does a mass that is not positive (which no measure has), since a
+    zero mass gives a zero move that D misses.
     """
     m, n = len(src), len(tgt)
     if not (src.min() > 0.0 and tgt.min() > 0.0):
         return _sweep_arrays(src.tolist(), tgt.tolist())
-    src_at, tgt_at = np.cumsum(src), np.cumsum(tgt)
-    src_at -= src  # nondecreasing: the total before each positive mass
-    tgt_at -= tgt
+    src_at, tgt_at = np.zeros(m), np.zeros(n)  # the total before each atom
+    np.cumsum(src[:-1], out=src_at[1:])
+    np.cumsum(tgt[:-1], out=tgt_at[1:])
     is_tgt = np.zeros(m + n, bool)
     before = np.searchsorted(src_at, tgt_at, side="right")  # per target
     is_tgt[np.arange(n) + before] = True
@@ -271,8 +272,7 @@ def _array_sweep(src: np.ndarray, tgt: np.ndarray, passes: int,
     signed[is_tgt] = -tgt
     signed[~is_tgt] = src
     prev = np.zeros(m + n)  # prev[j]: D before event j
-    resume = False
-    for done in range(passes + 1):
+    for done in range(_SWAP_PASSES + 1):
         np.cumsum(signed[:-1], out=prev[1:])
         want_tgt = prev > 0.0
         bad = is_tgt != want_tgt
@@ -284,14 +284,12 @@ def _array_sweep(src: np.ndarray, tgt: np.ndarray, passes: int,
         if tgts == n if want_tgt[end] else end - tgts == m:
             break  # the wanted side is used up: the sweep ends here
         # swap each mismatch with its next event when that is of the
-        # other side; a first mismatch no swap can mend goes to the
-        # scalar sweep at once. No two swapped pairs overlap: a source
-        # that came at D > 0 leaves D > 0, where a next target is no
-        # mismatch, and a target that came at D <= 0 leaves D < 0.
+        # other side. No two swapped pairs overlap: a source that came
+        # at D > 0 leaves D > 0, where a next target is no mismatch, and
+        # a target that came at D <= 0 leaves D < 0.
         swap = bad[:-1] & (is_tgt[:-1] != is_tgt[1:])
-        if done == passes or end == m + n - 1 or not swap[end]:
-            resume = True
-            break
+        if done == _SWAP_PASSES or end == m + n - 1 or not swap[end]:
+            return _sweep_arrays(src.tolist(), tgt.tolist())
         j = np.flatnonzero(swap)
         is_tgt[j], is_tgt[j + 1] = is_tgt[j + 1], is_tgt[j]
         signed[j], signed[j + 1] = signed[j + 1], signed[j]
@@ -301,19 +299,7 @@ def _array_sweep(src: np.ndarray, tgt: np.ndarray, passes: int,
     i = moved - k
     k -= 1
     w = np.minimum(np.abs(prev[moved]), np.abs(signed[moved]))
-    if not resume:
-        return i, k, w
-    # resume: the open source's remainder D, or the open target's -D
-    d = prev[end].item()
-    i0, k0 = end - tgts - (d > 0.0), tgts - (d < 0.0)
-    rest_src, rest_tgt = src[i0:].tolist(), tgt[k0:].tolist()
-    if d > 0.0:
-        rest_src[0] = d
-    elif d < 0.0:
-        rest_tgt[0] = -d
-    tail_i, tail_k, tail_w = _sweep_arrays(rest_src, rest_tgt)
-    return (np.concatenate((i, tail_i + i0)),
-            np.concatenate((k, tail_k + k0)), np.concatenate((w, tail_w)))
+    return i, k, w
 
 
 def _monotone_moves(src: np.ndarray, tgt: np.ndarray,
@@ -323,7 +309,7 @@ def _monotone_moves(src: np.ndarray, tgt: np.ndarray,
     atoms in all, the array pass (_array_sweep) from there."""
     if len(src) + len(tgt) < _ARRAY_SWEEP_ATOMS:
         return _sweep_arrays(src.tolist(), tgt.tolist())
-    return _array_sweep(src, tgt, _SWAP_PASSES)
+    return _array_sweep(src, tgt)
 
 
 def _monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:

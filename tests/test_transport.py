@@ -691,62 +691,115 @@ def test_sweep_pairs_straddle_the_cutoff():
     assert min(sizes) < _ARRAY_SWEEP_ATOMS <= max(sizes)
 
 
-def _spy_resumes(monkeypatch):
-    """The mass lists each scalar sweep that _array_sweep resumes gets."""
-    resumes = []
+def _spy_fallbacks(monkeypatch):
+    """The mass lists each scalar sweep that _array_sweep falls back to
+    gets."""
+    fallbacks = []
     scalar = transport._sweep_arrays
 
     def spy(src, tgt):
-        resumes.append((src, tgt))
+        fallbacks.append((src, tgt))
         return scalar(src, tgt)
 
     monkeypatch.setattr(transport, "_sweep_arrays", spy)
-    return resumes
+    return fallbacks
+
+
+def _moves(src, tgt, passes, monkeypatch):
+    monkeypatch.setattr(transport, "_SWAP_PASSES", passes)
+    return _array_sweep(np.asarray(src), np.asarray(tgt))
 
 
 @pytest.mark.parametrize("name", SWEEP_PAIRS)
 def test_array_sweep_is_the_sweep_float_for_float(name, monkeypatch):
-    # the array pass, with no repair (every mismatch resumes the scalar
-    # sweep) and with the full budget, and the helper both callers take,
-    # below and above the cutoff
+    # the array pass, with no repair (every mismatch falls back to the
+    # scalar sweep) and with the full budget, and the helper both
+    # callers take, below and above the cutoff
     src, tgt = SWEEP_PAIRS[name]()
     reference = repr(_sweep_reference(src.tolist(), tgt.tolist()))
-    resumes = _spy_resumes(monkeypatch)
-    for moves in (_array_sweep(src, tgt, 0),
-                  _array_sweep(src, tgt, _SWAP_PASSES),
+    fallbacks = _spy_fallbacks(monkeypatch)
+    for moves in (_moves(src, tgt, 0, monkeypatch),
+                  _moves(src, tgt, _SWAP_PASSES, monkeypatch),
                   _monotone_moves(src, tgt)):
         assert [c.dtype for c in moves] == [np.int64, np.int64, np.float64]
         assert repr(tuple(c.tolist() for c in moves)) == reference
+    # a fallback sweeps the whole pair
+    assert all(list(a) == src.tolist() and list(b) == tgt.tolist()
+               for a, b in fallbacks)
     if name.startswith("binomial"):
-        # tiny masses tie the predicted totals far apart: the sweep
-        # resumes for the right tail, whatever the budget
-        assert len(resumes) >= 2 and all(
-            len(src) < 100 for src, _ in resumes)
+        # tiny masses tie the predicted totals far apart, beyond what a
+        # swap of neighbours mends, whatever the budget
+        assert len(fallbacks) >= 2
 
 
 def test_repair_passes_mend_adjacent_near_ties(monkeypatch):
     # 1/2500 vs 1/3000: the predicted order has near ties that one
-    # vectorised swap pass mends; with no pass the scalar sweep resumes
+    # vectorised swap pass mends; with no pass the scalar sweep runs
     src, tgt = SWEEP_PAIRS["equal_2500x3000"]()
-    resumes = _spy_resumes(monkeypatch)
-    _array_sweep(src, tgt, 0)
-    assert len(resumes) == 1 and len(resumes[0][0]) < len(src)
-    _array_sweep(src, tgt, _SWAP_PASSES)
-    assert len(resumes) == 1
+    fallbacks = _spy_fallbacks(monkeypatch)
+    _moves(src, tgt, 0, monkeypatch)
+    assert len(fallbacks) == 1
+    _moves(src, tgt, _SWAP_PASSES, monkeypatch)
+    assert len(fallbacks) == 1
 
 
-@given(sweep_case())
+@st.composite
+def spread_masses(draw):
+    # 1 to 9 masses whose binary exponents lie up to 70 apart, so that
+    # some fall below an ulp of the running totals, as a binomial
+    # tail's do
+    count = draw(st.integers(1, 9))
+    return [math.ldexp(draw(weights), -draw(st.integers(0, 70)))
+            for _ in range(count)]
+
+
+@given(st.one_of(sweep_case(),
+                 st.tuples(spread_masses(), spread_masses(), st.none())))
 @settings(max_examples=300, deadline=None)
 @example(([0.5, 0.5], [0.5, math.nextafter(0.5, 0.0)], None))
 @example(([0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5], None))
+# the running totals before the atoms, [0, 1] and [0, 1, 1], tie: a
+# target total formed as cumsum - mass read [0, 1, 1 - 2^-53], falling
+@example(([1.0, 2.0 ** -60], [1.0, 2.0 ** -60, 0.75 * 2.0 ** -53], None))
 def test_array_sweep_matches_the_single_loop(case):
-    # small pairs, with zero masses (which take the scalar sweep whole)
-    # and totals a few ulps apart; the band plays no part
+    # small pairs, with zero masses (which take the scalar sweep whole),
+    # totals a few ulps apart and masses far below an ulp of the others;
+    # the band plays no part
     src, tgt, _ = case
     reference = repr(_sweep_reference(src, tgt))
-    for passes in (0, _SWAP_PASSES):
-        moves = _array_sweep(np.array(src), np.array(tgt), passes)
-        assert repr(tuple(c.tolist() for c in moves)) == reference
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for passes in (0, _SWAP_PASSES):
+            moves = _moves(src, tgt, passes, monkeypatch)
+            assert repr(tuple(c.tolist() for c in moves)) == reference
+
+
+def test_sub_ulp_masses_above_the_cutoff(monkeypatch):
+    # 515 atoms whose masses sum to 1 exactly on each side: 256 of 2^-8
+    # with one 2^-60 lighter and a 2^-60 atom, against 256 of 2^-8
+    # lighter by 2^-60 + 0.75 2^-53 in all, in steps below half an ulp,
+    # then 2^-60 and 0.75 2^-53. The float running total of the targets
+    # reaches 1 before the last two, so they enter at one total.
+    src = [2.0 ** -8] * 256
+    src[200] -= 2.0 ** -60
+    src.append(2.0 ** -60)
+    tgt = [2.0 ** -8] * 256
+    for j in (150, 180, 210):
+        tgt[j] -= 2.0 ** -55
+    tgt[240] -= 2.0 ** -60
+    tgt += [2.0 ** -60, 0.75 * 2.0 ** -53]
+    assert math.fsum(src) == math.fsum(tgt) == 1.0
+    assert np.cumsum(tgt)[-3:].tolist() == [1.0, 1.0, 1.0]
+    mu = make_measure([(j / 257, w) for j, w in enumerate(src)])
+    nu = make_measure([(j / 258 + 1e-3, w) for j, w in enumerate(tgt)])
+    assert mu.atom_count + nu.atom_count == 515 >= _ARRAY_SWEEP_ATOMS
+    array = wasserstein(mu, nu)
+    monkeypatch.setattr(transport, "_ARRAY_SWEEP_ATOMS", math.inf)
+    scalar = wasserstein(mu, nu)
+    for a, b in zip(array.plan.entries.columns, scalar.plan.entries.columns):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert array.distance.hex() == scalar.distance.hex()
+    assert repr(tuple(c.tolist() for c in array.plan.entries.columns)) == (
+        repr(_sweep_reference(src, tgt)))
 
 
 def test_large_1d_plan_is_the_same_through_both_paths(monkeypatch):
