@@ -166,40 +166,6 @@ def _round_to_polytope(flow: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return flow
 
 
-def _int64_shift(terms: np.ndarray) -> int | None:
-    """The e that makes every terms * 2^e an integer when every partial
-    sum of those integers fits in int64, else None.
-
-    A float x = f 2^E with f in [0.5, 1) from np.frexp has 53 bits of f,
-    so x 2^(53 - E) is an integer, and so is x 2^e for e = 53 minus the
-    least E. No partial sum of the n integers exceeds A, the exact sum
-    of |terms| 2^e. The float sum of |terms| is below 2^F, F its frexp
-    exponent, and within a factor 1 + n 2^-53 of the exact sum, so
-    F + e <= 62 gives A < 2^62 (1 + n 2^-53) < 2^63."""
-    shift = 53 - int(np.frexp(terms)[1].min())
-    total_exponent = int(np.frexp(np.abs(terms).sum())[1])
-    return shift if total_exponent + shift <= 62 else None
-
-
-def _running_signs(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The sign (-1, 0 or 1) of the exact sum of terms[:e] for each e in
-    ends, every e at least 1. Every float is a dyadic rational, an
-    integer once scaled by a power of 2, so a tie stays a tie where a
-    float running sum can read 5.6e-17. The integers are int64, summed
-    by np.cumsum, when _int64_shift finds that they fit, and Python ints
-    scaled by the largest denominator otherwise."""
-    shift = _int64_shift(terms)
-    if shift is not None:
-        return np.sign(np.cumsum(np.ldexp(terms, shift).astype(np.int64))
-                       [ends - 1])
-    ratios = [m.as_integer_ratio() for m in terms.tolist()]
-    scale = max(den for _, den in ratios)
-    running = list(itertools.accumulate(num * (scale // den)
-                                        for num, den in ratios))
-    return np.array([(running[e - 1] > 0) - (running[e - 1] < 0)
-                     for e in ends.tolist()], np.int64)
-
-
 def _face_band(v1: LiftedMeasure, v2: LiftedMeasure,
                ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The allowed pairs of a 1D pair as a band (lo, hi): atom a of v1
@@ -208,11 +174,10 @@ def _face_band(v1: LiftedMeasure, v2: LiftedMeasure,
 
     Pair (x, y) is allowed when x = y, when x < y and D = F_mu - F_nu
     > 0 on every gap between consecutive support points in [x, y), or
-    when x > y and D < 0 on every gap in [y, x). The sign of D on each
-    gap is exact (_running_signs): masses of a few binary orders of
-    magnitude, as most pairs have, sum as scaled int64 integers in one
-    np.cumsum; masses far apart, such as a binomial tail's 1e-121
-    beside 0.1, as Python ints. Both ends of the range are
+    when x > y and D < 0 on every gap in [y, x). D is summed exactly:
+    every float mass is a dyadic rational, an integer once scaled by the
+    largest denominator, so a tie D = 0 stays a tie where a float
+    running sum can read 5.6e-17. Both ends of the range are
     nondecreasing in a, since the atoms are sorted by position.
     """
     x1 = v1.positions[:, 0]
@@ -221,8 +186,13 @@ def _face_band(v1: LiftedMeasure, v2: LiftedMeasure,
     pos = np.concatenate([x1, x2])
     order = np.argsort(pos, kind="stable")
     terms = np.concatenate([v1.masses, np.negative(v2.masses)])[order]
+    ratios = [m.as_integer_ratio() for m in terms.tolist()]
+    scale = max(den for _, den in ratios)
+    running = list(itertools.accumulate(num * (scale // den)
+                                        for num, den in ratios))
     cuts = np.searchsorted(pos[order], z[:-1], side="right")
-    d = _running_signs(terms, cuts)
+    d = np.array([(running[cut - 1] > 0) - (running[cut - 1] < 0)
+                  for cut in cuts])
     # from support point p, mass may move right up to the first gap at
     # or after p that D does not cross rightward, and left down to the
     # last gap before p that D does not cross leftward

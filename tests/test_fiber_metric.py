@@ -13,7 +13,6 @@ import math
 import re
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -47,8 +46,7 @@ from mdelab import (
 )
 from mdelab import fiber_metric
 from mdelab.cli import main
-from mdelab.fiber_metric import (_band_cells, _int64_shift, _round_to_polytope,
-                                 _running_signs)
+from mdelab.fiber_metric import _band_cells, _round_to_polytope
 from mdelab.transport import _equal_masses
 
 
@@ -429,60 +427,6 @@ def test_other_pairs_reach_the_lp(monkeypatch):
         for kind in FiberCostKind:
             with pytest.raises(_LinprogCalled):
                 constrained_fiber_cost(va, vb, kind)
-
-
-def _face_terms(v1, v2):
-    """The signed masses of a 1D pair in position order, as _face_band
-    sums them: v1's masses and minus v2's, ties in v1's favour."""
-    pos = np.concatenate([v1.positions[:, 0], v2.positions[:, 0]])
-    order = np.argsort(pos, kind="stable")
-    return np.concatenate([v1.masses, np.negative(v2.masses)])[order]
-
-
-def _exact_signs(terms, ends):
-    running = list(itertools.accumulate(map(Fraction, terms.tolist())))
-    return [(running[e - 1] > 0) - (running[e - 1] < 0) for e in ends]
-
-
-def _running_sign_pairs(seed):
-    """Seeded 1D pairs for both paths of _running_signs: equal masses m
-    vs m on shared quarter-grid bases, where D = 0 on some gaps; random
-    masses; and binomial-tail masses down to 1e-121 beside 0.1, whose
-    scaled integers do not fit in int64."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for count in (1, 2, 5, 20, 60):
-        base = rng.integers(-4, 5, 9) * 0.25
-        pairs.append((_equal_mass_lifted(rng, count, base),
-                      _equal_mass_lifted(rng, count, base), "int64"))
-        pairs.append((_seeded_lifted(rng, count, 1),
-                      _seeded_lifted(rng, count + 3, 1), "int64"))
-    for count in (40, 201):
-        tail = np.array([math.comb(count - 1, j) for j in range(count)],
-                        float)
-        tail /= tail.sum()
-        keep = tail > 1e-121
-        sides = []
-        for shift in (0.0, 0.125):
-            pos = np.arange(count)[keep] / count + shift
-            sides.append(make_lifted(list(zip(
-                pos.tolist(), np.sin(pos).tolist(),
-                (tail[keep] / tail[keep].sum()).tolist()))))
-        pairs.append((*sides, "python"))
-    return pairs
-
-
-def test_running_signs_take_both_paths_exactly():
-    ties = 0
-    for v1, v2, path in _running_sign_pairs(3131):
-        terms = _face_terms(v1, v2)
-        assert (_int64_shift(terms) is None) == (path == "python")
-        ends = np.arange(1, len(terms) + 1)
-        signs = _running_signs(terms, ends)
-        assert signs.dtype == np.int64
-        assert signs.tolist() == _exact_signs(terms, ends)
-        ties += path == "int64" and _equal_masses(v1, v2) and 0 in signs
-    assert ties > 0  # equal-mass pairs with D = 0 exactly on some gap
 
 
 def test_lp_failure_is_a_numerical_error(monkeypatch, tmp_path, capsys):
